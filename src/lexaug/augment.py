@@ -408,9 +408,7 @@ def glowup_prompt(
     for span in spans:
         if span.start not in chosen:
             continue
-        entry = choose_translation(
-            lexicon.lookup_key(span.key, src_lang, tgt_filter=scope), rng, scope=scope
-        )
+        entry = choose_translation(lexicon.lookup_key(span.key, src_lang, tgt_filter=scope), rng)
         parts.append(f"{sentinels.hint_open} {span.surface} {sentinels.hint_is} {entry.tgt_term}")
         hinted.update(range(span.start, span.end))
     if not parts:

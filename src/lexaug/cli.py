@@ -14,7 +14,9 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import sys
+from dataclasses import dataclass
 from importlib import metadata
 from multiprocessing import get_context
 from pathlib import Path
@@ -31,21 +33,11 @@ from .augment import (
 from .corpus import Branch, assign_branch, load_corpus
 from .errors import LexAugError, ScheduleError
 from .lexicon import Lexicon, load_lexicon, merge
-from .mixture import TaskWeights, build_schedule, interleave
+from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave
 from .sampling import SelectionMode, SelectionParams, derive_rng
 
-_TASK_FLAGS = {
-    "codeswitch-mono": Task.CODESWITCH_MONO,
-    "codeswitch-parallel": Task.CODESWITCH_PARALLEL,
-    "glowup-mono": Task.GLOWUP_MONO,
-    "glowup-parallel": Task.GLOWUP_PARALLEL,
-}
-_MONO_TASKS = (Task.CODESWITCH_MONO, Task.GLOWUP_MONO)
-
-_SAMPLING_FLAGS = {
-    "binomial": SelectionMode.BINOMIAL_ADJUSTED,
-    "uniform": SelectionMode.UNIFORM_COUNT,
-}
+# --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
+_TASK_FLAGS = {t.value.replace("_", "-"): t for t in Task if t.value.endswith(("_mono", "_parallel"))}
 
 
 def _version() -> str:
@@ -83,6 +75,17 @@ def _setting(args, config: dict, key: str, default=None, required: bool = False)
     return value
 
 
+def _list_setting(args, config: dict, key: str, required: bool = False) -> list[str]:
+    """A repeatable setting: the flag's values, or a config string or list."""
+    value = _setting(args, config, key, default=[])
+    values = [value] if isinstance(value, str) else value
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise LexAugError(f"{key} must be a string or a list of strings, got {value!r}")
+    if required and not values:
+        raise LexAugError(f"--{key.replace('_', '-')} is required (flag or config file)")
+    return values
+
+
 def _sentinels_from_config(config: dict) -> SentinelInventory:
     overrides = config.get("sentinels")
     if not overrides:
@@ -98,19 +101,15 @@ def _sentinels_from_config(config: dict) -> SentinelInventory:
     return SentinelInventory(task_tokens=task_tokens, **fields)
 
 
-def _load_lexica(paths: list[str] | str) -> Lexicon:
-    if isinstance(paths, str):
-        paths = [paths]
-    if not paths:
-        raise LexAugError("at least one --lexicon is required")
-    loaded = []
-    for spec_str in paths:
-        if "=" in spec_str:
-            name, _, path = spec_str.partition("=")
-        else:
-            path = spec_str
-            name = Path(path).stem
-        loaded.append(load_lexicon(path, source_name=name))
+def _lexicon_spec(spec: str) -> tuple[str, str]:
+    """(source name, path) of a ``[NAME=]PATH`` lexicon spec; the name
+    defaults to the file's stem."""
+    name, eq, path = spec.partition("=")
+    return (name, path) if eq else (Path(spec).stem, spec)
+
+
+def _load_lexica(specs: list[str]) -> Lexicon:
+    loaded = [load_lexicon(path, source_name=name) for name, path in map(_lexicon_spec, specs)]
     return functools.reduce(merge, loaded)
 
 
@@ -129,9 +128,7 @@ def _write_manifest(
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": {path: _sha256(path) for path in outputs},
     }
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
 
 
 def _manifest_path(args, out_path: str | None) -> str | None:
@@ -148,57 +145,67 @@ def _finish_manifest(args, subcommand: str, config: dict, inputs: list, out_path
         _write_manifest(manifest_path, subcommand, config, inputs, [out_path] if out_path else [])
 
 
-def _emit_lines(lines: Iterator[str], out_path: str | None) -> None:
+def _emit_lines(lines: Iterable[str], out_path: str | None) -> None:
+    """Write lines to stdout, or to ``out_path`` only once all are written:
+    they go to a temporary file beside it that then replaces it, and a
+    failed run removes the temporary file and leaves no ``out_path``."""
     if out_path is None:
         for line in lines:
             sys.stdout.write(line + "\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        return
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
             for line in lines:
                 handle.write(line + "\n")
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
-def _print_json(obj, out_path: str | None = None) -> None:
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
-    if out_path is None:
-        print(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+def _emit_json(obj, out_path: str | None) -> None:
+    _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)], out_path)
 
 
 # --- augment -----------------------------------------------------------
 
 
-_WORKER: dict = {}
+@dataclass(frozen=True)
+class _AugmentJob:
+    """Everything needed to turn a batch of records into output lines."""
+
+    task: Task
+    lexicon: Lexicon
+    params: SelectionParams
+    sentinels: SentinelInventory
+    seed: int
+    mask_fraction: float
+
+    def run(self, batch: list) -> list[str]:
+        out = []
+        for item in batch:
+            rng = derive_rng(self.seed, item.id)
+            example = augment_example(
+                item, self.task, self.lexicon, self.params, rng, self.sentinels, self.mask_fraction
+            )
+            out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True))
+        return out
 
 
-def _augment_worker_init(lexicon, task, params, sentinels, seed, mask_fraction):
-    _WORKER.update(
-        lexicon=lexicon,
-        task=task,
-        params=params,
-        sentinels=sentinels,
-        seed=seed,
-        mask_fraction=mask_fraction,
-    )
+# A pool worker's job, set once by the pool initializer so the lexicon is
+# not pickled with every batch.
+_pool_job: _AugmentJob | None = None
 
 
-def _augment_batch(batch: list) -> list[str]:
-    out = []
-    for item in batch:
-        rng = derive_rng(_WORKER["seed"], item.id)
-        example = augment_example(
-            item,
-            _WORKER["task"],
-            _WORKER["lexicon"],
-            _WORKER["params"],
-            rng,
-            _WORKER["sentinels"],
-            _WORKER["mask_fraction"],
-        )
-        out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True))
-    return out
+def _set_pool_job(job: _AugmentJob) -> None:
+    global _pool_job
+    _pool_job = job
+
+
+def _run_pool_batch(batch: list) -> list[str]:
+    return _pool_job.run(batch)
 
 
 def _chunked(items: Iterable, size: int) -> Iterator[list]:
@@ -217,7 +224,7 @@ def cmd_augment(args) -> int:
         raise LexAugError(f"--task must be one of {sorted(_TASK_FLAGS)}, got {task_name!r}")
     task = _TASK_FLAGS[task_name]
     corpus_path = _setting(args, config, "corpus", required=True)
-    lexicon_paths = _setting(args, config, "lexicon", required=True)
+    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
     seed = int(_setting(args, config, "seed", required=True))
     p_tr = float(_setting(args, config, "p_tr", 0.4))
     fraction = float(_setting(args, config, "fraction", 0.5))
@@ -227,29 +234,22 @@ def cmd_augment(args) -> int:
     on_error = _setting(args, config, "on_error", "abort")
     out_path = _setting(args, config, "out")
 
-    if sampling not in _SAMPLING_FLAGS:
-        raise LexAugError(f"--sampling must be one of {sorted(_SAMPLING_FLAGS)}, got {sampling!r}")
-    sentinels = _sentinels_from_config(config)
-    lexicon = _load_lexica(lexicon_paths)
-    params = SelectionParams(p_tr=p_tr, mode=_SAMPLING_FLAGS[sampling])
-    kind = "mono" if task in _MONO_TASKS else "parallel"
+    params = SelectionParams(p_tr=p_tr, mode=SelectionMode(sampling))
+    job = _AugmentJob(
+        task, _load_lexica(lexicon_specs), params, _sentinels_from_config(config), seed, mask_fraction
+    )
+    kind = "mono" if task_name.endswith("-mono") else "parallel"
 
     skipped: list = []
     records = load_corpus(corpus_path, kind=kind, errors=on_error, on_error=skipped.append)
     selected = (r for r in records if assign_branch(r.id, seed, fraction) is Branch.AUGMENT)
 
     if jobs <= 1:
-        _augment_worker_init(lexicon, task, params, sentinels, seed, mask_fraction)
-        lines: Iterator[str] = (line for batch in _chunked(selected, 256) for line in _augment_batch(batch))
-        _emit_lines(lines, out_path)
+        _emit_lines((line for batch in _chunked(selected, 256) for line in job.run(batch)), out_path)
     else:
         ctx = get_context("fork")
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_augment_worker_init,
-            initargs=(lexicon, task, params, sentinels, seed, mask_fraction),
-        ) as pool:
-            batches = pool.imap(_augment_batch, _chunked(selected, 256))
+        with ctx.Pool(processes=jobs, initializer=_set_pool_job, initargs=(job,)) as pool:
+            batches = pool.imap(_run_pool_batch, _chunked(selected, 256))
             _emit_lines((line for batch in batches for line in batch), out_path)
 
     for exc in skipped:
@@ -258,7 +258,7 @@ def cmd_augment(args) -> int:
     effective = {
         "task": task.value,
         "corpus": corpus_path,
-        "lexicon": lexicon_paths,
+        "lexicon": lexicon_specs,
         "seed": seed,
         "p_tr": p_tr,
         "fraction": fraction,
@@ -268,17 +268,18 @@ def cmd_augment(args) -> int:
         "on_error": on_error,
         "skipped_records": len(skipped),
     }
-    inputs = [corpus_path] + [p.partition("=")[2] if "=" in p else p for p in lexicon_paths]
+    inputs = [corpus_path] + [_lexicon_spec(s)[1] for s in lexicon_specs]
     _finish_manifest(args, "augment", effective, inputs, out_path)
     return 0
 
 
 def cmd_token_pairs(args) -> int:
     config = _load_config(args.config)
-    lexicon_paths = _setting(args, config, "lexicon", required=True)
-    langs = _setting(args, config, "langs")
+    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
+    lang_specs = _list_setting(args, config, "langs")
+    langs = ",".join(lang_specs) if lang_specs else None
     out_path = _setting(args, config, "out")
-    lexicon = _load_lexica(lexicon_paths)
+    lexicon = _load_lexica(lexicon_specs)
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
     sentinels = _sentinels_from_config(config)
     lines = (
@@ -286,8 +287,8 @@ def cmd_token_pairs(args) -> int:
         for e in token_pair_examples(lexicon, sentinels, lang_filter)
     )
     _emit_lines(lines, out_path)
-    inputs = [p.partition("=")[2] if "=" in p else p for p in lexicon_paths]
-    _finish_manifest(args, "token-pairs", {"lexicon": lexicon_paths, "langs": langs}, inputs, out_path)
+    inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
+    _finish_manifest(args, "token-pairs", {"lexicon": lexicon_specs, "langs": langs}, inputs, out_path)
     return 0
 
 
@@ -303,10 +304,10 @@ def cmd_mix(args) -> int:
             parallel_aug=_setting(args, config, "parallel_aug", "none"),
             token_pairs=bool(_setting(args, config, "token_pairs", False)),
         )
-    stream_specs = _setting(args, config, "streams") or []
+    stream_specs = _list_setting(args, config, "streams")
     out_path = _setting(args, config, "out")
     if not stream_specs:
-        _print_json(weights.to_json_obj(), out_path)
+        _emit_json(weights.to_json_obj(), out_path)
         _finish_manifest(args, "mix", {"weights": weights.to_json_obj()}, [], out_path)
         return 0
 
@@ -361,7 +362,7 @@ def cmd_score(args) -> int:
         result["sentence_scores"] = [
             round(metrics.chrf(h, r), 4) for h, r in zip(hyps, refs)
         ]
-    _print_json(result, out_path)
+    _emit_json(result, out_path)
     _finish_manifest(args, "score", {"metric": metric, "hyp": hyp_path, "ref": ref_path},
                      [hyp_path, ref_path], out_path)
     return 0
@@ -387,7 +388,7 @@ def cmd_diagnose(args) -> int:
     report = metrics.diagnose_corpus(_load_eval_rows(rows_path))
     print(report.format_table())
     if out_path:
-        _print_json(report.to_json_obj(), out_path)
+        _emit_json(report.to_json_obj(), out_path)
     _finish_manifest(args, "diagnose", {"rows": rows_path}, [rows_path], out_path)
     return 0
 
@@ -400,7 +401,7 @@ def cmd_hit_rate(args) -> int:
     tokens = [line.strip() for line in _read_lines(tokens_path) if line.strip()]
     rows = _load_eval_rows(rows_path)
     result = metrics.token_hit_rate(rows, tokens)
-    _print_json(result.to_json_obj(), out_path)
+    _emit_json(result.to_json_obj(), out_path)
     _finish_manifest(args, "hit-rate", {"rows": rows_path, "tokens": tokens_path},
                      [rows_path, tokens_path], out_path)
     return 0
@@ -412,17 +413,17 @@ def cmd_regress(args) -> int:
     out_path = _setting(args, config, "out")
     rows = analysis.load_lang_rows(table_path)
     report = analysis.regress_delta_chrf(rows)
-    _print_json(report.to_json_obj(), out_path)
+    _emit_json(report.to_json_obj(), out_path)
     _finish_manifest(args, "regress", {"table": table_path}, [table_path], out_path)
     return 0
 
 
 def cmd_lexicon_stats(args) -> int:
     config = _load_config(args.config)
-    lexicon_paths = _setting(args, config, "lexicon", required=True)
+    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
     lang = _setting(args, config, "lang")
     out_path = _setting(args, config, "out")
-    lexicon = _load_lexica(lexicon_paths)
+    lexicon = _load_lexica(lexicon_specs)
     stats: dict = {
         "entries": len(lexicon),
         "languages": sorted(lexicon.languages()),
@@ -433,10 +434,9 @@ def cmd_lexicon_stats(args) -> int:
     if lang:
         stats["per_source"] = dict(sorted(lexicon.entry_counts(lang).items()))
         stats["lang"] = lang
-    _print_json(stats, out_path)
-    input_paths = [p.partition("=")[2] if "=" in p else p for p in lexicon_paths]
-    _finish_manifest(args, "lexicon-stats", {"lexicon": lexicon_paths, "lang": lang},
-                     input_paths, out_path)
+    _emit_json(stats, out_path)
+    inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
+    _finish_manifest(args, "lexicon-stats", {"lexicon": lexicon_specs, "lang": lang}, inputs, out_path)
     return 0
 
 
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--p-tr", dest="p_tr", type=float)
     p.add_argument("--fraction", type=float, help="share of records routed to augmentation")
-    p.add_argument("--sampling", choices=sorted(_SAMPLING_FLAGS))
+    p.add_argument("--sampling", choices=[m.value for m in SelectionMode])
     p.add_argument("--mask-fraction", dest="mask_fraction", type=float)
     p.add_argument("--jobs", type=int)
     p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"])
@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_token_pairs)
 
     p = sub.add_parser("mix", help="build a task weight schedule and optionally interleave streams")
-    p.add_argument("--mono-aug", dest="mono_aug", choices=["none", "codeswitch", "glowup"])
-    p.add_argument("--parallel-aug", dest="parallel_aug", choices=["none", "codeswitch", "glowup"])
+    p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES)
+    p.add_argument("--parallel-aug", dest="parallel_aug", choices=AUG_CHOICES)
     p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction)
     p.add_argument("--weights", help="JSON file mapping task name to weight")
     p.add_argument("--streams", action="append", metavar="TASK=PATH")
@@ -522,10 +522,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LexAugError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -131,18 +131,18 @@ class Branch(enum.Enum):
     VANILLA = "vanilla"
 
 
-def pack_u64_pair(seed: int, record_id: int) -> bytes:
+def keyed_u64(seed: int, record_id: int, domain: bytes) -> int:
+    """Keyed blake2b hash of (seed, record_id) as an unsigned 64-bit integer.
+
+    ``domain`` separates unrelated uses of the same pair (branch routing,
+    per-record generators, stream mixing).
+    """
     if not (0 <= seed <= MAX_U64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if not (0 <= record_id <= MAX_U64):
         raise ValueError(f"record_id must be an unsigned 64-bit integer, got {record_id}")
-    return struct.pack("<QQ", seed, record_id)
-
-
-def _hash_unit(seed: int, record_id: int, domain: bytes) -> float:
-    """Stable hash of (seed, record_id) mapped to [0, 1)."""
-    digest = hashlib.blake2b(pack_u64_pair(seed, record_id), digest_size=8, person=domain).digest()
-    return int.from_bytes(digest, "little") / 2**64
+    key = struct.pack("<QQ", seed, record_id)
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8, person=domain).digest(), "little")
 
 
 def assign_branch(record_id: int, seed: int, fraction: float = 0.5) -> Branch:
@@ -154,7 +154,7 @@ def assign_branch(record_id: int, seed: int, fraction: float = 0.5) -> Branch:
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if _hash_unit(seed, record_id, b"branch") < fraction:
+    if keyed_u64(seed, record_id, b"branch") / 2**64 < fraction:
         return Branch.AUGMENT
     return Branch.VANILLA
 

@@ -9,32 +9,27 @@ class LexAugError(Exception):
     """Base class for all lexaug errors."""
 
 
-class CorpusFormatError(LexAugError):
+class FormatError(LexAugError):
+    """An input file line could not be parsed; the message names the path
+    and the 1-based line when they are known."""
+
+    def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
+        self.path = path
+        self.line_no = line_no
+        prefix = ""
+        if path is not None:
+            prefix = f"{path}:"
+        if line_no is not None:
+            prefix += f"line {line_no}: "
+        super().__init__(prefix + message)
+
+
+class CorpusFormatError(FormatError):
     """A corpus line could not be parsed or violated a record invariant."""
 
-    def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
-        self.path = path
-        self.line_no = line_no
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-        if line_no is not None:
-            prefix += f"line {line_no}: "
-        super().__init__(prefix + message)
 
-
-class LexiconFormatError(LexAugError):
+class LexiconFormatError(FormatError):
     """A lexicon TSV line could not be parsed."""
-
-    def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
-        self.path = path
-        self.line_no = line_no
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-        if line_no is not None:
-            prefix += f"line {line_no}: "
-        super().__init__(prefix + message)
 
 
 class NoCandidateError(LexAugError):

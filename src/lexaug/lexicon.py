@@ -95,16 +95,13 @@ class Lexicon:
             return NotImplemented
         return self._entries == other._entries
 
-    def lookup(self, token: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
-        """Entries whose source term case-folds to ``token`` in ``src_lang``.
+    def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
+        """Entries in ``src_lang`` whose source term has match key ``key``
+        (raw text goes through match_key first).
 
-        Results are stably ordered by (tgt_lang, tgt_term); an unknown token
+        Results are stably ordered by (tgt_lang, tgt_term); an unknown key
         yields an empty list.
         """
-        return self.lookup_key(match_key(token), src_lang, tgt_filter)
-
-    def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
-        """Like lookup, for a key already normalized with match_key."""
         bucket = self._index.get((src_lang, key), [])
         if tgt_filter is None:
             return list(bucket)

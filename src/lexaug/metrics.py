@@ -20,6 +20,9 @@ from .corpus import tokenize
 
 _WS_RE = re.compile(r"\s+")
 
+CHRF_CHAR_ORDER = 6
+CHRF_BETA = 2.0
+
 COPY_SIMILARITY_THRESHOLD = 0.85
 REPETITION_RATIO_THRESHOLD = 3.0
 LRL_MAX_PARALLEL_TOKENS = 360_000_000
@@ -56,46 +59,16 @@ class EvalRow:
         )
 
 
-@dataclass(frozen=True)
-class ChrfParams:
-    """chrf configuration. Only the reporting-standard variant is supported:
-    char n-grams only, effective-order averaging, case preserved."""
-
-    char_order: int = 6
-    word_order: int = 0
-    beta: float = 2.0
-    effective_order: bool = True
-    remove_whitespace: bool = True
-
-    def __post_init__(self):
-        if self.char_order < 1:
-            raise ValueError(f"char_order must be >= 1, got {self.char_order}")
-        if self.word_order != 0:
-            raise ValueError("word n-grams are not supported (word_order must be 0)")
-        if not self.effective_order:
-            raise ValueError("only effective-order averaging is supported")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-
-DEFAULT_CHRF = ChrfParams()
-
-
-def _strip_whitespace(text: str) -> str:
-    return _WS_RE.sub("", text)
-
-
 def _char_ngrams(text: str, order: int) -> Counter:
     return Counter(text[i : i + order] for i in range(len(text) - order + 1))
 
 
-def _pair_statistics(hypothesis: str, reference: str, params: ChrfParams) -> list[int]:
+def _pair_statistics(hypothesis: str, reference: str) -> list[int]:
     """Flat per-order [hyp_total, ref_total, clipped_match] counts."""
-    if params.remove_whitespace:
-        hypothesis = _strip_whitespace(hypothesis)
-        reference = _strip_whitespace(reference)
+    hypothesis = _WS_RE.sub("", hypothesis)
+    reference = _WS_RE.sub("", reference)
     stats = []
-    for order in range(1, params.char_order + 1):
+    for order in range(1, CHRF_CHAR_ORDER + 1):
         hyp_grams = _char_ngrams(hypothesis, order)
         ref_grams = _char_ngrams(reference, order)
         matched = hyp_grams & ref_grams
@@ -105,7 +78,7 @@ def _pair_statistics(hypothesis: str, reference: str, params: ChrfParams) -> lis
     return stats
 
 
-def _f_score(stats: Sequence[int], params: ChrfParams) -> float:
+def _f_score(stats: Sequence[int]) -> float:
     """Average precision/recall over orders where both sides have n-grams,
     then combine with the recall-weighted F formula."""
     precision_sum = 0.0
@@ -121,18 +94,18 @@ def _f_score(stats: Sequence[int], params: ChrfParams) -> float:
         return 0.0
     precision = precision_sum / effective
     recall = recall_sum / effective
-    beta_sq = params.beta * params.beta
+    beta_sq = CHRF_BETA * CHRF_BETA
     denominator = beta_sq * precision + recall
     if denominator == 0.0:
         return 0.0
     return 100.0 * (1.0 + beta_sq) * precision * recall / denominator
 
 
-def chrf(hypothesis: str, reference: str, params: ChrfParams = DEFAULT_CHRF) -> float:
+def chrf(hypothesis: str, reference: str) -> float:
     """Sentence-level chrf in [0, 100]."""
     if not reference:
         raise ValueError("reference must be non-empty")
-    return _f_score(_pair_statistics(hypothesis, reference, params), params)
+    return _f_score(_pair_statistics(hypothesis, reference))
 
 
 def _as_hyp_ref(row) -> tuple[str, str]:
@@ -142,7 +115,7 @@ def _as_hyp_ref(row) -> tuple[str, str]:
     return hypothesis, reference
 
 
-def corpus_chrf(rows: Iterable, params: ChrfParams = DEFAULT_CHRF) -> float:
+def corpus_chrf(rows: Iterable) -> float:
     """Corpus chrf: n-gram statistics are summed over all pairs first
     (micro-average), then scored. Accepts EvalRow or (hypothesis, reference)
     tuples."""
@@ -151,14 +124,14 @@ def corpus_chrf(rows: Iterable, params: ChrfParams = DEFAULT_CHRF) -> float:
         hypothesis, reference = _as_hyp_ref(row)
         if not reference:
             raise ValueError("reference must be non-empty")
-        stats = _pair_statistics(hypothesis, reference, params)
+        stats = _pair_statistics(hypothesis, reference)
         if totals is None:
             totals = stats
         else:
             totals = [a + b for a, b in zip(totals, stats)]
     if totals is None:
         raise ValueError("corpus_chrf needs at least one row")
-    return _f_score(totals, params)
+    return _f_score(totals)
 
 
 @dataclass(frozen=True)

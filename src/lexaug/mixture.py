@@ -9,7 +9,6 @@ shrinks everything else by the factor 0.95.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -18,8 +17,8 @@ from .augment import Task
 from .errors import ScheduleError
 from .sampling import Rng, derive_rng
 
-MONO_AUG_CHOICES = ("none", "codeswitch", "glowup")
-PARALLEL_AUG_CHOICES = ("none", "codeswitch", "glowup")
+# Augmentation choices for both the mono and the parallel data.
+AUG_CHOICES = ("none", "codeswitch", "glowup")
 
 # Stable draw order for interleaving.
 _TASK_ORDER = list(Task)
@@ -52,9 +51,6 @@ class TaskWeights:
     def from_json_obj(cls, obj: Mapping[str, float]) -> "TaskWeights":
         return cls({Task(name): float(weight) for name, weight in obj.items()})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def build_schedule(
     mono_aug: str = "none",
@@ -66,24 +62,19 @@ def build_schedule(
     Exact rational arithmetic internally, so e.g. enabling token pairs on a
     codeswitch-mono schedule yields exactly {0.05, 0.38, 0.285, 0.285}.
     """
-    if mono_aug not in MONO_AUG_CHOICES:
-        raise ScheduleError(f"mono_aug must be one of {MONO_AUG_CHOICES}, got {mono_aug!r}")
-    if parallel_aug not in PARALLEL_AUG_CHOICES:
-        raise ScheduleError(
-            f"parallel_aug must be one of {PARALLEL_AUG_CHOICES}, got {parallel_aug!r}"
-        )
+    for name, value in (("mono_aug", mono_aug), ("parallel_aug", parallel_aug)):
+        if value not in AUG_CHOICES:
+            raise ScheduleError(f"{name} must be one of {AUG_CHOICES}, got {value!r}")
     weights: dict[Task, Fraction] = {
         Task.TRANSLATION: Fraction(2, 5),
         Task.MASS: Fraction(3, 5),
     }
     if mono_aug != "none":
-        task = Task.CODESWITCH_MONO if mono_aug == "codeswitch" else Task.GLOWUP_MONO
         weights[Task.MASS] = Fraction(3, 10)
-        weights[task] = Fraction(3, 10)
+        weights[Task(f"{mono_aug}_mono")] = Fraction(3, 10)
     if parallel_aug != "none":
-        task = Task.CODESWITCH_PARALLEL if parallel_aug == "codeswitch" else Task.GLOWUP_PARALLEL
         weights[Task.TRANSLATION] = Fraction(1, 5)
-        weights[task] = Fraction(1, 5)
+        weights[Task(f"{parallel_aug}_parallel")] = Fraction(1, 5)
     if token_pairs:
         weights = {task: value * Fraction(19, 20) for task, value in weights.items()}
         weights[Task.TOKEN_PAIR] = Fraction(1, 20)

@@ -9,11 +9,10 @@ produce byte-identical output. The generator is splitmix64: a counter-based
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TypeVar
 
-from .corpus import pack_u64_pair
+from .corpus import keyed_u64
 from .errors import NoCandidateError
 
 _MASK64 = 2**64 - 1
@@ -76,8 +75,7 @@ def derive_rng(seed: int, record_id: int, domain: bytes = b"record") -> Rng:
     not produce correlated streams. ``domain`` separates unrelated uses of
     the same (seed, id) pair (e.g. record augmentation vs. stream mixing).
     """
-    digest = hashlib.blake2b(pack_u64_pair(seed, record_id), digest_size=8, person=domain).digest()
-    return Rng(int.from_bytes(digest, "little"))
+    return Rng(keyed_u64(seed, record_id, domain))
 
 
 class SelectionMode(enum.Enum):
@@ -147,19 +145,9 @@ def select_uniform_count(translatable: Iterable[int], rng: Rng) -> set[int]:
     return set(indices[:m])
 
 
-def choose_translation(candidates: Sequence[T], rng: Rng, scope: str | None = None) -> T:
-    """Uniform choice among candidate entries, optionally target-language only.
-
-    ``scope=None`` keeps translations into all languages; a language code
-    restricts candidates to that target language. An empty pool after
-    filtering raises NoCandidateError so the caller can skip the token.
-    """
-    if scope is None:
-        pool = list(candidates)
-    else:
-        pool = [c for c in candidates if c.tgt_lang == scope]
-    if not pool:
-        raise NoCandidateError(
-            "no translation candidate" + (f" for target language {scope!r}" if scope else "")
-        )
-    return pool[rng.randrange(len(pool))]
+def choose_translation(candidates: Sequence[T], rng: Rng) -> T:
+    """Uniform choice among candidate entries. An empty pool raises
+    NoCandidateError so the caller can skip the token."""
+    if not candidates:
+        raise NoCandidateError("no translation candidate")
+    return candidates[rng.randrange(len(candidates))]

@@ -420,6 +420,69 @@ class TestLexiconStatsCommand:
         assert stats["entries"] == 5  # one duplicate collapsed
 
 
+class TestConfigListSettings:
+    """Repeatable settings may be one string or a list in a config file."""
+
+    def test_lexicon_string(self, tmp_path):
+        lexicon = _lexicon_file(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lexicon": lexicon, "seed": 7, "fraction": 1.0}))
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path),
+             "--config", str(config), "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert lexicon in manifest["inputs"]
+        assert manifest["config"]["lexicon"] == [lexicon]
+
+    def test_streams_string(self, tmp_path):
+        stream = tmp_path / "t.jsonl"
+        stream.write_text('{"id": 1}\n{"id": 2}\n')
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"translation": 1.0}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"streams": f"translation={stream}", "seed": 3, "count": 4}))
+        out = tmp_path / "mixed.jsonl"
+        code = main(["mix", "--weights", str(weights), "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_langs_list(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"langs": ["fr"]}))
+        code = main(["token-pairs", "--lexicon", _lexicon_file(tmp_path), "--config", str(config)])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(line)["target"] for line in lines] == ["chat"]
+
+    def test_non_string_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lexicon": [1, 2]}))
+        assert main(["lexicon-stats", "--config", str(config)]) == 1
+        assert "list of strings" in capsys.readouterr().err
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_leaves_no_output_or_manifest(self, tmp_path, capsys, jobs):
+        texts = [f"the cat saw dog number {i}" for i in range(2000)]
+        texts[1500] = "the cat saw a <mask> here"
+        corpus = write_jsonl(
+            tmp_path / "mono.jsonl", [{"lang": "en", "script": "Latn", "text": t} for t in texts]
+        )
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["augment", "--task", "codeswitch-mono", "--corpus", corpus,
+             "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--fraction", "1.0",
+             "--on-error", "skip", "--jobs", jobs, "--out", str(out)]
+        )
+        assert code == 1
+        assert "<mask>" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl", "panlex.tsv"]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -132,18 +132,18 @@ class TestMerge:
 
 class TestLookup:
     def test_all_candidates(self, tiny_lexicon):
-        terms = {e.tgt_term for e in tiny_lexicon.lookup("cat", "en")}
+        terms = {e.tgt_term for e in tiny_lexicon.lookup_key(match_key("cat"), "en")}
         assert terms == {"gato", "chat"}
 
     def test_case_fold_and_filter(self, tiny_lexicon):
-        entries = tiny_lexicon.lookup("Cat", "en", tgt_filter="fr")
+        entries = tiny_lexicon.lookup_key(match_key("Cat"), "en", tgt_filter="fr")
         assert [e.tgt_term for e in entries] == ["chat"]
 
     def test_absent_token(self, tiny_lexicon):
-        assert tiny_lexicon.lookup("crocodile", "en") == []
+        assert tiny_lexicon.lookup_key(match_key("crocodile"), "en") == []
 
     def test_wrong_src_lang(self, tiny_lexicon):
-        assert tiny_lexicon.lookup("cat", "fr") == []
+        assert tiny_lexicon.lookup_key(match_key("cat"), "fr") == []
 
     def test_deterministic_order(self):
         lex = Lexicon(
@@ -153,11 +153,11 @@ class TestLookup:
                 LexEntry("cat", "gato", "en", "es", "Latn"),
             ]
         )
-        assert [e.tgt_term for e in lex.lookup("cat", "en")] == ["gato", "chat", "kot"]
+        assert [e.tgt_term for e in lex.lookup_key(match_key("cat"), "en")] == ["gato", "chat", "kot"]
 
     def test_every_entry_findable(self, tiny_lexicon):
         for entry in tiny_lexicon:
-            found = tiny_lexicon.lookup(entry.src_term, entry.src_lang, entry.tgt_lang)
+            found = tiny_lexicon.lookup_key(match_key(entry.src_term), entry.src_lang, entry.tgt_lang)
             assert entry in found
 
 
@@ -199,4 +199,4 @@ class TestPhrases:
 
     def test_phrase_lookup(self):
         lex = Lexicon([LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])
-        assert [e.tgt_term for e in lex.lookup("Hot Chip", "en")] == ["papas fritas"]
+        assert [e.tgt_term for e in lex.lookup_key(match_key("Hot Chip"), "en")] == ["papas fritas"]

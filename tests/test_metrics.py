@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexaug.metrics import (
-    ChrfParams,
     Direction,
     EvalRow,
     Resourcedness,
@@ -83,12 +82,6 @@ class TestChrf:
         score = chrf(hyp, ref)
         assert 0.0 <= score <= 100.0
         assert abs(score - reference_sentence_chrf(hyp, ref)) < 1e-9
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            ChrfParams(char_order=0)
-        with pytest.raises(ValueError):
-            ChrfParams(word_order=2)
 
 
 class TestCorpusChrf:

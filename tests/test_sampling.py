@@ -1,7 +1,7 @@
 import pytest
 
 from lexaug.errors import NoCandidateError
-from lexaug.lexicon import LexEntry
+from lexaug.lexicon import LexEntry, Lexicon
 from lexaug.sampling import (
     Rng,
     SelectionMode,
@@ -150,11 +150,7 @@ class TestChooseTranslation:
         for count in counts.values():
             assert abs(count / trials - 0.25) < 0.01
 
-    def test_scope_filters(self):
-        rng = derive_rng(32, 0)
-        for _ in range(20):
-            assert choose_translation(_entries(), rng, scope="fr").tgt_term == "chat"
-
     def test_empty_after_filter(self):
+        pool = Lexicon(_entries()).lookup_key("cat", "en", tgt_filter="zu")
         with pytest.raises(NoCandidateError):
-            choose_translation(_entries(), derive_rng(0, 0), scope="zu")
+            choose_translation(pool, derive_rng(0, 0))
