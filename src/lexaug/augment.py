@@ -209,6 +209,7 @@ def find_translatable(
     max_len = lexicon.max_term_tokens(src_lang)
     if max_len == 0 or n == 0:
         return []
+    folded = [t.surface.casefold() for t in tokens]
     spans: list[MatchSpan] = []
     i = 0
     while i < n:
@@ -224,7 +225,7 @@ def find_translatable(
                 run += 1
             limit = run
         for length in range(limit, 0, -1):
-            key = " ".join(t.surface for t in tokens[i : i + length]).casefold()
+            key = " ".join(folded[i : i + length])
             if lexicon.has_term(key, src_lang, tgt_filter):
                 char_start = tokens[i].char_start
                 char_end = tokens[i + length - 1].char_end
@@ -322,13 +323,13 @@ def codeswitch_parallel(
 
 def _mask_units(
     text: str,
-    units: list[tuple[str, int, int]],
+    units: list[tuple[int, int]],
     rng: Rng,
     mask_fraction: float,
     mask_token: str,
 ) -> str:
-    """Mask one contiguous span of ceil(mask_fraction * n) units, start drawn
-    uniformly."""
+    """Mask one contiguous run of ceil(mask_fraction * n) units (char spans),
+    start drawn uniformly."""
     n = len(units)
     if n == 0:
         raise EmptyInputError("cannot mask an empty token sequence")
@@ -336,7 +337,7 @@ def _mask_units(
         raise ValueError(f"mask_fraction must be in [0, 1], got {mask_fraction}")
     length = math.ceil(mask_fraction * n)
     start = rng.randrange(n - length + 1)
-    edits = [(u[1], u[2], mask_token) for u in units[start : start + length]]
+    edits = [(s, e, mask_token) for s, e in units[start : start + length]]
     return _splice(text, edits)
 
 
@@ -348,7 +349,7 @@ def mass_mask(
 ) -> tuple[str, str]:
     """Span masking: replace a random contiguous half (by default) of the
     tokens with the mask token, positionally. Returns (masked, original)."""
-    units = [(t.surface, t.char_start, t.char_end) for t in sentence.tokens]
+    units = [(t.char_start, t.char_end) for t in sentence.tokens]
     masked = _mask_units(sentence.text, units, rng, mask_fraction, mask_token)
     return masked, sentence.text
 
@@ -416,18 +417,18 @@ def glowup_prompt(
     return " ".join(parts) + f" {sentinels.hint_close}", frozenset(hinted)
 
 
-def _units_with_sentinels(text: str, sentinels: SentinelInventory) -> list[tuple[str, int, int]]:
-    """Token units of a prompted string where each control token counts as a
-    single unit (so masking a delimiter yields one clean mask token)."""
-    units: list[tuple[str, int, int]] = []
+def _units_with_sentinels(text: str, sentinels: SentinelInventory) -> list[tuple[int, int]]:
+    """Char spans of a prompted string's token units; each control token is
+    one unit (so masking a delimiter yields one clean mask token)."""
+    units: list[tuple[int, int]] = []
     cursor = 0
     for hit in sentinels._unit_re.finditer(text):
         for tok in tokenize(text[cursor : hit.start()]).tokens:
-            units.append((tok.surface, cursor + tok.char_start, cursor + tok.char_end))
-        units.append((hit.group(), hit.start(), hit.end()))
+            units.append((cursor + tok.char_start, cursor + tok.char_end))
+        units.append(hit.span())
         cursor = hit.end()
     for tok in tokenize(text[cursor:]).tokens:
-        units.append((tok.surface, cursor + tok.char_start, cursor + tok.char_end))
+        units.append((cursor + tok.char_start, cursor + tok.char_end))
     return units
 
 

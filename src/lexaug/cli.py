@@ -55,13 +55,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+def _load_config(args, *extra_keys: str) -> dict:
+    """Settings from the ``--config`` file. Its keys are the subcommand's flag
+    destinations (``p_tr`` for ``--p-tr``) or one of ``extra_keys``."""
+    if args.config is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(args.config, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
-        raise LexAugError(f"{path}: config must be a JSON object")
+        raise LexAugError(f"{args.config}: config must be a JSON object")
+    allowed = (set(vars(args)) - {"config", "func", "subcommand"}) | set(extra_keys)
+    unknown = sorted(set(config) - allowed)
+    if unknown:
+        raise LexAugError(f"{args.config}: unknown config keys {unknown}; allowed: {sorted(allowed)}")
     return config
 
 
@@ -131,18 +137,13 @@ def _write_manifest(
     _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
 
 
-def _manifest_path(args, out_path: str | None) -> str | None:
-    if getattr(args, "manifest", None):
-        return args.manifest
-    if out_path:
-        return out_path + ".manifest.json"
-    return None
-
-
-def _finish_manifest(args, subcommand: str, config: dict, inputs: list, out_path: str | None) -> None:
-    manifest_path = _manifest_path(args, out_path)
+def _finish_manifest(
+    args, config: dict, subcommand: str, effective: dict, inputs: list, out_path: str | None
+) -> None:
+    """Write the manifest to ``--manifest``, else beside ``--out`` if set."""
+    manifest_path = _setting(args, config, "manifest") or (out_path and out_path + ".manifest.json")
     if manifest_path:
-        _write_manifest(manifest_path, subcommand, config, inputs, [out_path] if out_path else [])
+        _write_manifest(manifest_path, subcommand, effective, inputs, [out_path] if out_path else [])
 
 
 def _emit_lines(lines: Iterable[str], out_path: str | None) -> None:
@@ -182,16 +183,27 @@ class _AugmentJob:
     sentinels: SentinelInventory
     seed: int
     mask_fraction: float
+    on_error: str
 
-    def run(self, batch: list) -> list[str]:
-        out = []
+    def run(self, batch: list) -> tuple[list[str], list[str]]:
+        """The batch's output lines, and one message per record whose
+        augmentation failed. A failed record aborts the run unless
+        ``on_error`` is ``"skip"``, which drops it."""
+        out, failed = [], []
         for item in batch:
             rng = derive_rng(self.seed, item.id)
-            example = augment_example(
-                item, self.task, self.lexicon, self.params, rng, self.sentinels, self.mask_fraction
-            )
+            try:
+                example = augment_example(
+                    item, self.task, self.lexicon, self.params, rng, self.sentinels, self.mask_fraction
+                )
+            except LexAugError as exc:
+                message = f"record {item.id}: {type(exc).__name__}: {exc}"
+                if self.on_error == "abort":
+                    raise LexAugError(message) from exc
+                failed.append(message)
+                continue
             out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True))
-        return out
+        return out, failed
 
 
 # A pool worker's job, set once by the pool initializer so the lexicon is
@@ -204,7 +216,7 @@ def _set_pool_job(job: _AugmentJob) -> None:
     _pool_job = job
 
 
-def _run_pool_batch(batch: list) -> list[str]:
+def _run_pool_batch(batch: list) -> tuple[list[str], list[str]]:
     return _pool_job.run(batch)
 
 
@@ -218,7 +230,7 @@ def _chunked(items: Iterable, size: int) -> Iterator[list]:
 
 
 def cmd_augment(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args, "sentinels")
     task_name = _setting(args, config, "task", required=True)
     if task_name not in _TASK_FLAGS:
         raise LexAugError(f"--task must be one of {sorted(_TASK_FLAGS)}, got {task_name!r}")
@@ -236,24 +248,31 @@ def cmd_augment(args) -> int:
 
     params = SelectionParams(p_tr=p_tr, mode=SelectionMode(sampling))
     job = _AugmentJob(
-        task, _load_lexica(lexicon_specs), params, _sentinels_from_config(config), seed, mask_fraction
+        task, _load_lexica(lexicon_specs), params, _sentinels_from_config(config), seed, mask_fraction, on_error
     )
     kind = "mono" if task_name.endswith("-mono") else "parallel"
 
+    # Parse errors, then failed records: a pool reads the corpus ahead of its
+    # results, so one list of both would interleave them by --jobs.
     skipped: list = []
+    failed: list[str] = []
     records = load_corpus(corpus_path, kind=kind, errors=on_error, on_error=skipped.append)
     selected = (r for r in records if assign_branch(r.id, seed, fraction) is Branch.AUGMENT)
 
+    def lines(results: Iterable[tuple[list[str], list[str]]]) -> Iterator[str]:
+        for batch_lines, batch_failed in results:
+            failed.extend(batch_failed)
+            yield from batch_lines
+
     if jobs <= 1:
-        _emit_lines((line for batch in _chunked(selected, 256) for line in job.run(batch)), out_path)
+        _emit_lines(lines(map(job.run, _chunked(selected, 256))), out_path)
     else:
         ctx = get_context("fork")
         with ctx.Pool(processes=jobs, initializer=_set_pool_job, initargs=(job,)) as pool:
-            batches = pool.imap(_run_pool_batch, _chunked(selected, 256))
-            _emit_lines((line for batch in batches for line in batch), out_path)
+            _emit_lines(lines(pool.imap(_run_pool_batch, _chunked(selected, 256))), out_path)
 
-    for exc in skipped:
-        print(f"warning: skipped {exc}", file=sys.stderr)
+    for message in [str(exc) for exc in skipped] + failed:
+        print(f"warning: skipped {message}", file=sys.stderr)
 
     effective = {
         "task": task.value,
@@ -266,15 +285,15 @@ def cmd_augment(args) -> int:
         "mask_fraction": mask_fraction,
         "jobs": jobs,
         "on_error": on_error,
-        "skipped_records": len(skipped),
+        "skipped_records": len(skipped) + len(failed),
     }
     inputs = [corpus_path] + [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, "augment", effective, inputs, out_path)
+    _finish_manifest(args, config, "augment", effective, inputs, out_path)
     return 0
 
 
 def cmd_token_pairs(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args, "sentinels")
     lexicon_specs = _list_setting(args, config, "lexicon", required=True)
     lang_specs = _list_setting(args, config, "langs")
     langs = ",".join(lang_specs) if lang_specs else None
@@ -288,12 +307,12 @@ def cmd_token_pairs(args) -> int:
     )
     _emit_lines(lines, out_path)
     inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, "token-pairs", {"lexicon": lexicon_specs, "langs": langs}, inputs, out_path)
+    _finish_manifest(args, config, "token-pairs", {"lexicon": lexicon_specs, "langs": langs}, inputs, out_path)
     return 0
 
 
 def cmd_mix(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     weights_path = _setting(args, config, "weights")
     if weights_path:
         with open(weights_path, "r", encoding="utf-8") as handle:
@@ -308,7 +327,7 @@ def cmd_mix(args) -> int:
     out_path = _setting(args, config, "out")
     if not stream_specs:
         _emit_json(weights.to_json_obj(), out_path)
-        _finish_manifest(args, "mix", {"weights": weights.to_json_obj()}, [], out_path)
+        _finish_manifest(args, config, "mix", {"weights": weights.to_json_obj()}, [], out_path)
         return 0
 
     seed = int(_setting(args, config, "seed", required=True))
@@ -331,7 +350,7 @@ def cmd_mix(args) -> int:
         "seed": seed,
         "count": count,
     }
-    _finish_manifest(args, "mix", effective, stream_paths, out_path)
+    _finish_manifest(args, config, "mix", effective, stream_paths, out_path)
     return 0
 
 
@@ -341,7 +360,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_score(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     metric = _setting(args, config, "metric", "chrf")
     if metric != "chrf":
         raise LexAugError(f"unsupported metric {metric!r}")
@@ -358,12 +377,12 @@ def cmd_score(args) -> int:
         raise LexAugError("input files are empty")
     score = metrics.corpus_chrf(zip(hyps, refs))
     result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
-    if args.sentence:
+    if _setting(args, config, "sentence", False):
         result["sentence_scores"] = [
             round(metrics.chrf(h, r), 4) for h, r in zip(hyps, refs)
         ]
     _emit_json(result, out_path)
-    _finish_manifest(args, "score", {"metric": metric, "hyp": hyp_path, "ref": ref_path},
+    _finish_manifest(args, config, "score", {"metric": metric, "hyp": hyp_path, "ref": ref_path},
                      [hyp_path, ref_path], out_path)
     return 0
 
@@ -382,19 +401,19 @@ def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     rows_path = _setting(args, config, "rows", required=True)
     out_path = _setting(args, config, "out")
     report = metrics.diagnose_corpus(_load_eval_rows(rows_path))
     print(report.format_table())
     if out_path:
         _emit_json(report.to_json_obj(), out_path)
-    _finish_manifest(args, "diagnose", {"rows": rows_path}, [rows_path], out_path)
+    _finish_manifest(args, config, "diagnose", {"rows": rows_path}, [rows_path], out_path)
     return 0
 
 
 def cmd_hit_rate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     rows_path = _setting(args, config, "rows", required=True)
     tokens_path = _setting(args, config, "tokens", required=True)
     out_path = _setting(args, config, "out")
@@ -402,24 +421,24 @@ def cmd_hit_rate(args) -> int:
     rows = _load_eval_rows(rows_path)
     result = metrics.token_hit_rate(rows, tokens)
     _emit_json(result.to_json_obj(), out_path)
-    _finish_manifest(args, "hit-rate", {"rows": rows_path, "tokens": tokens_path},
+    _finish_manifest(args, config, "hit-rate", {"rows": rows_path, "tokens": tokens_path},
                      [rows_path, tokens_path], out_path)
     return 0
 
 
 def cmd_regress(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     table_path = _setting(args, config, "table", required=True)
     out_path = _setting(args, config, "out")
     rows = analysis.load_lang_rows(table_path)
     report = analysis.regress_delta_chrf(rows)
     _emit_json(report.to_json_obj(), out_path)
-    _finish_manifest(args, "regress", {"table": table_path}, [table_path], out_path)
+    _finish_manifest(args, config, "regress", {"table": table_path}, [table_path], out_path)
     return 0
 
 
 def cmd_lexicon_stats(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     lexicon_specs = _list_setting(args, config, "lexicon", required=True)
     lang = _setting(args, config, "lang")
     out_path = _setting(args, config, "out")
@@ -436,7 +455,7 @@ def cmd_lexicon_stats(args) -> int:
         stats["lang"] = lang
     _emit_json(stats, out_path)
     inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, "lexicon-stats", {"lexicon": lexicon_specs, "lang": lang}, inputs, out_path)
+    _finish_manifest(args, config, "lexicon-stats", {"lexicon": lexicon_specs, "lang": lang}, inputs, out_path)
     return 0
 
 
@@ -488,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["chrf"])
     p.add_argument("--hyp")
     p.add_argument("--ref")
-    p.add_argument("--sentence", action="store_true", help="include per-sentence scores")
+    p.add_argument("--sentence", action="store_true", default=None, help="include per-sentence scores")
     common(p)
     p.set_defaults(func=cmd_score)
 

@@ -61,13 +61,11 @@ class SentencePair:
 
 @dataclass(frozen=True)
 class Token:
-    """A word token with both character and byte spans into the source text."""
+    """A word token with its character span into the source text."""
 
     surface: str
     char_start: int
     char_end: int
-    byte_start: int
-    byte_end: int
 
 
 @dataclass(frozen=True)
@@ -86,43 +84,28 @@ class TokenizedSentence:
 _WORD_CHAR_CACHE: dict[str, bool] = {}
 
 
-def _is_word_char(ch: str) -> bool:
-    try:
-        return _WORD_CHAR_CACHE[ch]
-    except KeyError:
-        # Letters, combining marks, and numbers form tokens; everything else
-        # (punctuation, symbols, whitespace) separates them.
-        result = unicodedata.category(ch)[0] in "LMN"
-        _WORD_CHAR_CACHE[ch] = result
-        return result
-
-
 def tokenize(text: str) -> TokenizedSentence:
     """Split text into maximal runs of Unicode letters/marks/digits.
 
-    Non-token bytes are preserved through the recorded spans: slicing the
-    UTF-8 encoding of ``text`` at the byte spans (or the string at the char
-    spans) reproduces each surface exactly.
+    Non-token characters are preserved through the recorded spans: slicing
+    ``text`` at the char spans reproduces each surface exactly.
     """
     tokens: list[Token] = []
-    char_pos = 0
-    byte_pos = 0
-    run_start_char = run_start_byte = -1
-    for ch in text:
-        ch_bytes = len(ch.encode("utf-8"))
-        if _is_word_char(ch):
-            if run_start_char < 0:
-                run_start_char, run_start_byte = char_pos, byte_pos
-        else:
-            if run_start_char >= 0:
-                tokens.append(
-                    Token(text[run_start_char:char_pos], run_start_char, char_pos, run_start_byte, byte_pos)
-                )
-                run_start_char = -1
-        char_pos += 1
-        byte_pos += ch_bytes
-    if run_start_char >= 0:
-        tokens.append(Token(text[run_start_char:char_pos], run_start_char, char_pos, run_start_byte, byte_pos))
+    run_start = -1
+    for pos, ch in enumerate(text):
+        is_word = _WORD_CHAR_CACHE.get(ch)
+        if is_word is None:
+            # Letters, combining marks, and numbers form tokens; everything
+            # else (punctuation, symbols, whitespace) separates them.
+            is_word = _WORD_CHAR_CACHE[ch] = unicodedata.category(ch)[0] in "LMN"
+        if is_word:
+            if run_start < 0:
+                run_start = pos
+        elif run_start >= 0:
+            tokens.append(Token(text[run_start:pos], run_start, pos))
+            run_start = -1
+    if run_start >= 0:
+        tokens.append(Token(text[run_start:], run_start, len(text)))
     return TokenizedSentence(text, tuple(tokens))
 
 

@@ -9,6 +9,7 @@ and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -49,7 +50,10 @@ def match_key(text: str) -> str:
     "hot chip" share a key. Terms without any word token (pure punctuation)
     fall back to their trimmed, case-folded surface.
     """
-    surfaces = tokenize(text).surfaces()
+    return _match_key(text, tokenize(text).surfaces())
+
+
+def _match_key(text: str, surfaces: list[str]) -> str:
     if not surfaces:
         return text.strip().casefold()
     return " ".join(surfaces).casefold()
@@ -59,41 +63,37 @@ class Lexicon:
     """Indexed, deduplicated collection of LexEntry."""
 
     def __init__(self, entries: Iterable[LexEntry] = ()):
-        self._entries: list[LexEntry] = []
-        self._seen: set[tuple] = set()
+        # Keyed by LexEntry.key(); insertion order is the entry order.
+        self._entries: dict[tuple, LexEntry] = {}
         self._index: dict[tuple[str, str], list[LexEntry]] = {}
         self._max_term_tokens: dict[str, int] = {}
         for entry in entries:
             self._add(entry)
-        self._sort_buckets()
+        for bucket in self._index.values():
+            bucket.sort(key=lambda e: (e.tgt_lang, e.tgt_term))
 
-    def _add(self, entry: LexEntry) -> bool:
+    def _add(self, entry: LexEntry) -> None:
         key = entry.key()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._entries.append(entry)
-        token_count = max(1, len(tokenize(entry.src_term).tokens))
+        if key in self._entries:
+            return
+        self._entries[key] = entry
+        surfaces = tokenize(entry.src_term).surfaces()
+        token_count = max(1, len(surfaces))
         lang = entry.src_lang
         if token_count > self._max_term_tokens.get(lang, 0):
             self._max_term_tokens[lang] = token_count
-        self._index.setdefault((lang, match_key(entry.src_term)), []).append(entry)
-        return True
-
-    def _sort_buckets(self) -> None:
-        for bucket in self._index.values():
-            bucket.sort(key=lambda e: (e.tgt_lang, e.tgt_term))
+        self._index.setdefault((lang, _match_key(entry.src_term, surfaces)), []).append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[LexEntry]:
-        return iter(self._entries)
+        return iter(self._entries.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lexicon):
             return NotImplemented
-        return self._entries == other._entries
+        return list(self) == list(other)
 
     def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
         """Entries in ``src_lang`` whose source term has match key ``key``
@@ -122,21 +122,21 @@ class Lexicon:
 
     def pair_counts(self) -> Counter:
         """Entry count per (src_lang, tgt_lang) pair."""
-        return Counter((e.src_lang, e.tgt_lang) for e in self._entries)
+        return Counter((e.src_lang, e.tgt_lang) for e in self)
 
     def entry_counts(self, lang: str) -> Counter:
         """Per-source-name counts of entries touching ``lang`` on either side."""
         return Counter(
-            e.source_name for e in self._entries if lang in (e.src_lang, e.tgt_lang)
+            e.source_name for e in self if lang in (e.src_lang, e.tgt_lang)
         )
 
     def languages(self) -> set[str]:
-        return {e.src_lang for e in self._entries} | {e.tgt_lang for e in self._entries}
+        return {e.src_lang for e in self} | {e.tgt_lang for e in self}
 
     def save(self, path: str) -> None:
         """Write entries back out as lexicon TSV (source_name is not stored)."""
         with open(path, "w", encoding="utf-8") as handle:
-            for e in self._entries:
+            for e in self:
                 handle.write(f"{e.src_lang}\t{e.tgt_lang}\t{e.tgt_script}\t{e.src_term}\t{e.tgt_term}\n")
 
 
@@ -173,9 +173,4 @@ def load_lexicon(path: str, source_name: str) -> Lexicon:
 def merge(a: Lexicon, b: Lexicon) -> Lexicon:
     """Union of two lexica. On duplicate five-field keys the entry from ``a``
     wins (keeping its source_name)."""
-
-    def chained() -> Iterator[LexEntry]:
-        yield from a
-        yield from b
-
-    return Lexicon(chained())
+    return Lexicon(itertools.chain(a, b))

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexaug.augment import (
     DEFAULT_SENTINELS,
     SentinelInventory,
     Task,
     TrainingExample,
+    _splice,
     augment_example,
     codeswitch,
     codeswitch_mono,
     codeswitch_parallel,
+    find_translatable,
     glowup_mono,
     glowup_parallel,
     glowup_prompt,
@@ -21,8 +25,8 @@ from lexaug.augment import (
 )
 from lexaug.corpus import Record, SentencePair, tokenize
 from lexaug.errors import EmptyInputError, SentinelCollisionError
-from lexaug.lexicon import LexEntry, Lexicon
-from lexaug.sampling import SelectionParams, derive_rng
+from lexaug.lexicon import LexEntry, Lexicon, match_key
+from lexaug.sampling import SelectionMode, SelectionParams, derive_rng
 
 
 def rec(text="the cat sat", lang="en", script="Latn", rid=0):
@@ -35,6 +39,77 @@ def pair(src_text="the cat sat", tgt_text="el gato se sento", rid=0):
         src=Record(id=rid, lang="en", script="Latn", text=src_text),
         tgt=Record(id=rid, lang="es", script="Latn", text=tgt_text),
     )
+
+
+# Single-token words (mixed case, non-ASCII, case folds that change length)
+# and separators, so generated sentences hit one- and multi-word terms.
+_word = st.sampled_from(["cat", "Cat", "dog", "hot", "HOT", "chip", "kitten", "café", "Straße", "x1", "नमस्ते"])
+_sep = st.sampled_from([" ", "  ", "\t", ", ", "-", "! ", " ... "])
+_sentence = st.lists(st.tuples(_word, _sep), min_size=1, max_size=12).map(
+    lambda pairs: "".join(w + sep for w, sep in pairs)
+)
+_terms = st.lists(st.lists(_word, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=8)
+
+
+def _lexicon_of(terms):
+    """en terms translated into es and fr in turn."""
+    return Lexicon(
+        LexEntry(term, f"t{i}", "en", ("es", "fr")[i % 2], "Latn") for i, term in enumerate(terms)
+    )
+
+
+class TestFindTranslatable:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_sentence, terms=_terms, tgt_filter=st.sampled_from([None, "es", "fr"]))
+    def test_spans_are_ordered_lexicon_matches(self, text, terms, tgt_filter):
+        lexicon = _lexicon_of(terms)
+        sentence = tokenize(text)
+        spans = find_translatable(sentence, "en", lexicon, tgt_filter)
+        for a, b in zip(spans, spans[1:]):
+            assert a.end <= b.start and a.char_end <= b.char_start
+        for span in spans:
+            assert 0 <= span.start < span.end <= sentence.n
+            assert span.surface == text[span.char_start : span.char_end]
+            assert span.key == match_key(span.surface)
+            assert lexicon.has_term(span.key, "en", tgt_filter)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(_word, min_size=1, max_size=4),
+        gaps=st.lists(st.sampled_from([" ", "  ", "\t", "\n ", "\u3000"]), min_size=3, max_size=3),
+        others=_terms,
+    )
+    def test_sentence_that_is_a_term_is_one_span(self, words, gaps, others):
+        text = words[0] + "".join(gap + word for gap, word in zip(gaps, words[1:]))
+        lexicon = _lexicon_of([" ".join(words)] + others)
+        sentence = tokenize(text)
+        (span,) = find_translatable(sentence, "en", lexicon)
+        assert (span.start, span.end) == (0, len(words)) == (0, sentence.n)
+        assert span.surface == text
+
+
+@st.composite
+def _text_and_edits(draw):
+    """A text and non-overlapping [start, end) replacements, in any order."""
+    text = draw(st.text(max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    edits = [(cuts[i], cuts[i + 1], draw(st.text(max_size=5))) for i in range(0, len(cuts) - 1, 2)]
+    return text, draw(st.permutations(edits))
+
+
+class TestSplice:
+    @settings(max_examples=300, deadline=None)
+    @given(_text_and_edits())
+    def test_keeps_every_character_outside_the_edits(self, text_and_edits):
+        text, edits = text_and_edits
+        out = _splice(text, list(edits))
+        shift = cursor = 0  # shift: how far text[cursor:] has moved in out
+        for start, end, replacement in sorted(edits):
+            assert out[cursor + shift : start + shift] == text[cursor:start]
+            shift += len(replacement) - (end - start)
+            cursor = end
+        assert out[cursor + shift :] == text[cursor:]
+        assert len(out) == len(text) + shift
 
 
 class TestSentinelInventory:
@@ -161,6 +236,25 @@ class TestCodeswitchParallel:
                 p, tiny_lexicon, SelectionParams(p_tr=1.0), derive_rng(1, trial)
             )
             assert example.target_text == p.tgt.text
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        src=_sentence,
+        tgt=st.text(st.characters(blacklist_characters="<>", blacklist_categories=("Cs",)), max_size=40)
+        .filter(str.strip),
+        terms=_terms,
+        rid=st.integers(0, 2**64 - 1),
+        p_tr=st.floats(0.0, 1.0),
+        mode=st.sampled_from(list(SelectionMode)),
+    )
+    def test_parallel_tasks_never_change_the_target(self, src, tgt, terms, rid, p_tr, mode):
+        p = SentencePair(
+            id=rid, src=Record(rid, "en", "Latn", src), tgt=Record(rid, "es", "Latn", tgt)
+        )
+        params = SelectionParams(p_tr=p_tr, mode=mode)
+        for task in (Task.CODESWITCH_PARALLEL, Task.GLOWUP_PARALLEL):
+            example = augment_example(p, task, _lexicon_of(terms), params, derive_rng(5, rid))
+            assert example.target_text == tgt
 
     def test_tags_use_target_side(self, tiny_lexicon):
         example = codeswitch_parallel(pair(), tiny_lexicon, SelectionParams(), derive_rng(0, 0))

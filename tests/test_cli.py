@@ -476,11 +476,93 @@ class TestAtomicOutput:
         code = main(
             ["augment", "--task", "codeswitch-mono", "--corpus", corpus,
              "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--fraction", "1.0",
-             "--on-error", "skip", "--jobs", jobs, "--out", str(out)]
+             "--on-error", "abort", "--jobs", jobs, "--out", str(out)]
         )
         assert code == 1
         assert "<mask>" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl", "panlex.tsv"]
+
+
+class TestRecordErrors:
+    """A record that its task cannot augment is skipped and counted under
+    --on-error skip, and names its id when it aborts the run."""
+
+    CASES = [
+        pytest.param("codeswitch-mono", "the cat saw a <mask> here", "SentinelCollisionError", id="sentinel"),
+        pytest.param("glowup-mono", "?!", "EmptyInputError", id="no-token"),
+    ]
+
+    def _run(self, tmp_path, task, bad_text, on_error, jobs):
+        texts = [f"the cat saw dog number {i}" for i in range(600)]
+        texts[400] = bad_text
+        corpus = write_jsonl(
+            tmp_path / "mono.jsonl", [{"lang": "en", "script": "Latn", "text": t} for t in texts]
+        )
+        out = tmp_path / f"out{jobs}.jsonl"
+        code = main(
+            ["augment", "--task", task, "--corpus", corpus, "--lexicon", _lexicon_file(tmp_path),
+             "--seed", "1", "--fraction", "1.0", "--on-error", on_error, "--jobs", jobs,
+             "--out", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("task,bad_text,error", CASES)
+    def test_skip_drops_and_counts_the_record(self, tmp_path, capsys, task, bad_text, error, jobs):
+        code, out = self._run(tmp_path, task, bad_text, "skip", jobs)
+        assert code == 0
+        ids = [json.loads(line)["origin_id"] for line in out.read_text().splitlines()]
+        assert ids == [i for i in range(600) if i != 400]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: skipped record 400: {error}: ")
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"]["skipped_records"] == 1
+
+    @pytest.mark.parametrize("task,bad_text,error", CASES)
+    def test_skip_output_and_warnings_do_not_depend_on_jobs(self, tmp_path, capsys, task, bad_text, error):
+        results = []
+        for jobs in ("1", "2"):
+            code, out = self._run(tmp_path, task, bad_text, "skip", jobs)
+            assert code == 0
+            results.append((out.read_bytes(), capsys.readouterr().err))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("task,bad_text,error", CASES)
+    def test_abort_names_the_record(self, tmp_path, capsys, task, bad_text, error, jobs):
+        code, out = self._run(tmp_path, task, bad_text, "abort", jobs)
+        assert code == 1
+        assert f"error: record 400: {error}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigKeys:
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p-tr": 0.9, "seeed": 3}))
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path),
+             "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--config", str(config),
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys ['p-tr', 'seeed']" in err
+        assert not out.exists()
+
+    def test_manifest_from_config(self, tmp_path):
+        manifest = tmp_path / "run.manifest.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": str(manifest)}))
+        out = tmp_path / "stats.json"
+        code = main(
+            ["lexicon-stats", "--lexicon", _lexicon_file(tmp_path), "--config", str(config),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(manifest.read_text())["subcommand"] == "lexicon-stats"
+        assert not (tmp_path / "stats.json.manifest.json").exists()
 
 
 class TestUsageErrors:

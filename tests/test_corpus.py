@@ -1,4 +1,5 @@
 import itertools
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +42,6 @@ class TestTokenize:
         sent = tokenize("नमस्ते दुनिया")
         assert sent.surfaces() == ["नमस्ते", "दुनिया"]
 
-    def test_byte_spans_slice_utf8(self):
-        text = "é café ☕ ok"
-        raw = text.encode("utf-8")
-        for tok in tokenize(text).tokens:
-            assert raw[tok.byte_start : tok.byte_end].decode("utf-8") == tok.surface
-
     def test_detokenization_identity_simple(self):
         text = "  One, two --  three!  "
         sent = tokenize(text)
@@ -60,20 +55,37 @@ class TestTokenize:
         assert _rebuild_from_spans(text, sent) == text
         # Spans are strictly increasing and non-overlapping.
         for a, b in zip(sent.tokens, sent.tokens[1:]):
-            assert a.byte_end <= b.byte_start
             assert a.char_end <= b.char_start
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_matches_category_oracle(self, text):
+        got = [(t.surface, t.char_start, t.char_end) for t in tokenize(text).tokens]
+        assert got == _oracle_tokens(text)
 
 
 def _rebuild_from_spans(text: str, sent) -> str:
-    raw = text.encode("utf-8")
     parts = []
     cursor = 0
     for tok in sent.tokens:
-        parts.append(raw[cursor : tok.byte_start])
-        parts.append(raw[tok.byte_start : tok.byte_end])
-        cursor = tok.byte_end
-    parts.append(raw[cursor:])
-    return b"".join(parts).decode("utf-8")
+        parts.append(text[cursor : tok.char_start])
+        parts.append(text[tok.char_start : tok.char_end])
+        cursor = tok.char_end
+    parts.append(text[cursor:])
+    return "".join(parts)
+
+
+def _oracle_tokens(text: str) -> list[tuple[str, int, int]]:
+    """Independent tokenizer: maximal runs of characters in Unicode
+    categories L, M or N, as (surface, char_start, char_end)."""
+    runs = itertools.groupby(enumerate(text), key=lambda p: unicodedata.category(p[1])[0] in "LMN")
+    tokens = []
+    for is_word, run in runs:
+        run = list(run)
+        if is_word:
+            start, end = run[0][0], run[-1][0] + 1
+            tokens.append((text[start:end], start, end))
+    return tokens
 
 
 class TestRecordTypes:
