@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of the CLI's data-producing commands.
 
-The corpora and lexica below are written from literals, so any change to the
-bytes that `augment`, `token-pairs` or `mix` emit for them fails here. A
+The corpora, lexica and eval rows below are written from literals, so any
+change to the bytes that `augment`, `token-pairs`, `mix`, `score`,
+`diagnose` or `hit-rate` emit for them fails here. A
 refactor must leave every digest unchanged; a deliberate output change must
 update the digest in the same commit and say why.
 """
@@ -174,3 +175,70 @@ def test_mix_digest(inputs):
     )
     assert code == 0
     assert _sha256(out) == MIX_DIGEST
+
+
+# (source, hypothesis, reference) rows for the scoring commands: empty and
+# whitespace-only hypotheses, a whitespace-only reference, combining marks
+# (decomposed "é", Hebrew points), non-Latin scripts, copies and repetition.
+_EVAL_ROWS = [
+    ("en", "The cat sat on the mat.", "The cat sat on the mat.", "The cat sat on the mat."),
+    ("es", "El gato se sentó en la alfombra.", "El gato está en la alfombra", "The cat sat on the mat."),
+    ("es", "", "Un perro grande cerca de la casa roja", "A big dog near the red house"),
+    ("fr", " \t  ", "J'aime les frites et la glace", "I like hot chip and ice cream"),
+    ("fr", "??", "Sous l'arbre, un livre", "Under the tree, a book"),
+    ("ru", "Кошка пьёт воду", "Кошка пьёт воду из реки", "The cat drinks water from the river"),
+    ("ru", "вода вода вода вода вода", "Вода, вода повсюду", "Water, water everywhere"),
+    ("hi", "बिल्ली और कुत्ता घर में हैं", "बिल्ली और कुत्ता घर में है", "The cat and the dog are in the house"),
+    ("ja", "猫は水を飲む", "猫が水を飲みます", "The cat drinks water"),
+    ("he", "שָׁלוֹם עוֹלָם", "שלום עולם", "Hello world"),
+    ("fr", "cafe\u0301 au lait", "caf\u00e9 au lait", "coffee with milk"),
+    ("en", "la la la la la la la", "the song goes on", "la canción sigue"),
+    ("en", "a b c", " \t ", ""),
+    ("es", "The cat drinks water", "El gato bebe agua", "The cat drinks water"),
+    ("zh", "我喜欢热薯条和冰淇淋", "我喜欢薯条和冰淇淋", "I like hot chip and ice cream"),
+    ("en", "Kitten and PUMA", "kitten puma lion", "gatito y puma"),
+]
+_WATCHED_TOKENS = ["cat", "gato", "кошка", "猫は水を飲む", "puma", "kitten", "बिल्ली", "perro", "livre"]
+
+SCORE_SENTENCE_DIGEST = "ff834224cee4a9fa644c8729a9751ab13d9a33c4a0fdfb3a688bfdf9910fbefe"
+DIAGNOSE_DIGEST = "6749ee51a80eaa187b1e9567c86f5b79ce408781d7f711aac66e496676c2c4da"
+HIT_RATE_DIGEST = "94225762c62281c98df441fd473748d4e7c33920a4924e152b2eeef7b8eb8f9c"
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-eval")
+    hyp = root / "hyp.txt"
+    ref = root / "ref.txt"
+    hyp.write_text("".join(h + "\n" for _, h, _, _ in _EVAL_ROWS), encoding="utf-8")
+    ref.write_text("".join(r + "\n" for _, _, r, _ in _EVAL_ROWS), encoding="utf-8")
+    rows = root / "rows.jsonl"
+    with open(rows, "w", encoding="utf-8") as handle:
+        for lang, hypothesis, reference, source in _EVAL_ROWS:
+            obj = {"lang": lang, "direction": "en_to_xx", "source": source,
+                   "hypothesis": hypothesis, "reference": reference}
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    tokens = root / "tokens.txt"
+    tokens.write_text("".join(t + "\n" for t in _WATCHED_TOKENS), encoding="utf-8")
+    return {"root": root, "hyp": str(hyp), "ref": str(ref), "rows": str(rows), "tokens": str(tokens)}
+
+
+def test_score_sentence_digest(eval_inputs):
+    out = eval_inputs["root"] / "score.json"
+    code = main(["score", "--hyp", eval_inputs["hyp"], "--ref", eval_inputs["ref"], "--sentence",
+                 "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == SCORE_SENTENCE_DIGEST
+
+
+def test_diagnose_digest(eval_inputs):
+    out = eval_inputs["root"] / "diagnose.json"
+    assert main(["diagnose", "--rows", eval_inputs["rows"], "--out", str(out)]) == 0
+    assert _sha256(out) == DIAGNOSE_DIGEST
+
+
+def test_hit_rate_digest(eval_inputs):
+    out = eval_inputs["root"] / "hit-rate.json"
+    assert main(["hit-rate", "--rows", eval_inputs["rows"], "--tokens", eval_inputs["tokens"],
+                 "--out", str(out)]) == 0
+    assert _sha256(out) == HIT_RATE_DIGEST
