@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import InsufficientDataError, SingularMatrixError
 from .metrics import Resourcedness
 
@@ -49,6 +47,10 @@ def ols_fit(X, y) -> OlsFit:
     raises SingularMatrixError naming the first linearly dependent predictor
     column (0-based).
     """
+    # Imported here, not at module level: no other command needs numpy, and
+    # importing it costs every CLI run a large share of its start-up time.
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:

@@ -10,7 +10,6 @@ reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -32,7 +31,7 @@ from .augment import (
 )
 from .corpus import Branch, assign_branch, load_corpus
 from .errors import LexAugError, ScheduleError
-from .lexicon import Lexicon, load_lexicon, merge
+from .lexicon import Lexicon, read_entries
 from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave
 from .sampling import SelectionMode, SelectionParams, derive_rng
 
@@ -115,8 +114,11 @@ def _lexicon_spec(spec: str) -> tuple[str, str]:
 
 
 def _load_lexica(specs: list[str]) -> Lexicon:
-    loaded = [load_lexicon(path, source_name=name) for name, path in map(_lexicon_spec, specs)]
-    return functools.reduce(merge, loaded)
+    """One Lexicon over every file's entries, in spec order: on a duplicate
+    entry the first file wins, as with ``merge``."""
+    return Lexicon(itertools.chain.from_iterable(
+        read_entries(path, source_name=name) for name, path in map(_lexicon_spec, specs)
+    ))
 
 
 def _write_manifest(
@@ -375,12 +377,10 @@ def cmd_score(args) -> int:
         )
     if not hyps:
         raise LexAugError("input files are empty")
-    score = metrics.corpus_chrf(zip(hyps, refs))
+    score, sentence_scores = metrics.chrf_scores(zip(hyps, refs))
     result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
     if _setting(args, config, "sentence", False):
-        result["sentence_scores"] = [
-            round(metrics.chrf(h, r), 4) for h, r in zip(hyps, refs)
-        ]
+        result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, out_path)
     _finish_manifest(args, config, "score", {"metric": metric, "hyp": hyp_path, "ref": ref_path},
                      [hyp_path, ref_path], out_path)

@@ -140,34 +140,35 @@ class Lexicon:
                 handle.write(f"{e.src_lang}\t{e.tgt_lang}\t{e.tgt_script}\t{e.src_term}\t{e.tgt_term}\n")
 
 
+def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
+    """The entries of a lexicon TSV file, in file order, duplicates included."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for index, line in enumerate(handle):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise LexiconFormatError(
+                    f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
+                )
+            src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
+            try:
+                yield LexEntry(
+                    src_term=src_term,
+                    tgt_term=tgt_term,
+                    src_lang=src_lang,
+                    tgt_lang=tgt_lang,
+                    tgt_script=tgt_script,
+                    source_name=source_name,
+                )
+            except ValueError as exc:
+                raise LexiconFormatError(str(exc), path, index + 1) from exc
+
+
 def load_lexicon(path: str, source_name: str) -> Lexicon:
     """Parse a lexicon TSV file; exact duplicate lines collapse to one entry."""
-
-    def entries() -> Iterator[LexEntry]:
-        with open(path, "r", encoding="utf-8") as handle:
-            for index, line in enumerate(handle):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 5:
-                    raise LexiconFormatError(
-                        f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
-                    )
-                src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-                try:
-                    yield LexEntry(
-                        src_term=src_term,
-                        tgt_term=tgt_term,
-                        src_lang=src_lang,
-                        tgt_lang=tgt_lang,
-                        tgt_script=tgt_script,
-                        source_name=source_name,
-                    )
-                except ValueError as exc:
-                    raise LexiconFormatError(str(exc), path, index + 1) from exc
-
-    return Lexicon(entries())
+    return Lexicon(read_entries(path, source_name))
 
 
 def merge(a: Lexicon, b: Lexicon) -> Lexicon:

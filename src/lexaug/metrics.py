@@ -59,21 +59,29 @@ class EvalRow:
         )
 
 
-def _char_ngrams(text: str, order: int) -> Counter:
-    return Counter(text[i : i + order] for i in range(len(text) - order + 1))
+def _ngram_counts(text: str) -> Counter:
+    """Counts of every character n-gram of orders 1..CHRF_CHAR_ORDER in one
+    Counter: n-grams of different orders differ in length, so no key is
+    shared between orders."""
+    return Counter(
+        [text[i : i + n] for n in range(1, CHRF_CHAR_ORDER + 1) for i in range(len(text) - n + 1)]
+    )
 
 
 def _pair_statistics(hypothesis: str, reference: str) -> list[int]:
     """Flat per-order [hyp_total, ref_total, clipped_match] counts."""
     hypothesis = _WS_RE.sub("", hypothesis)
     reference = _WS_RE.sub("", reference)
+    ref_grams = _ngram_counts(reference)
+    matched = [0] * (CHRF_CHAR_ORDER + 1)
+    for gram, count in _ngram_counts(hypothesis).items():
+        ref_count = ref_grams.get(gram)
+        if ref_count:
+            matched[len(gram)] += count if count < ref_count else ref_count
     stats = []
     for order in range(1, CHRF_CHAR_ORDER + 1):
-        hyp_grams = _char_ngrams(hypothesis, order)
-        ref_grams = _char_ngrams(reference, order)
-        matched = hyp_grams & ref_grams
         stats.extend(
-            (sum(hyp_grams.values()), sum(ref_grams.values()), sum(matched.values()))
+            (max(len(hypothesis) - order + 1, 0), max(len(reference) - order + 1, 0), matched[order])
         )
     return stats
 
@@ -115,23 +123,28 @@ def _as_hyp_ref(row) -> tuple[str, str]:
     return hypothesis, reference
 
 
-def corpus_chrf(rows: Iterable) -> float:
-    """Corpus chrf: n-gram statistics are summed over all pairs first
-    (micro-average), then scored. Accepts EvalRow or (hypothesis, reference)
+def chrf_scores(rows: Iterable) -> tuple[float, list[float]]:
+    """Corpus chrf and every sentence chrf, counting each pair's n-grams
+    once. The corpus score sums the n-gram statistics over all pairs first
+    (micro-average), then scores. Accepts EvalRow or (hypothesis, reference)
     tuples."""
-    totals: list[int] | None = None
+    totals = [0] * (3 * CHRF_CHAR_ORDER)
+    sentence_scores = []
     for row in rows:
         hypothesis, reference = _as_hyp_ref(row)
         if not reference:
             raise ValueError("reference must be non-empty")
         stats = _pair_statistics(hypothesis, reference)
-        if totals is None:
-            totals = stats
-        else:
-            totals = [a + b for a, b in zip(totals, stats)]
-    if totals is None:
+        totals = [a + b for a, b in zip(totals, stats)]
+        sentence_scores.append(_f_score(stats))
+    if not sentence_scores:
         raise ValueError("corpus_chrf needs at least one row")
-    return _f_score(totals)
+    return _f_score(totals), sentence_scores
+
+
+def corpus_chrf(rows: Iterable) -> float:
+    """Corpus chrf of EvalRow or (hypothesis, reference) rows; see chrf_scores."""
+    return chrf_scores(rows)[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -398,6 +402,35 @@ class TestRegressCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["coefficients"]["n_gatitos"] == pytest.approx(0.03, abs=1e-6)
         assert report["n_rows"] == 10
+
+
+_NUMPY_PROBE = """
+import sys
+from lexaug.cli import main
+hyp, ref, table = sys.argv[1:]
+assert main(["score", "--hyp", hyp, "--ref", ref, "--out", hyp + ".json"]) == 0
+print("numpy" in sys.modules)
+assert main(["regress", "--table", table, "--out", table + ".json"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_imported_only_by_regress(tmp_path):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the cat sat\n")
+    lines = ["lang,delta_chrf,n_panlex,n_gatitos,n_mono,class"]
+    lines += [f"l{i},{i * 0.5 + (i % 3)},{100 * i},{7 * i * i},{(i * 7) % 13},URL" for i in range(8)]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(hyp), str(hyp), str(table)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    assert json.loads((tmp_path / "table.csv.json").read_text())["n_rows"] == 8
 
 
 class TestLexiconStatsCommand:

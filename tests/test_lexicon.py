@@ -1,9 +1,12 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexaug import lexicon
+from lexaug.cli import _load_lexica
 from lexaug.errors import LexiconFormatError
 from lexaug.lexicon import LexEntry, Lexicon, load_lexicon, match_key, merge
 
@@ -128,6 +131,40 @@ class TestMerge:
         b = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn", "gatitos")])
         (entry,) = list(merge(a, b))
         assert entry.source_name == "panlex"
+
+
+class TestLoadSeveral:
+    """The CLI reads every --lexicon file into one Lexicon."""
+
+    def test_each_entry_tokenized_once(self, tmp_path, monkeypatch):
+        specs = [
+            _write(tmp_path / f"l{f}.tsv", [f"en\tes\tLatn\tw{f}x{i}\tt{i}" for i in range(1000)])
+            for f in range(3)
+        ]
+        calls = []
+        tokenize = lexicon.tokenize
+        monkeypatch.setattr(lexicon, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        assert len(_load_lexica(specs)) == 3000
+        assert len(calls) == 3000
+
+    def test_equals_merge_of_each_file(self, tmp_path):
+        rng = random.Random(7)
+        src_terms = ["cat", "Cat", "dog", "hot chip", "Hot  chip"]
+        paths = []
+        for f in range(3):
+            lines = [
+                "\t".join(("en", rng.choice("es fr".split()), rng.choice("Latn Cyrl".split()),
+                           rng.choice(src_terms), rng.choice("abc")))
+                for _ in range(25)
+            ]
+            paths.append((f"src{f}", _write(tmp_path / f"l{f}.tsv", lines)))
+        loaded = _load_lexica([f"{name}={path}" for name, path in paths])
+        merged = functools.reduce(merge, [load_lexicon(path, name) for name, path in paths])
+        assert loaded == merged
+        assert [e.source_name for e in loaded] == [e.source_name for e in merged]
+        assert len({e.source_name for e in loaded}) == 3
+        for key in {match_key(term) for term in src_terms}:
+            assert loaded.lookup_key(key, "en") == merged.lookup_key(key, "en")
 
 
 class TestLookup:

@@ -1,14 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexaug.metrics import (
+    CHRF_CHAR_ORDER,
+    _WS_RE,
     Direction,
     EvalRow,
     Resourcedness,
+    _f_score,
+    _pair_statistics,
     chrf,
+    chrf_scores,
     classify_resourcedness,
     copy_similarity,
     corpus_chrf,
@@ -106,6 +112,51 @@ class TestCorpusChrf:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             corpus_chrf([])
+
+
+def _per_order_statistics(hypothesis, reference):
+    """Reference for _pair_statistics: one Counter per side and order,
+    clipped matches from ``Counter.__and__``."""
+    hypothesis = _WS_RE.sub("", hypothesis)
+    reference = _WS_RE.sub("", reference)
+    stats = []
+    for order in range(1, CHRF_CHAR_ORDER + 1):
+        hyp_grams = Counter(hypothesis[i : i + order] for i in range(len(hypothesis) - order + 1))
+        ref_grams = Counter(reference[i : i + order] for i in range(len(reference) - order + 1))
+        matched = hyp_grams & ref_grams
+        stats.extend((sum(hyp_grams.values()), sum(ref_grams.values()), sum(matched.values())))
+    return stats
+
+
+# Arbitrary Unicode, and a small alphabet of letters, mixed whitespace and
+# combining marks, so that n-grams of every order repeat and match.
+_chrf_text = st.one_of(
+    st.text(max_size=40),
+    st.text(
+        alphabet=st.sampled_from(["a", "b", "e", "\u00e9", "\u0301", "\u0308", "\u05b8", "ש",
+                                  " ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]),
+        max_size=40,
+    ),
+)
+
+
+class TestPairStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(_chrf_text, _chrf_text)
+    def test_equals_per_order_counting(self, hyp, ref):
+        assert _pair_statistics(hyp, ref) == _per_order_statistics(hyp, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_chrf_text, _chrf_text.filter(bool)), min_size=1, max_size=8))
+    def test_chrf_scores_equal_corpus_and_sentence_chrf(self, rows):
+        scores = chrf_scores(rows)
+        assert scores == (corpus_chrf(rows), [chrf(h, r) for h, r in rows])
+        totals = [sum(column) for column in zip(*(_per_order_statistics(h, r) for h, r in rows))]
+        assert scores[0] == _f_score(totals)
+
+    def test_chrf_scores_accept_eval_rows(self):
+        rows = [_row("cat sat", "cat sit"), _row("", "a dog")]
+        assert chrf_scores(rows) == (corpus_chrf(rows), [chrf("cat sat", "cat sit"), 0.0])
 
 
 class TestTokenHitRate:

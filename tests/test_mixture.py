@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexaug.augment import Task
 from lexaug.errors import ScheduleError
@@ -136,3 +138,32 @@ class TestInterleave:
         drawn = list(itertools.islice(interleave(streams, weights, 7), 100_000))
         share_t = drawn.count("t") / len(drawn)
         assert abs(share_t - 0.4) < 0.01
+
+
+@st.composite
+def _mix_inputs(draw):
+    """Positive integer shares for a non-empty subset of tasks (normalised to
+    weights), a seed, and a non-empty list of items per weighted task."""
+    tasks = draw(st.lists(st.sampled_from(list(Task)), min_size=1, max_size=4, unique=True))
+    shares = [draw(st.integers(1, 10)) for _ in tasks]
+    weights = TaskWeights({t: k / sum(shares) for t, k in zip(tasks, shares)})
+    streams = {t: draw(st.lists(st.integers(), min_size=1, max_size=6)) for t in tasks}
+    return weights, draw(st.integers(0, 2**64 - 1)), streams
+
+
+class TestInterleaveProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_mix_inputs())
+    def test_pure_function_of_weights_seed_and_contents(self, inputs):
+        weights, seed, streams = inputs
+        # Within the shortest stream's length no stream runs out, so one-shot
+        # iterators over the same contents give the same prefix as lists.
+        n = min(len(items) for items in streams.values())
+        as_lists = interleave({t: list(v) for t, v in streams.items()}, weights, seed)
+        as_iters = interleave({t: iter(v) for t, v in streams.items()}, weights, seed)
+        assert list(itertools.islice(as_lists, n)) == list(itertools.islice(as_iters, n))
+        # Long enough that lists cycle and reshuffle: equal inputs, equal prefixes.
+        long = 4 * max(len(items) for items in streams.values()) + 10
+        first = interleave({t: list(v) for t, v in streams.items()}, weights, seed)
+        second = interleave({t: tuple(v) for t, v in streams.items()}, weights, seed)
+        assert list(itertools.islice(first, long)) == list(itertools.islice(second, long))
