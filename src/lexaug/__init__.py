@@ -3,132 +3,23 @@
 Turns monolingual/parallel corpora plus multilingual lexica into
 training-ready augmented example streams (codeswitching, lexical prompting,
 token pairs) and scores/diagnoses translation outputs (chrf, token hit rate,
-error detectors, lexicon-effect regression).
+error detectors, lexicon-effect regression). The submodules hold the rest of
+the API.
 """
 
-from .analysis import (
-    DeltaTable,
-    LangRow,
-    RegressionReport,
-    delta_table,
-    ols_fit,
-    regress_delta_chrf,
-)
-from .augment import (
-    DEFAULT_SENTINELS,
-    SentinelInventory,
-    Task,
-    TrainingExample,
-    codeswitch,
-    codeswitch_mono,
-    codeswitch_parallel,
-    glowup_mono,
-    glowup_parallel,
-    glowup_prompt,
-    glowup_source,
-    mass_example,
-    mass_mask,
-    token_pair_examples,
-    translation_example,
-)
-from .corpus import (
-    Branch,
-    Record,
-    SentencePair,
-    TokenizedSentence,
-    assign_branch,
-    load_corpus,
-    tokenize,
-)
-from .errors import LexAugError
-from .lexicon import LexEntry, Lexicon, load_lexicon, merge
-from .metrics import (
-    Direction,
-    ErrorReport,
-    EvalRow,
-    HitRate,
-    Resourcedness,
-    chrf,
-    chrf_scores,
-    classify_resourcedness,
-    copy_similarity,
-    corpus_chrf,
-    detect_null,
-    detect_repetition,
-    diagnose_corpus,
-    is_copy,
-    token_hit_rate,
-)
-from .mixture import TaskWeights, build_schedule, interleave
-from .sampling import (
-    Rng,
-    SelectionMode,
-    SelectionParams,
-    choose_translation,
-    derive_rng,
-    select_binomial_adjusted,
-    select_uniform_count,
-)
+from .augment import codeswitch_mono
+from .corpus import Record
+from .lexicon import LexEntry, Lexicon, merge
+from .sampling import SelectionParams, derive_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
-    "DEFAULT_SENTINELS",
-    "DeltaTable",
-    "Direction",
-    "ErrorReport",
-    "EvalRow",
-    "HitRate",
-    "LangRow",
-    "LexAugError",
     "LexEntry",
     "Lexicon",
     "Record",
-    "RegressionReport",
-    "Resourcedness",
-    "Rng",
-    "SelectionMode",
     "SelectionParams",
-    "SentencePair",
-    "SentinelInventory",
-    "Task",
-    "TaskWeights",
-    "TokenizedSentence",
-    "TrainingExample",
-    "assign_branch",
-    "build_schedule",
-    "choose_translation",
-    "chrf",
-    "chrf_scores",
-    "classify_resourcedness",
-    "codeswitch",
     "codeswitch_mono",
-    "codeswitch_parallel",
-    "copy_similarity",
-    "corpus_chrf",
-    "delta_table",
     "derive_rng",
-    "detect_null",
-    "detect_repetition",
-    "diagnose_corpus",
-    "glowup_mono",
-    "glowup_parallel",
-    "glowup_prompt",
-    "glowup_source",
-    "interleave",
-    "is_copy",
-    "load_corpus",
-    "load_lexicon",
-    "mass_example",
-    "mass_mask",
     "merge",
-    "ols_fit",
-    "regress_delta_chrf",
-    "select_binomial_adjusted",
-    "select_uniform_count",
-    "token_hit_rate",
-    "token_pair_examples",
-    "tokenize",
-    "translation_example",
 ]

@@ -1,5 +1,5 @@
 """Score-effect analysis: OLS of per-language score deltas on lexicon entry
-counts, and grouped delta tables over resourcedness classes."""
+counts, and mean deltas per resourcedness class."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from .errors import InsufficientDataError, SingularMatrixError
 from .metrics import Resourcedness
 
 PREDICTOR_NAMES = ("n_panlex", "n_gatitos", "n_mono_sentences")
+MIN_URL_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,19 @@ def ols_fit(X, y) -> OlsFit:
     )
 
 
+def per_class_deltas(rows: Iterable[LangRow]) -> dict[str, dict]:
+    """Language count and unweighted mean delta_chrf of each resourcedness
+    class that has rows, in class-name order:
+    ``{"URL": {"langs": 2, "mean_delta_chrf": 4.0}, ...}``."""
+    grouped: dict[str, list[float]] = {}
+    for r in rows:
+        grouped.setdefault(r.resourcedness.value, []).append(r.delta_chrf)
+    return {
+        cls: {"langs": len(deltas), "mean_delta_chrf": sum(deltas) / len(deltas)}
+        for cls, deltas in sorted(grouped.items())
+    }
+
+
 @dataclass(frozen=True)
 class RegressionReport:
     coefficients: Mapping[str, float]
@@ -98,6 +112,7 @@ class RegressionReport:
     r_squared: float
     residual_se: float
     n_rows: int
+    per_class: Mapping[str, dict]
 
     def to_json_obj(self) -> dict:
         return {
@@ -106,19 +121,22 @@ class RegressionReport:
             "r_squared": self.r_squared,
             "residual_se": self.residual_se,
             "n_rows": self.n_rows,
+            "per_class": dict(self.per_class),
         }
 
 
-def regress_delta_chrf(rows: Iterable[LangRow], min_rows: int = 5) -> RegressionReport:
-    """Fit score delta on (panlex, gatitos, monolingual) counts.
+def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:
+    """Fit score delta on (panlex, gatitos, monolingual) counts, and report
+    the per-class delta table over every row.
 
     Only unsupervised (URL) languages enter the fit, which removes parallel
-    data volume as a confound.
+    data volume as a confound; it needs at least MIN_URL_ROWS of them.
     """
+    rows = list(rows)
     url_rows = [r for r in rows if r.resourcedness is Resourcedness.URL]
-    if len(url_rows) < min_rows:
+    if len(url_rows) < MIN_URL_ROWS:
         raise InsufficientDataError(
-            f"need at least {min_rows} URL rows, got {len(url_rows)}"
+            f"need at least {MIN_URL_ROWS} URL rows, got {len(url_rows)}"
         )
     X = [[r.n_panlex, r.n_gatitos, r.n_mono_sentences] for r in url_rows]
     y = [r.delta_chrf for r in url_rows]
@@ -138,61 +156,8 @@ def regress_delta_chrf(rows: Iterable[LangRow], min_rows: int = 5) -> Regression
         r_squared=fit.r_squared,
         residual_se=fit.residual_se,
         n_rows=len(url_rows),
+        per_class=per_class_deltas(rows),
     )
-
-
-@dataclass(frozen=True)
-class DeltaTable:
-    """Per-language deltas with unweighted class means."""
-
-    deltas: Mapping[str, float]
-    per_class: Mapping[Resourcedness, float]
-    class_counts: Mapping[Resourcedness, int]
-    overall: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "per_class": {cls.value: mean for cls, mean in self.per_class.items()},
-            "class_counts": {cls.value: n for cls, n in self.class_counts.items()},
-            "overall": self.overall,
-            "deltas": dict(self.deltas),
-        }
-
-    def format_table(self) -> str:
-        lines = [f"{'class':<8}{'langs':>7}{'mean delta':>12}"]
-        for cls, mean in self.per_class.items():
-            lines.append(f"{cls.value:<8}{self.class_counts[cls]:>7}{mean:>12.2f}")
-        lines.append(f"{'all':<8}{len(self.deltas):>7}{self.overall:>12.2f}")
-        return "\n".join(lines)
-
-
-def delta_table(
-    baseline: Mapping[str, float],
-    candidate: Mapping[str, float],
-    classes: Mapping[str, Resourcedness],
-) -> DeltaTable:
-    """Candidate minus baseline per language, grouped by resourcedness.
-
-    The three mappings must cover the same languages; mismatches raise with
-    the symmetric difference listed.
-    """
-    base_langs = set(baseline)
-    cand_langs = set(candidate)
-    if base_langs != cand_langs:
-        diff = sorted(base_langs ^ cand_langs)
-        raise ValueError(f"baseline and candidate language sets differ: {diff}")
-    missing_classes = sorted(base_langs - set(classes))
-    if missing_classes:
-        raise ValueError(f"languages without a resourcedness class: {missing_classes}")
-    deltas = {lang: candidate[lang] - baseline[lang] for lang in sorted(base_langs)}
-    grouped: dict[Resourcedness, list[float]] = {}
-    for lang, delta in deltas.items():
-        grouped.setdefault(classes[lang], []).append(delta)
-    ordered = sorted(grouped.items(), key=lambda item: item[0].value)
-    per_class = {cls: sum(values) / len(values) for cls, values in ordered}
-    class_counts = {cls: len(values) for cls, values in ordered}
-    overall = sum(deltas.values()) / len(deltas)
-    return DeltaTable(deltas=deltas, per_class=per_class, class_counts=class_counts, overall=overall)
 
 
 def load_lang_rows(path: str) -> list[LangRow]:

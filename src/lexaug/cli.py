@@ -30,7 +30,7 @@ from .augment import (
     token_pair_examples,
 )
 from .corpus import Branch, assign_branch, load_corpus
-from .errors import LexAugError, ScheduleError
+from .errors import InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
 from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave
 from .sampling import SelectionMode, SelectionParams, derive_rng
@@ -246,6 +246,8 @@ def cmd_augment(args) -> int:
     mask_fraction = float(_setting(args, config, "mask_fraction", 0.5))
     jobs = int(_setting(args, config, "jobs", 1))
     on_error = _setting(args, config, "on_error", "abort")
+    if on_error not in ("abort", "skip"):
+        raise LexAugError(f"--on-error must be 'abort' or 'skip', got {on_error!r}")
     out_path = _setting(args, config, "out")
 
     params = SelectionParams(p_tr=p_tr, mode=SelectionMode(sampling))
@@ -258,7 +260,7 @@ def cmd_augment(args) -> int:
     # results, so one list of both would interleave them by --jobs.
     skipped: list = []
     failed: list[str] = []
-    records = load_corpus(corpus_path, kind=kind, errors=on_error, on_error=skipped.append)
+    records = load_corpus(corpus_path, kind=kind, on_error=skipped.append if on_error == "skip" else None)
     selected = (r for r in records if assign_branch(r.id, seed, fraction) is Branch.AUGMENT)
 
     def lines(results: Iterable[tuple[list[str], list[str]]]) -> Iterator[str]:
@@ -357,8 +359,10 @@ def cmd_mix(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
+    """The file's lines without their ``\n`` or ``\r\n`` ends; a lone
+    ``\r`` inside a line does not split it."""
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        return [line.removesuffix("\n").removesuffix("\r") for line in handle]
 
 
 def cmd_score(args) -> int:
@@ -431,8 +435,13 @@ def cmd_regress(args) -> int:
     table_path = _setting(args, config, "table", required=True)
     out_path = _setting(args, config, "out")
     rows = analysis.load_lang_rows(table_path)
-    report = analysis.regress_delta_chrf(rows)
-    _emit_json(report.to_json_obj(), out_path)
+    try:
+        result = analysis.regress_delta_chrf(rows).to_json_obj()
+    except InsufficientDataError as exc:
+        # Too few URL rows to fit; the per-class table needs no fit.
+        print(f"warning: no fit: {exc}", file=sys.stderr)
+        result = {"per_class": analysis.per_class_deltas(rows)}
+    _emit_json(result, out_path)
     _finish_manifest(args, config, "regress", {"table": table_path}, [table_path], out_path)
     return 0
 
@@ -522,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_hit_rate)
 
-    p = sub.add_parser("regress", help="fit score deltas on lexicon entry counts (URL rows)")
+    p = sub.add_parser("regress", help="fit score deltas on lexicon entry counts (URL rows); mean delta per class")
     p.add_argument("--table", help="CSV: lang,delta_chrf,n_panlex,n_gatitos,n_mono,class")
     common(p)
     p.set_defaults(func=cmd_regress)

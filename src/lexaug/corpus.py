@@ -21,6 +21,15 @@ from .errors import CorpusFormatError
 MAX_U64 = 2**64 - 1
 
 
+def _check_id(value, kind: str) -> None:
+    """Ids key the per-record generators: an unsigned 64-bit integer, not a
+    bool or a float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{kind} id must be an integer, got {type(value).__name__}")
+    if not (0 <= value <= MAX_U64):
+        raise ValueError(f"{kind} id {value} outside unsigned 64-bit range")
+
+
 @dataclass(frozen=True)
 class Record:
     """One monolingual sentence with language and script tags."""
@@ -31,10 +40,7 @@ class Record:
     text: str
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool):
-            raise ValueError(f"record id must be an integer, got {type(self.id).__name__}")
-        if not (0 <= self.id <= MAX_U64):
-            raise ValueError(f"record id {self.id} outside unsigned 64-bit range")
+        _check_id(self.id, "record")
         for name in ("lang", "script", "text"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
@@ -53,8 +59,7 @@ class SentencePair:
     tgt: Record
 
     def __post_init__(self):
-        if not (0 <= self.id <= MAX_U64):
-            raise ValueError(f"pair id {self.id} outside unsigned 64-bit range")
+        _check_id(self.id, "pair")
         if self.src.lang == self.tgt.lang:
             raise ValueError(f"src and tgt share language {self.src.lang!r}")
 
@@ -178,20 +183,17 @@ def _pair_from_obj(obj: dict, default_id: int, line_no: int, path: str | None) -
 def load_corpus(
     path: str,
     kind: str = "mono",
-    errors: str = "abort",
     on_error: Callable[[CorpusFormatError], None] | None = None,
 ) -> Iterator[Union[Record, SentencePair]]:
     """Stream records from a JSONL corpus file in file order.
 
     Ids come from an explicit ``id`` field when present, otherwise from the
-    0-based line index. Malformed lines raise CorpusFormatError naming the
-    (1-based) line, or are skipped when ``errors="skip"``; ``on_error`` is
-    invoked with each skipped error.
+    0-based line index. A malformed line raises CorpusFormatError naming the
+    (1-based) line; when ``on_error`` is given, it is called with that error
+    instead and the line is skipped.
     """
     if kind not in ("mono", "parallel"):
         raise ValueError(f"kind must be 'mono' or 'parallel', got {kind!r}")
-    if errors not in ("abort", "skip"):
-        raise ValueError(f"errors must be 'abort' or 'skip', got {errors!r}")
     with open(path, "r", encoding="utf-8") as handle:
         for index, line in enumerate(handle):
             if not line.strip():
@@ -209,7 +211,6 @@ def load_corpus(
                 else:
                     yield _pair_from_obj(obj, index, line_no, path)
             except CorpusFormatError as exc:
-                if errors == "abort":
+                if on_error is None:
                     raise
-                if on_error is not None:
-                    on_error(exc)
+                on_error(exc)

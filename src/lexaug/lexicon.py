@@ -90,11 +90,6 @@ class Lexicon:
     def __iter__(self) -> Iterator[LexEntry]:
         return iter(self._entries.values())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return list(self) == list(other)
-
     def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
         """Entries in ``src_lang`` whose source term has match key ``key``
         (raw text goes through match_key first).
@@ -133,12 +128,6 @@ class Lexicon:
     def languages(self) -> set[str]:
         return {e.src_lang for e in self} | {e.tgt_lang for e in self}
 
-    def save(self, path: str) -> None:
-        """Write entries back out as lexicon TSV (source_name is not stored)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for e in self:
-                handle.write(f"{e.src_lang}\t{e.tgt_lang}\t{e.tgt_script}\t{e.src_term}\t{e.tgt_term}\n")
-
 
 def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
     """The entries of a lexicon TSV file, in file order, duplicates included."""
@@ -164,11 +153,6 @@ def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
                 )
             except ValueError as exc:
                 raise LexiconFormatError(str(exc), path, index + 1) from exc
-
-
-def load_lexicon(path: str, source_name: str) -> Lexicon:
-    """Parse a lexicon TSV file; exact duplicate lines collapse to one entry."""
-    return Lexicon(read_entries(path, source_name))
 
 
 def merge(a: Lexicon, b: Lexicon) -> Lexicon:

@@ -25,8 +25,6 @@ CHRF_BETA = 2.0
 
 COPY_SIMILARITY_THRESHOLD = 0.85
 REPETITION_RATIO_THRESHOLD = 3.0
-LRL_MAX_PARALLEL_TOKENS = 360_000_000
-MRL_MAX_PARALLEL_TOKENS = 2_000_000_000
 
 
 class Direction(enum.Enum):
@@ -223,27 +221,12 @@ def detect_repetition(hypothesis: str) -> bool:
 
 
 class Resourcedness(enum.Enum):
+    """A language's parallel-data class: high, mid, low or unsupervised (none)."""
+
     HRL = "HRL"
     MRL = "MRL"
     LRL = "LRL"
     URL = "URL"
-
-
-def classify_resourcedness(parallel_tokens: int) -> Resourcedness:
-    """Bucket a language by its parallel-data token volume.
-
-    URL: none at all; LRL: up to 360M inclusive; MRL: up to 2B inclusive;
-    HRL: above 2B.
-    """
-    if parallel_tokens < 0:
-        raise ValueError(f"parallel_tokens must be >= 0, got {parallel_tokens}")
-    if parallel_tokens == 0:
-        return Resourcedness.URL
-    if parallel_tokens <= LRL_MAX_PARALLEL_TOKENS:
-        return Resourcedness.LRL
-    if parallel_tokens <= MRL_MAX_PARALLEL_TOKENS:
-        return Resourcedness.MRL
-    return Resourcedness.HRL
 
 
 @dataclass(frozen=True)

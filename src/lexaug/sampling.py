@@ -56,11 +56,6 @@ class Rng:
             if value < n:
                 return value
 
-    def choice(self, seq: Sequence[T]) -> T:
-        if not seq:
-            raise IndexError("choice from empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

@@ -3,9 +3,9 @@ import pytest
 
 from lexaug.analysis import (
     LangRow,
-    delta_table,
     load_lang_rows,
     ols_fit,
+    per_class_deltas,
     regress_delta_chrf,
 )
 from lexaug.errors import InsufficientDataError, SingularMatrixError
@@ -121,6 +121,14 @@ class TestRegressDeltaChrf:
         assert report.n_rows == len(rows)
         assert report.coefficients["n_gatitos"] == pytest.approx(0.003, abs=1e-6)
 
+    def test_per_class_covers_every_row(self):
+        rows = self._rows()
+        spoilers = [LangRow(f"s{i}", 999.0, 1, 1, 1, Resourcedness.HRL) for i in range(30)]
+        report = regress_delta_chrf(iter(rows + spoilers))
+        assert report.per_class == per_class_deltas(rows + spoilers)
+        assert report.per_class["HRL"] == {"langs": 30, "mean_delta_chrf": 999.0}
+        assert report.per_class["URL"]["langs"] == 40
+
     def test_curated_beta_larger_than_bulk(self):
         # Direction check: the curated-lexicon coefficient comes out larger
         # than the bulk-lexicon one, and both positive.
@@ -142,55 +150,35 @@ class TestRegressDeltaChrf:
         assert exc_info.value.column in ("n_panlex", "n_gatitos", "n_mono_sentences")
 
 
-class TestDeltaTable:
+class TestPerClassDeltas:
     def test_identical_scores_zero_deltas(self):
-        scores = {"aa": 30.0, "bb": 40.0}
-        classes = {"aa": Resourcedness.URL, "bb": Resourcedness.HRL}
-        table = delta_table(scores, dict(scores), classes)
-        assert all(v == 0.0 for v in table.deltas.values())
-        assert table.overall == 0.0
+        rows = [
+            LangRow("aa", 0.0, 1, 1, 1, Resourcedness.URL),
+            LangRow("bb", 0.0, 1, 1, 1, Resourcedness.HRL),
+        ]
+        table = per_class_deltas(rows)
+        assert table == {
+            "HRL": {"langs": 1, "mean_delta_chrf": 0.0},
+            "URL": {"langs": 1, "mean_delta_chrf": 0.0},
+        }
 
     def test_single_language_class_mean(self):
-        table = delta_table(
-            {"aa": 10.0}, {"aa": 12.0}, {"aa": Resourcedness.URL}
-        )
-        assert table.per_class[Resourcedness.URL] == pytest.approx(2.0)
+        table = per_class_deltas([LangRow("aa", 2.0, 1, 1, 1, Resourcedness.URL)])
+        assert table["URL"]["mean_delta_chrf"] == pytest.approx(2.0)
 
     def test_four_class_hand_fixture(self):
-        baseline = {"u1": 10.0, "u2": 20.0, "l1": 30.0, "m1": 40.0, "h1": 50.0}
-        candidate = {"u1": 17.0, "u2": 21.0, "l1": 32.0, "m1": 39.0, "h1": 50.5}
-        classes = {
-            "u1": Resourcedness.URL,
-            "u2": Resourcedness.URL,
-            "l1": Resourcedness.LRL,
-            "m1": Resourcedness.MRL,
-            "h1": Resourcedness.HRL,
-        }
-        table = delta_table(baseline, candidate, classes)
-        assert table.per_class[Resourcedness.URL] == pytest.approx(4.0)  # (7 + 1) / 2
-        assert table.per_class[Resourcedness.LRL] == pytest.approx(2.0)
-        assert table.per_class[Resourcedness.MRL] == pytest.approx(-1.0)
-        assert table.per_class[Resourcedness.HRL] == pytest.approx(0.5)
-        assert table.overall == pytest.approx((7 + 1 + 2 - 1 + 0.5) / 5)
-        assert table.class_counts[Resourcedness.URL] == 2
-
-    def test_antisymmetry(self):
-        baseline = {"aa": 10.0, "bb": 25.0}
-        candidate = {"aa": 12.5, "bb": 24.0}
-        classes = {"aa": Resourcedness.URL, "bb": Resourcedness.LRL}
-        forward = delta_table(baseline, candidate, classes)
-        backward = delta_table(candidate, baseline, classes)
-        for lang in baseline:
-            assert forward.deltas[lang] == -backward.deltas[lang]
-        assert forward.overall == -backward.overall
-
-    def test_mismatched_sets_list_difference(self):
-        with pytest.raises(ValueError, match="cc"):
-            delta_table({"aa": 1.0, "cc": 2.0}, {"aa": 1.0}, {"aa": Resourcedness.URL})
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(ValueError, match="aa"):
-            delta_table({"aa": 1.0}, {"aa": 2.0}, {})
+        rows = [
+            LangRow(lang, delta, 1, 1, 1, Resourcedness(cls))
+            for lang, delta, cls in [
+                ("u1", 7.0, "URL"), ("u2", 1.0, "URL"), ("l1", 2.0, "LRL"), ("m1", -1.0, "MRL"), ("h1", 0.5, "HRL"),
+            ]
+        ]
+        table = per_class_deltas(rows)
+        assert list(table) == ["HRL", "LRL", "MRL", "URL"]
+        assert table["URL"] == {"langs": 2, "mean_delta_chrf": pytest.approx(4.0)}  # (7 + 1) / 2
+        assert table["LRL"]["mean_delta_chrf"] == pytest.approx(2.0)
+        assert table["MRL"]["mean_delta_chrf"] == pytest.approx(-1.0)
+        assert table["HRL"]["mean_delta_chrf"] == pytest.approx(0.5)
 
 
 class TestLoadLangRows:

@@ -440,6 +440,62 @@ class TestTrainingExample:
         validate_example(example)
 
 
+def _no_control_token(text):
+    try:
+        DEFAULT_SENTINELS.ensure_clean(text)
+    except SentinelCollisionError:
+        return False
+    return True
+
+
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40).filter(
+    lambda t: tokenize(t).n and _no_control_token(t)
+)
+_any_term = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda t: t.strip() and _no_control_token(t)
+)
+
+
+@st.composite
+def _texts_and_lexicon(draw):
+    """A source and a target text, and a lexicon of arbitrary terms plus
+    words of the source, from en into es and fr."""
+    src, tgt = draw(_any_text), draw(_any_text)
+    terms = draw(st.lists(st.one_of(_any_term, st.sampled_from(tokenize(src).surfaces())), max_size=8))
+    lexicon = Lexicon(
+        LexEntry(term, draw(_any_term), "en", draw(st.sampled_from(["es", "fr"])), draw(st.sampled_from(["Latn", "Cyrl"])))
+        for term in terms
+    )
+    return src, tgt, lexicon
+
+
+class TestEveryExampleIsValid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts_and_lexicon=_texts_and_lexicon(),
+        rid=st.integers(0, 2**64 - 1),
+        p_tr=st.floats(0.0, 1.0),
+        mode=st.sampled_from(list(SelectionMode)),
+        mask_fraction=st.floats(0.0, 1.0),
+    )
+    def test_validate_example(self, texts_and_lexicon, rid, p_tr, mode, mask_fraction):
+        src, tgt, lexicon = texts_and_lexicon
+        r = Record(rid, "en", "Latn", src)
+        p = SentencePair(id=rid, src=r, tgt=Record(rid, "es", "Cyrl", tgt))
+        params = SelectionParams(p_tr=p_tr, mode=mode)
+        examples = [
+            augment_example(r, Task.CODESWITCH_MONO, lexicon, params, derive_rng(1, rid)),
+            augment_example(r, Task.GLOWUP_MONO, lexicon, params, derive_rng(1, rid), mask_fraction=mask_fraction),
+            augment_example(p, Task.CODESWITCH_PARALLEL, lexicon, params, derive_rng(1, rid)),
+            augment_example(p, Task.GLOWUP_PARALLEL, lexicon, params, derive_rng(1, rid)),
+            mass_example(r, derive_rng(1, rid), mask_fraction=mask_fraction),
+            translation_example(p),
+            *token_pair_examples(lexicon),
+        ]
+        for example in examples:
+            validate_example(example)
+
+
 class TestDispatch:
     def test_all_augmentation_tasks(self, tiny_lexicon):
         params = SelectionParams()

@@ -230,6 +230,19 @@ class TestAugmentCommand:
         assert len(out.read_text().splitlines()) == 2
         assert "skipped" in capsys.readouterr().err
 
+    def test_skip_mode_counts_bad_pair_ids(self, tmp_path, capsys):
+        good = {"src": {"lang": "en", "script": "Latn", "text": "the cat"}, "tgt": {"lang": "es", "script": "Latn", "text": "el gato"}}
+        corpus = write_jsonl(tmp_path / "p.jsonl", [good, {"id": 3.0, **good}, {"id": True, **good}, good])
+        out = tmp_path / "p.out.jsonl"
+        args = ["augment", "--task", "codeswitch-parallel", "--corpus", corpus, "--lexicon", _lexicon_file(tmp_path),
+                "--seed", "1", "--fraction", "1.0", "--out", str(out)]
+        assert main(args + ["--on-error", "skip"]) == 0
+        assert [json.loads(line)["origin_id"] for line in out.read_text().splitlines()] == [0, 3]
+        assert capsys.readouterr().err.count("pair id must be an integer") == 2
+        assert json.loads((tmp_path / "p.out.jsonl.manifest.json").read_text())["config"]["skipped_records"] == 2
+        assert main(args + ["--on-error", "abort"]) == 1
+        assert "line 2: pair id must be an integer, got float" in capsys.readouterr().err
+
     def test_parallel_task_reads_pairs(self, tmp_path, parallel_corpus_file):
         lexicon = _lexicon_file(tmp_path)
         out = tmp_path / "p.jsonl"
@@ -334,6 +347,27 @@ class TestScoreCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["sentence_scores"] == [pytest.approx(37.7778)]
 
+    def test_lone_carriage_return_does_not_split_a_line(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_bytes(b"a\rb\nc\n")
+        ref.write_bytes(b"a b\nc\n")
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--sentence"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["pairs"] == 2
+        assert result["sentence_scores"] == [100.0, 100.0]
+
+    def test_crlf_scores_as_lf(self, tmp_path, capsys):
+        text = "the cat sat\na dog barked\nnothing\n"
+        (tmp_path / "ref.txt").write_bytes(b"the cat sits\na dog barks\nnothing here\n")
+        results = []
+        for name, newline in (("lf.txt", "\n"), ("crlf.txt", "\r\n")):
+            (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
+            assert main(["score", "--hyp", str(tmp_path / name), "--ref", str(tmp_path / "ref.txt"), "--sentence"]) == 0
+            results.append(capsys.readouterr().out)
+        assert results[0] == results[1]
+        assert json.loads(results[0])["pairs"] == 3
+
     def test_length_mismatch(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
         ref = tmp_path / "ref.txt"
@@ -402,6 +436,27 @@ class TestRegressCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["coefficients"]["n_gatitos"] == pytest.approx(0.03, abs=1e-6)
         assert report["n_rows"] == 10
+        assert sorted(report) == ["coefficients", "intercept", "n_rows", "per_class", "r_squared", "residual_se"]
+        assert report["per_class"] == {"URL": {"langs": 10, "mean_delta_chrf": pytest.approx(39.975)}}
+
+    def test_four_class_hand_fixture(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
+            "u1,7.0,10,5,100,URL\nu2,1.0,20,6,200,URL\nl1,2.0,0,0,0,LRL\nm1,-1.0,0,0,0,MRL\nh1,0.5,0,0,0,HRL\n"
+        )
+        assert main(["regress", "--table", str(table)]) == 0
+        captured = capsys.readouterr()
+        # Two URL rows are too few to fit; the per-class table is still reported.
+        assert "warning: no fit: need at least 5 URL rows, got 2" in captured.err
+        assert json.loads(captured.out) == {
+            "per_class": {
+                "HRL": {"langs": 1, "mean_delta_chrf": 0.5},
+                "LRL": {"langs": 1, "mean_delta_chrf": 2.0},
+                "MRL": {"langs": 1, "mean_delta_chrf": -1.0},
+                "URL": {"langs": 2, "mean_delta_chrf": 4.0},
+            }
+        }
 
 
 _NUMPY_PROBE = """
@@ -582,6 +637,19 @@ class TestConfigKeys:
         assert code == 1
         err = capsys.readouterr().err
         assert "unknown config keys ['p-tr', 'seeed']" in err
+        assert not out.exists()
+
+    def test_bad_on_error_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"on_error": "ignore"}))
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path),
+             "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--config", str(config),
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "--on-error must be 'abort' or 'skip', got 'ignore'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_from_config(self, tmp_path):

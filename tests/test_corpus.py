@@ -141,6 +141,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 1"):
             list(load_corpus(path, "parallel"))
 
+    @pytest.mark.parametrize("bad_id", [3.0, True])
+    def test_parallel_id_must_be_an_integer(self, tmp_path, bad_id):
+        good = {"src": {"lang": "en", "script": "Latn", "text": "hi"}, "tgt": {"lang": "es", "script": "Latn", "text": "hola"}}
+        path = write_jsonl(tmp_path / "p.jsonl", [good, {"id": bad_id, **good}])
+        with pytest.raises(CorpusFormatError, match="line 2: pair id must be an integer"):
+            list(load_corpus(path, "parallel"))
+
     def test_parallel_roundtrip(self, parallel_corpus_file):
         pairs = list(load_corpus(parallel_corpus_file, "parallel"))
         assert len(pairs) == 2
@@ -164,7 +171,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 1"):
             list(load_corpus(path, "mono"))
         seen = []
-        list(load_corpus(path, "mono", errors="skip", on_error=seen.append))
+        list(load_corpus(path, "mono", on_error=seen.append))
         assert [e.line_no for e in seen] == [1, 2]
 
     def test_skip_mode_collects_errors(self, tmp_path):
@@ -175,7 +182,7 @@ class TestLoadCorpus:
             '{"lang": "en", "script": "Latn", "text": "fine"}\n'
         )
         seen = []
-        records = list(load_corpus(str(path), "mono", errors="skip", on_error=seen.append))
+        records = list(load_corpus(str(path), "mono", on_error=seen.append))
         assert [r.text for r in records] == ["ok", "fine"]
         assert len(seen) == 1 and seen[0].line_no == 2
 

@@ -10,12 +10,10 @@ from lexaug.metrics import (
     _WS_RE,
     Direction,
     EvalRow,
-    Resourcedness,
     _f_score,
     _pair_statistics,
     chrf,
     chrf_scores,
-    classify_resourcedness,
     copy_similarity,
     corpus_chrf,
     detect_null,
@@ -269,34 +267,6 @@ class TestDetectRepetition:
     def test_empty(self):
         assert detect_repetition("") is False
         assert detect_repetition("...") is False
-
-
-class TestResourcedness:
-    @pytest.mark.parametrize(
-        "tokens,expected",
-        [
-            (0, Resourcedness.URL),
-            (1, Resourcedness.LRL),
-            (360_000_000, Resourcedness.LRL),
-            (360_000_001, Resourcedness.MRL),
-            (500_000_000, Resourcedness.MRL),
-            (2_000_000_000, Resourcedness.MRL),
-            (2_000_000_001, Resourcedness.HRL),
-            (2_500_000_000, Resourcedness.HRL),
-        ],
-    )
-    def test_thresholds(self, tokens, expected):
-        assert classify_resourcedness(tokens) is expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            classify_resourcedness(-1)
-
-    def test_monotone_step_function(self):
-        order = [Resourcedness.URL, Resourcedness.LRL, Resourcedness.MRL, Resourcedness.HRL]
-        samples = [0, 1, 10**6, 360_000_000, 10**9, 2 * 10**9, 4 * 10**9]
-        ranks = [order.index(classify_resourcedness(s)) for s in samples]
-        assert ranks == sorted(ranks)
 
 
 def _diagnose_fixture():
