@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InsufficientDataError, SingularMatrixError
+from .errors import FormatError, InsufficientDataError, SingularMatrixError
 from .metrics import Resourcedness
 
 PREDICTOR_NAMES = ("n_panlex", "n_gatitos", "n_mono_sentences")
@@ -162,8 +162,10 @@ def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:
 
 def load_lang_rows(path: str) -> list[LangRow]:
     """Read the regression table CSV: lang,delta_chrf,n_panlex,n_gatitos,
-    n_mono,class."""
+    n_mono,class, one row per language. A bad row raises FormatError naming
+    its line."""
     rows = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
@@ -171,8 +173,11 @@ def load_lang_rows(path: str) -> list[LangRow]:
         if missing:
             raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
         for record in reader:
-            rows.append(
-                LangRow(
+            line_no = reader.line_num
+            try:
+                if None in record.values():
+                    raise ValueError(f"row has fewer than {len(reader.fieldnames)} fields")
+                row = LangRow(
                     lang=record["lang"],
                     delta_chrf=float(record["delta_chrf"]),
                     n_panlex=int(record["n_panlex"]),
@@ -180,5 +185,10 @@ def load_lang_rows(path: str) -> list[LangRow]:
                     n_mono_sentences=int(record["n_mono"]),
                     resourcedness=Resourcedness(record["class"].strip().upper()),
                 )
-            )
+            except ValueError as exc:
+                raise FormatError(str(exc), path, line_no) from exc
+            if row.lang in first_line:
+                raise FormatError(f"language {row.lang!r} is also on line {first_line[row.lang]}", path, line_no)
+            first_line[row.lang] = line_no
+            rows.append(row)
     return rows

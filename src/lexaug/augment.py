@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .corpus import Record, SentencePair, TokenizedSentence, tokenize
+from .corpus import TAG_VALUE, Record, SentencePair, Token, TokenizedSentence, tokenize
 from .errors import EmptyInputError, SentinelCollisionError
 from .lexicon import Lexicon
 from .sampling import (
@@ -38,7 +38,7 @@ class Task(enum.Enum):
     TOKEN_PAIR = "token_pair"
 
 
-DEFAULT_TASK_TOKENS: dict[Task, str] = {
+TASK_TOKENS: dict[Task, str] = {
     Task.TRANSLATION: "<2translation>",
     Task.MASS: "<2mass>",
     Task.CODESWITCH_MONO: "<2codeswitch>",
@@ -46,73 +46,45 @@ DEFAULT_TASK_TOKENS: dict[Task, str] = {
     Task.GLOWUP_MONO: "<2glowup_mono>",
     Task.GLOWUP_PARALLEL: "<2glowup>",
 }
+MASK_TOKEN = "<mask>"
+HINT_OPEN = "<hint>"
+HINT_IS = "<is>"
+HINT_CLOSE = "<endhints>"
+# The literal control tokens, mutually distinct. Token pairs reuse the
+# translation task token, so they carry no entry of their own.
+LITERALS = (*TASK_TOKENS.values(), MASK_TOKEN, HINT_OPEN, HINT_IS, HINT_CLOSE)
+
+_LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, reverse=True))
+# Language and script tags are an open family ("<2en>", "<2Latn>", ...).
+_COLLISION_RE = re.compile(f"{_LITERAL_PATTERN}|<2{TAG_VALUE}>")
+_UNIT_RE = re.compile(_LITERAL_PATTERN)
 
 
-@dataclass
 class SentinelInventory:
-    """The literal control tokens prefixed or spliced into model inputs.
+    """Keeps the control tokens out of natural corpus text: ensure_clean runs
+    before a record is augmented. A class so that perfbench/tracer.py can
+    wrap ``SentinelInventory.ensure_clean`` by name; call it through
+    SENTINELS."""
 
-    All literals must be mutually distinct, and none may occur in natural
-    corpus text (checked by ensure_clean before augmenting a record). Token
-    pairs reuse the translation task token, so they carry no entry here.
-    """
-
-    task_tokens: dict[Task, str] = field(default_factory=lambda: dict(DEFAULT_TASK_TOKENS))
-    lang_tag_template: str = "<2{lang}>"
-    script_tag_template: str = "<2{script}>"
-    mask_token: str = "<mask>"
-    hint_open: str = "<hint>"
-    hint_is: str = "<is>"
-    hint_close: str = "<endhints>"
-
-    def __post_init__(self):
-        literals = self.literals()
-        if len(set(literals)) != len(literals):
-            raise ValueError("sentinel tokens must be mutually distinct")
-        collision = [re.escape(lit) for lit in sorted(literals, key=len, reverse=True)]
-        # Language/script tags are an open family ("<2en>", "<2Latn>", ...);
-        # match the instantiated template shape as well as the fixed literals.
-        for template in (self.lang_tag_template, self.script_tag_template):
-            pattern = re.escape(template)
-            pattern = pattern.replace(re.escape("{lang}"), r"[^<>\s]+")
-            pattern = pattern.replace(re.escape("{script}"), r"[^<>\s]+")
-            collision.append(pattern)
-        self._literal_re = re.compile("|".join(f"(?:{p})" for p in collision))
-        self._unit_re = re.compile(
-            "|".join(re.escape(lit) for lit in sorted(literals, key=len, reverse=True))
-        )
-
-    def literals(self) -> list[str]:
-        return list(self.task_tokens.values()) + [
-            self.mask_token,
-            self.hint_open,
-            self.hint_is,
-            self.hint_close,
-        ]
-
-    def task_token(self, task: Task) -> str:
-        if task is Task.TOKEN_PAIR:
-            return self.task_tokens[Task.TRANSLATION]
-        return self.task_tokens[task]
-
-    def lang_tag(self, lang: str) -> str:
-        return self.lang_tag_template.format(lang=lang)
-
-    def script_tag(self, script: str) -> str:
-        return self.script_tag_template.format(script=script)
-
-    def prefix(self, task: Task, lang: str, script: str) -> str:
-        return f"{self.task_token(task)} {self.lang_tag(lang)} {self.script_tag(script)}"
+    __slots__ = ()
 
     def ensure_clean(self, text: str) -> None:
-        hit = self._literal_re.search(text)
+        hit = _COLLISION_RE.search(text)
         if hit:
             raise SentinelCollisionError(
                 f"corpus text contains reserved control token {hit.group()!r}"
             )
 
 
-DEFAULT_SENTINELS = SentinelInventory()
+SENTINELS = SentinelInventory()
+
+
+def _task_token(task: Task) -> str:
+    return TASK_TOKENS[Task.TRANSLATION if task is Task.TOKEN_PAIR else task]
+
+
+def _prefix(task: Task, lang: str, script: str) -> str:
+    return f"{_task_token(task)} <2{lang}> <2{script}>"
 
 
 @dataclass(frozen=True)
@@ -152,16 +124,16 @@ class TrainingExample:
         )
 
 
-def validate_example(example: TrainingExample, sentinels: SentinelInventory = DEFAULT_SENTINELS) -> None:
+def validate_example(example: TrainingExample) -> None:
     """Check the sentinel-prefix contract: exactly one task token, then a
     language tag, then a script tag."""
-    expected = sentinels.task_token(example.task)
+    expected = _task_token(example.task)
     parts = example.source_text.split(" ", 3)
     if len(parts) < 3 or parts[0] != expected:
         raise ValueError(f"source does not start with task token {expected!r}")
-    if parts[1] != sentinels.lang_tag(example.tgt_lang):
+    if parts[1] != f"<2{example.tgt_lang}>":
         raise ValueError(f"expected language tag after task token, got {parts[1]!r}")
-    if parts[2] != sentinels.script_tag(example.tgt_script):
+    if parts[2] != f"<2{example.tgt_script}>":
         raise ValueError(f"expected script tag, got {parts[2]!r}")
     if not example.target_text:
         raise ValueError("target_text must be non-empty")
@@ -283,15 +255,14 @@ def codeswitch_mono(
     lexicon: Lexicon,
     params: SelectionParams,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
 ) -> TrainingExample:
     """Reconstruction task: input is the codeswitched sentence, target is the
     original."""
-    sentinels.ensure_clean(rec.text)
+    SENTINELS.ensure_clean(rec.text)
     switched, _ = codeswitch(tokenize(rec.text), rec.lang, lexicon, params, rng)
     return TrainingExample(
         task=Task.CODESWITCH_MONO,
-        source_text=f"{sentinels.prefix(Task.CODESWITCH_MONO, rec.lang, rec.script)} {switched}",
+        source_text=f"{_prefix(Task.CODESWITCH_MONO, rec.lang, rec.script)} {switched}",
         target_text=rec.text,
         tgt_lang=rec.lang,
         tgt_script=rec.script,
@@ -304,16 +275,15 @@ def codeswitch_parallel(
     lexicon: Lexicon,
     params: SelectionParams,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
 ) -> TrainingExample:
     """Translation task on a codeswitched source; the target side is never
     modified."""
-    sentinels.ensure_clean(pair.src.text)
-    sentinels.ensure_clean(pair.tgt.text)
+    SENTINELS.ensure_clean(pair.src.text)
+    SENTINELS.ensure_clean(pair.tgt.text)
     switched, _ = codeswitch(tokenize(pair.src.text), pair.src.lang, lexicon, params, rng)
     return TrainingExample(
         task=Task.CODESWITCH_PARALLEL,
-        source_text=f"{sentinels.prefix(Task.CODESWITCH_PARALLEL, pair.tgt.lang, pair.tgt.script)} {switched}",
+        source_text=f"{_prefix(Task.CODESWITCH_PARALLEL, pair.tgt.lang, pair.tgt.script)} {switched}",
         target_text=pair.tgt.text,
         tgt_lang=pair.tgt.lang,
         tgt_script=pair.tgt.script,
@@ -326,7 +296,6 @@ def _mask_units(
     units: list[tuple[int, int]],
     rng: Rng,
     mask_fraction: float,
-    mask_token: str,
 ) -> str:
     """Mask one contiguous run of ceil(mask_fraction * n) units (char spans),
     start drawn uniformly."""
@@ -337,34 +306,27 @@ def _mask_units(
         raise ValueError(f"mask_fraction must be in [0, 1], got {mask_fraction}")
     length = math.ceil(mask_fraction * n)
     start = rng.randrange(n - length + 1)
-    edits = [(s, e, mask_token) for s, e in units[start : start + length]]
+    edits = [(s, e, MASK_TOKEN) for s, e in units[start : start + length]]
     return _splice(text, edits)
 
 
-def mass_mask(
-    sentence: TokenizedSentence,
-    rng: Rng,
-    mask_fraction: float = 0.5,
-    mask_token: str = "<mask>",
-) -> tuple[str, str]:
+def _char_spans(tokens: Iterable[Token], offset: int = 0) -> list[tuple[int, int]]:
+    return [(offset + t.char_start, offset + t.char_end) for t in tokens]
+
+
+def mass_mask(sentence: TokenizedSentence, rng: Rng, mask_fraction: float = 0.5) -> tuple[str, str]:
     """Span masking: replace a random contiguous half (by default) of the
     tokens with the mask token, positionally. Returns (masked, original)."""
-    units = [(t.char_start, t.char_end) for t in sentence.tokens]
-    masked = _mask_units(sentence.text, units, rng, mask_fraction, mask_token)
+    masked = _mask_units(sentence.text, _char_spans(sentence.tokens), rng, mask_fraction)
     return masked, sentence.text
 
 
-def mass_example(
-    rec: Record,
-    rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
-    mask_fraction: float = 0.5,
-) -> TrainingExample:
-    sentinels.ensure_clean(rec.text)
-    masked, original = mass_mask(tokenize(rec.text), rng, mask_fraction, sentinels.mask_token)
+def mass_example(rec: Record, rng: Rng, mask_fraction: float = 0.5) -> TrainingExample:
+    SENTINELS.ensure_clean(rec.text)
+    masked, original = mass_mask(tokenize(rec.text), rng, mask_fraction)
     return TrainingExample(
         task=Task.MASS,
-        source_text=f"{sentinels.prefix(Task.MASS, rec.lang, rec.script)} {masked}",
+        source_text=f"{_prefix(Task.MASS, rec.lang, rec.script)} {masked}",
         target_text=original,
         tgt_lang=rec.lang,
         tgt_script=rec.script,
@@ -372,14 +334,12 @@ def mass_example(
     )
 
 
-def translation_example(
-    pair: SentencePair, sentinels: SentinelInventory = DEFAULT_SENTINELS
-) -> TrainingExample:
-    sentinels.ensure_clean(pair.src.text)
-    sentinels.ensure_clean(pair.tgt.text)
+def translation_example(pair: SentencePair) -> TrainingExample:
+    SENTINELS.ensure_clean(pair.src.text)
+    SENTINELS.ensure_clean(pair.tgt.text)
     return TrainingExample(
         task=Task.TRANSLATION,
-        source_text=f"{sentinels.prefix(Task.TRANSLATION, pair.tgt.lang, pair.tgt.script)} {pair.src.text}",
+        source_text=f"{_prefix(Task.TRANSLATION, pair.tgt.lang, pair.tgt.script)} {pair.src.text}",
         target_text=pair.tgt.text,
         tgt_lang=pair.tgt.lang,
         tgt_script=pair.tgt.script,
@@ -393,7 +353,6 @@ def glowup_prompt(
     lexicon: Lexicon,
     rng: Rng,
     scope: str | None = None,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
 ) -> tuple[str, frozenset[int]]:
     """Build the hint block ``<hint> word <is> translation ... <endhints>``.
 
@@ -410,25 +369,25 @@ def glowup_prompt(
         if span.start not in chosen:
             continue
         entry = choose_translation(lexicon.lookup_key(span.key, src_lang, tgt_filter=scope), rng)
-        parts.append(f"{sentinels.hint_open} {span.surface} {sentinels.hint_is} {entry.tgt_term}")
+        parts.append(f"{HINT_OPEN} {span.surface} {HINT_IS} {entry.tgt_term}")
         hinted.update(range(span.start, span.end))
     if not parts:
         return "", frozenset()
-    return " ".join(parts) + f" {sentinels.hint_close}", frozenset(hinted)
+    return " ".join(parts) + f" {HINT_CLOSE}", frozenset(hinted)
 
 
-def _units_with_sentinels(text: str, sentinels: SentinelInventory) -> list[tuple[int, int]]:
+def _units_with_sentinels(text: str) -> list[tuple[int, int]]:
     """Char spans of a prompted string's token units; each control token is
     one unit (so masking a delimiter yields one clean mask token)."""
     units: list[tuple[int, int]] = []
     cursor = 0
-    for hit in sentinels._unit_re.finditer(text):
-        for tok in tokenize(text[cursor : hit.start()]).tokens:
-            units.append((cursor + tok.char_start, cursor + tok.char_end))
+    for hit in _UNIT_RE.finditer(text):
+        if cursor < hit.start():
+            units += _char_spans(tokenize(text[cursor : hit.start()]).tokens, cursor)
         units.append(hit.span())
         cursor = hit.end()
-    for tok in tokenize(text[cursor:]).tokens:
-        units.append((cursor + tok.char_start, cursor + tok.char_end))
+    if cursor < len(text):
+        units += _char_spans(tokenize(text[cursor:]).tokens, cursor)
     return units
 
 
@@ -436,20 +395,22 @@ def glowup_mono(
     rec: Record,
     lexicon: Lexicon,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
     mask_fraction: float = 0.5,
 ) -> TrainingExample:
     """Hint block prepended to the sentence, then span masking over the whole
     prompted sequence (hints included); target is the prompted, unmasked
     string."""
-    sentinels.ensure_clean(rec.text)
-    prompt, _ = glowup_prompt(tokenize(rec.text), rec.lang, lexicon, rng, scope=None, sentinels=sentinels)
+    SENTINELS.ensure_clean(rec.text)
+    sentence = tokenize(rec.text)
+    prompt, _ = glowup_prompt(sentence, rec.lang, lexicon, rng)
     prompted = f"{prompt} {rec.text}" if prompt else rec.text
-    units = _units_with_sentinels(prompted, sentinels)
-    masked = _mask_units(prompted, units, rng, mask_fraction, sentinels.mask_token)
+    # The text holds no control token: its units are its tokens, shifted
+    # past the prompt and the space after it.
+    units = _units_with_sentinels(prompt) + _char_spans(sentence.tokens, len(prompted) - len(rec.text))
+    masked = _mask_units(prompted, units, rng, mask_fraction)
     return TrainingExample(
         task=Task.GLOWUP_MONO,
-        source_text=f"{sentinels.prefix(Task.GLOWUP_MONO, rec.lang, rec.script)} {masked}",
+        source_text=f"{_prefix(Task.GLOWUP_MONO, rec.lang, rec.script)} {masked}",
         target_text=prompted,
         tgt_lang=rec.lang,
         tgt_script=rec.script,
@@ -464,32 +425,26 @@ def glowup_source(
     tgt_script: str,
     lexicon: Lexicon,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
 ) -> str:
     """Render the prompted, task-tagged source string for the parallel
     prompting task. Hints are restricted to the target language. This is the
     same path used to prompt a trained model at inference time, where no
     reference target exists."""
-    sentinels.ensure_clean(text)
-    prompt, _ = glowup_prompt(
-        tokenize(text), src_lang, lexicon, rng, scope=tgt_lang, sentinels=sentinels
-    )
+    SENTINELS.ensure_clean(text)
+    prompt, _ = glowup_prompt(tokenize(text), src_lang, lexicon, rng, scope=tgt_lang)
     body = f"{prompt} {text}" if prompt else text
-    return f"{sentinels.prefix(Task.GLOWUP_PARALLEL, tgt_lang, tgt_script)} {body}"
+    return f"{_prefix(Task.GLOWUP_PARALLEL, tgt_lang, tgt_script)} {body}"
 
 
 def glowup_parallel(
     pair: SentencePair,
     lexicon: Lexicon,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
 ) -> TrainingExample:
     """Translation with target-language hints prepended to the source; no
     masking, target side untouched."""
-    sentinels.ensure_clean(pair.tgt.text)
-    source = glowup_source(
-        pair.src.text, pair.src.lang, pair.tgt.lang, pair.tgt.script, lexicon, rng, sentinels
-    )
+    SENTINELS.ensure_clean(pair.tgt.text)
+    source = glowup_source(pair.src.text, pair.src.lang, pair.tgt.lang, pair.tgt.script, lexicon, rng)
     return TrainingExample(
         task=Task.GLOWUP_PARALLEL,
         source_text=source,
@@ -501,9 +456,7 @@ def glowup_parallel(
 
 
 def token_pair_examples(
-    lexicon: Lexicon,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
-    lang_filter: Iterable[str] | None = None,
+    lexicon: Lexicon, lang_filter: Iterable[str] | None = None
 ) -> Iterator[TrainingExample]:
     """One tiny translation example per lexicon entry, rendered with the
     translation task token. ``lang_filter`` keeps entries touching any of
@@ -513,15 +466,9 @@ def token_pair_examples(
     for position, entry in enumerate(lexicon):
         if wanted is not None and not ({entry.src_lang, entry.tgt_lang} & wanted):
             continue
-        source = (
-            f"{sentinels.task_token(Task.TRANSLATION)} "
-            f"{sentinels.lang_tag(entry.tgt_lang)} "
-            f"{sentinels.script_tag(entry.tgt_script)} "
-            f"{entry.src_term}"
-        )
         yield TrainingExample(
             task=Task.TOKEN_PAIR,
-            source_text=source,
+            source_text=f"{_prefix(Task.TOKEN_PAIR, entry.tgt_lang, entry.tgt_script)} {entry.src_term}",
             target_text=entry.tgt_term,
             tgt_lang=entry.tgt_lang,
             tgt_script=entry.tgt_script,
@@ -535,16 +482,15 @@ def augment_example(
     lexicon: Lexicon,
     params: SelectionParams,
     rng: Rng,
-    sentinels: SentinelInventory = DEFAULT_SENTINELS,
     mask_fraction: float = 0.5,
 ) -> TrainingExample:
     """Dispatch one record to the requested augmentation task."""
     if task is Task.CODESWITCH_MONO:
-        return codeswitch_mono(item, lexicon, params, rng, sentinels)
+        return codeswitch_mono(item, lexicon, params, rng)
     if task is Task.CODESWITCH_PARALLEL:
-        return codeswitch_parallel(item, lexicon, params, rng, sentinels)
+        return codeswitch_parallel(item, lexicon, params, rng)
     if task is Task.GLOWUP_MONO:
-        return glowup_mono(item, lexicon, rng, sentinels, mask_fraction)
+        return glowup_mono(item, lexicon, rng, mask_fraction)
     if task is Task.GLOWUP_PARALLEL:
-        return glowup_parallel(item, lexicon, rng, sentinels)
+        return glowup_parallel(item, lexicon, rng)
     raise ValueError(f"not an augmentation task: {task}")

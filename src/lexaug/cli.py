@@ -22,13 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import analysis, metrics
-from .augment import (
-    DEFAULT_SENTINELS,
-    SentinelInventory,
-    Task,
-    augment_example,
-    token_pair_examples,
-)
+from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
 from .errors import InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
@@ -54,16 +48,16 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_config(args, *extra_keys: str) -> dict:
+def _load_config(args) -> dict:
     """Settings from the ``--config`` file. Its keys are the subcommand's flag
-    destinations (``p_tr`` for ``--p-tr``) or one of ``extra_keys``."""
+    destinations (``p_tr`` for ``--p-tr``)."""
     if args.config is None:
         return {}
     with open(args.config, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise LexAugError(f"{args.config}: config must be a JSON object")
-    allowed = (set(vars(args)) - {"config", "func", "subcommand"}) | set(extra_keys)
+    allowed = set(vars(args)) - {"config", "func", "subcommand"}
     unknown = sorted(set(config) - allowed)
     if unknown:
         raise LexAugError(f"{args.config}: unknown config keys {unknown}; allowed: {sorted(allowed)}")
@@ -89,21 +83,6 @@ def _list_setting(args, config: dict, key: str, required: bool = False) -> list[
     if required and not values:
         raise LexAugError(f"--{key.replace('_', '-')} is required (flag or config file)")
     return values
-
-
-def _sentinels_from_config(config: dict) -> SentinelInventory:
-    overrides = config.get("sentinels")
-    if not overrides:
-        return DEFAULT_SENTINELS
-    fields = {}
-    task_tokens = dict(DEFAULT_SENTINELS.task_tokens)
-    for key, value in overrides.items():
-        if key == "task_tokens":
-            for name, token in value.items():
-                task_tokens[Task(name)] = token
-        else:
-            fields[key] = value
-    return SentinelInventory(task_tokens=task_tokens, **fields)
 
 
 def _lexicon_spec(spec: str) -> tuple[str, str]:
@@ -182,7 +161,6 @@ class _AugmentJob:
     task: Task
     lexicon: Lexicon
     params: SelectionParams
-    sentinels: SentinelInventory
     seed: int
     mask_fraction: float
     on_error: str
@@ -195,9 +173,7 @@ class _AugmentJob:
         for item in batch:
             rng = derive_rng(self.seed, item.id)
             try:
-                example = augment_example(
-                    item, self.task, self.lexicon, self.params, rng, self.sentinels, self.mask_fraction
-                )
+                example = augment_example(item, self.task, self.lexicon, self.params, rng, self.mask_fraction)
             except LexAugError as exc:
                 message = f"record {item.id}: {type(exc).__name__}: {exc}"
                 if self.on_error == "abort":
@@ -232,7 +208,7 @@ def _chunked(items: Iterable, size: int) -> Iterator[list]:
 
 
 def cmd_augment(args) -> int:
-    config = _load_config(args, "sentinels")
+    config = _load_config(args)
     task_name = _setting(args, config, "task", required=True)
     if task_name not in _TASK_FLAGS:
         raise LexAugError(f"--task must be one of {sorted(_TASK_FLAGS)}, got {task_name!r}")
@@ -251,9 +227,7 @@ def cmd_augment(args) -> int:
     out_path = _setting(args, config, "out")
 
     params = SelectionParams(p_tr=p_tr, mode=SelectionMode(sampling))
-    job = _AugmentJob(
-        task, _load_lexica(lexicon_specs), params, _sentinels_from_config(config), seed, mask_fraction, on_error
-    )
+    job = _AugmentJob(task, _load_lexica(lexicon_specs), params, seed, mask_fraction, on_error)
     kind = "mono" if task_name.endswith("-mono") else "parallel"
 
     # Parse errors, then failed records: a pool reads the corpus ahead of its
@@ -297,17 +271,16 @@ def cmd_augment(args) -> int:
 
 
 def cmd_token_pairs(args) -> int:
-    config = _load_config(args, "sentinels")
+    config = _load_config(args)
     lexicon_specs = _list_setting(args, config, "lexicon", required=True)
     lang_specs = _list_setting(args, config, "langs")
     langs = ",".join(lang_specs) if lang_specs else None
     out_path = _setting(args, config, "out")
     lexicon = _load_lexica(lexicon_specs)
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
-    sentinels = _sentinels_from_config(config)
     lines = (
         json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True)
-        for e in token_pair_examples(lexicon, sentinels, lang_filter)
+        for e in token_pair_examples(lexicon, lang_filter)
     )
     _emit_lines(lines, out_path)
     inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]

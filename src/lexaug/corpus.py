@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import re
 import struct
 import unicodedata
 from dataclasses import dataclass
@@ -19,6 +20,16 @@ from typing import Callable, Iterator, Union
 from .errors import CorpusFormatError
 
 MAX_U64 = 2**64 - 1
+
+# A language or script code. Codes are spliced into "<2...>" tags, so one may
+# not hold whitespace, "<" or ">".
+TAG_VALUE = r"[^<>\s]+"
+_TAG_VALUE_RE = re.compile(TAG_VALUE)
+
+
+def check_tag_value(name: str, value: str) -> None:
+    if not _TAG_VALUE_RE.fullmatch(value):
+        raise ValueError(f"{name} must be non-empty with no whitespace, '<' or '>', got {value!r}")
 
 
 def _check_id(value, kind: str) -> None:
@@ -44,8 +55,8 @@ class Record:
         for name in ("lang", "script", "text"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
-        if not self.lang or not self.script:
-            raise ValueError("lang and script must be non-empty")
+        check_tag_value("lang", self.lang)
+        check_tag_value("script", self.script)
         if not self.text.strip():
             raise ValueError("text is empty after whitespace trim")
 

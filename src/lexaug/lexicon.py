@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .corpus import tokenize
+from .corpus import check_tag_value, tokenize
 from .errors import LexiconFormatError
 
 
@@ -34,9 +34,12 @@ class LexEntry:
             raise ValueError("lexicon terms must be non-empty after trim")
         if self.src_lang == self.tgt_lang:
             raise ValueError(f"src_lang and tgt_lang are both {self.src_lang!r}")
-        for value in (self.src_term, self.tgt_term, self.src_lang, self.tgt_lang, self.tgt_script):
+        for value in (self.src_term, self.tgt_term):
             if any(ch in value for ch in "\t\n\r"):
-                raise ValueError("lexicon fields must not contain tabs or newlines")
+                raise ValueError("lexicon terms must not contain tabs or newlines")
+        check_tag_value("src_lang", self.src_lang)
+        check_tag_value("tgt_lang", self.tgt_lang)
+        check_tag_value("tgt_script", self.tgt_script)
 
     def key(self) -> tuple[str, str, str, str, str]:
         """Dedup identity: the five TSV fields, ignoring source_name."""

@@ -43,11 +43,16 @@ class EvalRow:
     reference: str
 
     def __post_init__(self):
+        for name in ("lang", "source", "hypothesis", "reference"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {type(getattr(self, name)).__name__}")
         if not self.reference:
             raise ValueError("reference must be non-empty")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EvalRow":
+        if not isinstance(obj, dict):
+            raise ValueError("eval row is not a JSON object")
         return cls(
             lang=obj["lang"],
             direction=Direction(str(obj["direction"]).lower()),

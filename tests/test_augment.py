@@ -3,11 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexaug.augment import (
-    DEFAULT_SENTINELS,
-    SentinelInventory,
+    LITERALS,
+    SENTINELS,
     Task,
     TrainingExample,
+    _mask_units,
     _splice,
+    _task_token,
+    _units_with_sentinels,
     augment_example,
     codeswitch,
     codeswitch_mono,
@@ -113,26 +116,24 @@ class TestSplice:
 
 
 class TestSentinelInventory:
-    def test_distinctness_enforced(self):
-        with pytest.raises(ValueError):
-            SentinelInventory(mask_token="<hint>")
+    def test_literals_are_distinct(self):
+        assert len(set(LITERALS)) == len(LITERALS) == 10
 
     def test_task_token_defaults(self):
-        inv = DEFAULT_SENTINELS
-        assert inv.task_token(Task.CODESWITCH_MONO) == "<2codeswitch>"
-        assert inv.task_token(Task.GLOWUP_PARALLEL) == "<2glowup>"
-        assert inv.task_token(Task.TOKEN_PAIR) == "<2translation>"
+        assert _task_token(Task.CODESWITCH_MONO) == "<2codeswitch>"
+        assert _task_token(Task.GLOWUP_PARALLEL) == "<2glowup>"
+        assert _task_token(Task.TOKEN_PAIR) == "<2translation>"
 
     def test_collision_on_task_token(self):
         with pytest.raises(SentinelCollisionError):
-            DEFAULT_SENTINELS.ensure_clean("oops <2codeswitch> here")
+            SENTINELS.ensure_clean("oops <2codeswitch> here")
 
     def test_collision_on_language_tag(self):
         with pytest.raises(SentinelCollisionError):
-            DEFAULT_SENTINELS.ensure_clean("text with <2en> inside")
+            SENTINELS.ensure_clean("text with <2en> inside")
 
     def test_clean_text_passes(self):
-        DEFAULT_SENTINELS.ensure_clean("a perfectly normal sentence < 2 > ok")
+        SENTINELS.ensure_clean("a perfectly normal sentence < 2 > ok")
 
 
 class TestCodeswitch:
@@ -442,7 +443,7 @@ class TestTrainingExample:
 
 def _no_control_token(text):
     try:
-        DEFAULT_SENTINELS.ensure_clean(text)
+        SENTINELS.ensure_clean(text)
     except SentinelCollisionError:
         return False
     return True
@@ -494,6 +495,24 @@ class TestEveryExampleIsValid:
         ]
         for example in examples:
             validate_example(example)
+
+
+class TestGlowupMonoUnits:
+    @settings(max_examples=150, deadline=None)
+    @given(texts_and_lexicon=_texts_and_lexicon(), rid=st.integers(0, 2**64 - 1), mask_fraction=st.floats(0.0, 1.0))
+    def test_prompt_units_then_shifted_text_tokens(self, texts_and_lexicon, rid, mask_fraction):
+        """glowup_mono masks the prompt's units followed by the text's own
+        tokens shifted past the prompt: the units of the prompted string."""
+        text, _, lexicon = texts_and_lexicon
+        sentence = tokenize(text)
+        rng = derive_rng(1, rid)
+        prompt, _ = glowup_prompt(sentence, "en", lexicon, rng)
+        prompted = f"{prompt} {text}" if prompt else text
+        offset = len(prompt) + 1 if prompt else 0
+        units = _units_with_sentinels(prompted)
+        assert _units_with_sentinels(prompt) + [(offset + t.char_start, offset + t.char_end) for t in sentence.tokens] == units
+        example = glowup_mono(Record(rid, "en", "Latn", text), lexicon, derive_rng(1, rid), mask_fraction)
+        assert example.source_text == f"<2glowup_mono> <2en> <2Latn> {_mask_units(prompted, units, rng, mask_fraction)}"
 
 
 class TestDispatch:

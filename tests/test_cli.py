@@ -243,6 +243,18 @@ class TestAugmentCommand:
         assert main(args + ["--on-error", "abort"]) == 1
         assert "line 2: pair id must be an integer, got float" in capsys.readouterr().err
 
+    def test_lang_with_whitespace_is_a_bad_line(self, tmp_path, capsys):
+        good = {"lang": "en", "script": "Latn", "text": "the cat"}
+        corpus = write_jsonl(tmp_path / "m.jsonl", [good, {**good, "lang": "e n"}, good])
+        out = tmp_path / "x.jsonl"
+        args = ["augment", "--task", "codeswitch-mono", "--corpus", corpus, "--lexicon", _lexicon_file(tmp_path),
+                "--seed", "1", "--fraction", "1.0", "--out", str(out)]
+        assert main(args) == 1
+        assert f"error: {corpus}:line 2: lang must be non-empty with no whitespace" in capsys.readouterr().err
+        assert main(args + ["--on-error", "skip"]) == 0
+        assert [json.loads(line)["origin_id"] for line in out.read_text().splitlines()] == [0, 2]
+        assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["config"]["skipped_records"] == 1
+
     def test_parallel_task_reads_pairs(self, tmp_path, parallel_corpus_file):
         lexicon = _lexicon_file(tmp_path)
         out = tmp_path / "p.jsonl"
@@ -626,18 +638,21 @@ class TestRecordErrors:
 
 class TestConfigKeys:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
+        augment = ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path), "--seed", "1"]
+        cases = [
+            (augment, {"p-tr": 0.9, "seeed": 3}, "['p-tr', 'seeed']"),
+            (augment, {"sentinels": {"mask_token": "<blank>"}}, "['sentinels']"),
+            (["token-pairs"], {"sentinels": {"mask_token": "<blank>"}}, "['sentinels']"),
+        ]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"p-tr": 0.9, "seeed": 3}))
         out = tmp_path / "out.jsonl"
-        code = main(
-            ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path),
-             "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--config", str(config),
-             "--out", str(out)]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "unknown config keys ['p-tr', 'seeed']" in err
-        assert not out.exists()
+        for argv, keys, unknown in cases:
+            config.write_text(json.dumps(keys))
+            code = main(argv + ["--lexicon", _lexicon_file(tmp_path), "--config", str(config), "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"unknown config keys {unknown}" in err
+            assert not out.exists()
 
     def test_bad_on_error_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -676,3 +691,51 @@ class TestUsageErrors:
         code = main(["lexicon-stats", "--lexicon", str(tmp_path / "nope.tsv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+_AUGMENT = ["augment", "--task", "codeswitch-mono", "--lexicon", "{lex}", "--seed", "1", "--fraction", "1.0"]
+_TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
+_ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a", "reference": "a"}
+
+
+@pytest.mark.parametrize(
+    "argv,suffix,content,message",
+    [
+        pytest.param(_AUGMENT + ["--corpus", "{mono}", "--config", "{bad}"], ".json", '{"sentinels": "x"}',
+                     "{bad}: unknown config keys ['sentinels']", id="sentinels-string"),
+        pytest.param(_AUGMENT + ["--corpus", "{mono}", "--config", "{bad}"], ".json", '{"sentinels": {"bogus": 1}}',
+                     "{bad}: unknown config keys ['sentinels']", id="sentinels-unknown-field"),
+        pytest.param(["token-pairs", "--lexicon", "{lex}", "--config", "{bad}"], ".json",
+                     '{"sentinels": {"lang_tag_template": "<{script}>"}}',
+                     "{bad}: unknown config keys ['sentinels']", id="sentinels-template"),
+        pytest.param(["token-pairs", "--lexicon", "{lex}", "--config", "{bad}"], ".json",
+                     '{"sentinels": {"lang_tag_template": "{lang}"}}',
+                     "{bad}: unknown config keys ['sentinels']", id="sentinels-bare-tag"),
+        pytest.param(["token-pairs", "--lexicon", "{lex}", "--config", "{bad}"], ".json",
+                     '{"sentinels": {"task_tokens": {"token_pair": "<2pair>"}}}',
+                     "{bad}: unknown config keys ['sentinels']", id="sentinels-token-pair"),
+        pytest.param(_AUGMENT + ["--corpus", "{bad}"], ".jsonl", '{"lang": "e n", "script": "Latn", "text": "a cat"}\n',
+                     "{bad}:line 1: lang must be non-empty with no whitespace", id="lang-with-space"),
+        pytest.param(["token-pairs", "--lexicon", "{bad}"], ".tsv", "en\tes\tLa tn\tcat\tgato\n",
+                     "{bad}:line 1: tgt_script must be non-empty with no whitespace", id="script-with-space"),
+        pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", "[1]\n",
+                     "{bad}:line 1: eval row is not a JSON object", id="row-not-object"),
+        pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", json.dumps({**_ROW, "hypothesis": 1}),
+                     "{bad}:line 1: hypothesis must be a string, got int", id="hypothesis-not-string"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".jsonl", json.dumps({**_ROW, "lang": None}),
+                     "{bad}:line 1: lang must be a string, got NoneType", id="lang-not-string"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0\n",
+                     "{bad}:line 2: row has fewer than 6 fields", id="short-row"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0,x,1,1,URL\n",
+                     "{bad}:line 2: invalid literal for int()", id="non-numeric-count"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1,1,1,1,URL\nu2,1,1,1,1,URL\nu1,2,1,1,1,URL\n",
+                     "{bad}:line 4: language 'u1' is also on line 2", id="duplicate-lang"),
+    ],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, suffix, content, message):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(content, encoding="utf-8")
+    files = {"bad": str(bad), "lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path)}
+    assert main([arg.format(**files) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message.format(**files)}"), err

@@ -166,13 +166,14 @@ class TestLoadCorpus:
             [
                 {"lang": "en", "script": "Latn", "text": 5},
                 {"id": "nope", "lang": "en", "script": "Latn", "text": "x"},
+                {"lang": "e n", "script": "Latn", "text": "x"},
             ],
         )
         with pytest.raises(CorpusFormatError, match="line 1"):
             list(load_corpus(path, "mono"))
         seen = []
         list(load_corpus(path, "mono", on_error=seen.append))
-        assert [e.line_no for e in seen] == [1, 2]
+        assert [e.line_no for e in seen] == [1, 2, 3]
 
     def test_skip_mode_collects_errors(self, tmp_path):
         path = tmp_path / "bad.jsonl"

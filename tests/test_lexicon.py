@@ -65,6 +65,11 @@ class TestLoad:
         with pytest.raises(LexiconFormatError, match="line 1"):
             Lexicon(read_entries(path, "x"))
 
+    def test_script_with_whitespace_names_line(self, tmp_path):
+        path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato", "en\tes\tLa tn\tdog\tperro"])
+        with pytest.raises(LexiconFormatError, match="line 2: tgt_script must be non-empty with no whitespace"):
+            Lexicon(read_entries(path, "x"))
+
     def test_curated_style_file_counts(self, tmp_path):
         # A small curated lexicon: 4000 English rows into one language.
         lines = [f"en\tmni\tMtei\tword{i}\ttr{i}" for i in range(4000)]

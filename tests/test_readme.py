@@ -1,5 +1,6 @@
-"""The README's `## Library` example runs as printed, and `lexaug.__all__`
-names what it imports plus `merge`."""
+"""The README's `## Library` example runs as printed, `lexaug.__all__`
+names what it imports plus `merge`, and the README lists the control tokens
+that `lexaug.augment` uses."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import lexaug
+from lexaug.augment import LITERALS
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +40,10 @@ def test_all_is_the_library_example_imports_plus_merge():
         for alias in node.names
     ]
     assert sorted(lexaug.__all__) == sorted(imported + ["merge"])
+
+
+def test_control_tokens_are_the_module_literals():
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("\n- **Control tokens** (fixed): ", 1)[1]
+    listed = re.findall(r"`([^`]+)`", bullet.split(".", 1)[0])
+    assert listed == list(LITERALS)
