@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Subcommands: augment, token-pairs, mix, score, diagnose, hit-rate, regress,
-lexicon-stats. A JSON config file (flat keys mirroring the flags) can supply
-any value; explicit flags override it. Data-producing runs write a manifest
-(config echo plus input/output digests) next to the output so a run can be
-reproduced exactly.
+lexicon-stats. ``build_parser`` declares each setting once: flag, type, allowed
+values and default. A JSON config file (``--config``; keys are the flags'
+destinations, ``p_tr`` for ``--p-tr``) sets the flags' defaults, each value
+checked and read as its flag's would be, so flags win and a repeatable flag
+replaces the config file's list. Data-producing runs write a manifest (config
+echo plus input/output digests) next to the output so a run can be reproduced
+exactly.
 """
 
 from __future__ import annotations
@@ -48,41 +51,79 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_config(args) -> dict:
-    """Settings from the ``--config`` file. Its keys are the subcommand's flag
-    destinations (``p_tr`` for ``--p-tr``)."""
-    if args.config is None:
-        return {}
-    with open(args.config, "r", encoding="utf-8") as handle:
+class _Repeatable(argparse._AppendAction):
+    """``append``, except that the flag's values replace the default list
+    (which a config file may set) instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _number(kind: type, low: int | None = None):
+    """A flag type: the text as a ``kind`` (``int`` or ``float``) of at least ``low``."""
+    expected = ("an integer" if kind is int else "a number") + ("" if low is None else f" >= {low}")
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if low is None or value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {expected}")
+
+    return parse
+
+
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The settings in the config file at ``path``, as the subcommand
+    ``parser``'s flags would set them. Its keys are the flag destinations."""
+    with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
-        raise LexAugError(f"{args.config}: config must be a JSON object")
-    allowed = set(vars(args)) - {"config", "func", "subcommand"}
-    unknown = sorted(set(config) - allowed)
+        raise LexAugError(f"{path}: config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise LexAugError(f"{args.config}: unknown config keys {unknown}; allowed: {sorted(allowed)}")
-    return config
+        raise LexAugError(f"{path}: unknown config keys {unknown}; allowed: {sorted(actions)}")
+    return {key: _config_value(path, key, value, actions[key]) for key, value in config.items()}
 
 
-def _setting(args, config: dict, key: str, default=None, required: bool = False):
-    """Effective value for a setting: flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise LexAugError(f"--{key.replace('_', '-')} is required (flag or config file)")
-    return value
+def _config_value(path: str, key: str, value, action: argparse.Action):
+    """A config value as its flag would set it: a boolean for a flag without a
+    value, else a string read as the flag's text, a list of strings if it
+    repeats, or a JSON number if it is numeric."""
+    def bad(expected: str) -> LexAugError:
+        return LexAugError(f"{path}: {key} must be {expected}, got {value!r}")
+
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise bad("true or false")
+        return value
+    if isinstance(action, _Repeatable):
+        values = [value] if isinstance(value, str) else value
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise bad("a string or a list of strings")
+        return values
+    if action.type is None and not isinstance(value, str):
+        raise bad("a string")
+    try:
+        # str() of a bool, list or null is no number, so only numbers pass.
+        converted = action.type(str(value)) if action.type else value
+    except argparse.ArgumentTypeError as exc:
+        raise LexAugError(f"{path}: {key} {exc}, got {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise bad(f"one of {list(action.choices)}")
+    return converted
 
 
-def _list_setting(args, config: dict, key: str, required: bool = False) -> list[str]:
-    """A repeatable setting: the flag's values, or a config string or list."""
-    value = _setting(args, config, key, default=[])
-    values = [value] if isinstance(value, str) else value
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise LexAugError(f"{key} must be a string or a list of strings, got {value!r}")
-    if required and not values:
-        raise LexAugError(f"--{key.replace('_', '-')} is required (flag or config file)")
-    return values
+def _require(args, *keys: str) -> None:
+    """Fail unless each setting in ``keys`` is set, by flag or config file."""
+    for key in keys:
+        if getattr(args, key) in (None, []):
+            raise LexAugError(f"--{key.replace('_', '-')} is required (flag or config file)")
 
 
 def _lexicon_spec(spec: str) -> tuple[str, str]:
@@ -118,13 +159,11 @@ def _write_manifest(
     _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
 
 
-def _finish_manifest(
-    args, config: dict, subcommand: str, effective: dict, inputs: list, out_path: str | None
-) -> None:
+def _finish_manifest(args, subcommand: str, effective: dict, inputs: list) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set."""
-    manifest_path = _setting(args, config, "manifest") or (out_path and out_path + ".manifest.json")
+    manifest_path = args.manifest or (args.out and args.out + ".manifest.json")
     if manifest_path:
-        _write_manifest(manifest_path, subcommand, effective, inputs, [out_path] if out_path else [])
+        _write_manifest(manifest_path, subcommand, effective, inputs, [args.out] if args.out else [])
 
 
 def _emit_lines(lines: Iterable[str], out_path: str | None) -> None:
@@ -208,110 +247,82 @@ def _chunked(items: Iterable, size: int) -> Iterator[list]:
 
 
 def cmd_augment(args) -> int:
-    config = _load_config(args)
-    task_name = _setting(args, config, "task", required=True)
-    if task_name not in _TASK_FLAGS:
-        raise LexAugError(f"--task must be one of {sorted(_TASK_FLAGS)}, got {task_name!r}")
-    task = _TASK_FLAGS[task_name]
-    corpus_path = _setting(args, config, "corpus", required=True)
-    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
-    seed = int(_setting(args, config, "seed", required=True))
-    p_tr = float(_setting(args, config, "p_tr", 0.4))
-    fraction = float(_setting(args, config, "fraction", 0.5))
-    sampling = _setting(args, config, "sampling", "binomial")
-    mask_fraction = float(_setting(args, config, "mask_fraction", 0.5))
-    jobs = int(_setting(args, config, "jobs", 1))
-    on_error = _setting(args, config, "on_error", "abort")
-    if on_error not in ("abort", "skip"):
-        raise LexAugError(f"--on-error must be 'abort' or 'skip', got {on_error!r}")
-    out_path = _setting(args, config, "out")
-
-    params = SelectionParams(p_tr=p_tr, mode=SelectionMode(sampling))
-    job = _AugmentJob(task, _load_lexica(lexicon_specs), params, seed, mask_fraction, on_error)
-    kind = "mono" if task_name.endswith("-mono") else "parallel"
+    _require(args, "task", "corpus", "lexicon", "seed")
+    task = _TASK_FLAGS[args.task]
+    params = SelectionParams(p_tr=args.p_tr, mode=SelectionMode(args.sampling))
+    job = _AugmentJob(task, _load_lexica(args.lexicon), params, args.seed, args.mask_fraction, args.on_error)
+    kind = "mono" if args.task.endswith("-mono") else "parallel"
 
     # Parse errors, then failed records: a pool reads the corpus ahead of its
     # results, so one list of both would interleave them by --jobs.
     skipped: list = []
     failed: list[str] = []
-    records = load_corpus(corpus_path, kind=kind, on_error=skipped.append if on_error == "skip" else None)
-    selected = (r for r in records if assign_branch(r.id, seed, fraction) is Branch.AUGMENT)
+    records = load_corpus(args.corpus, kind=kind, on_error=skipped.append if args.on_error == "skip" else None)
+    selected = (r for r in records if assign_branch(r.id, args.seed, args.fraction) is Branch.AUGMENT)
 
     def lines(results: Iterable[tuple[list[str], list[str]]]) -> Iterator[str]:
         for batch_lines, batch_failed in results:
             failed.extend(batch_failed)
             yield from batch_lines
 
-    if jobs <= 1:
-        _emit_lines(lines(map(job.run, _chunked(selected, 256))), out_path)
+    if args.jobs == 1:
+        _emit_lines(lines(map(job.run, _chunked(selected, 256))), args.out)
     else:
         ctx = get_context("fork")
-        with ctx.Pool(processes=jobs, initializer=_set_pool_job, initargs=(job,)) as pool:
-            _emit_lines(lines(pool.imap(_run_pool_batch, _chunked(selected, 256))), out_path)
+        with ctx.Pool(processes=args.jobs, initializer=_set_pool_job, initargs=(job,)) as pool:
+            _emit_lines(lines(pool.imap(_run_pool_batch, _chunked(selected, 256))), args.out)
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
 
     effective = {
         "task": task.value,
-        "corpus": corpus_path,
-        "lexicon": lexicon_specs,
-        "seed": seed,
-        "p_tr": p_tr,
-        "fraction": fraction,
-        "sampling": sampling,
-        "mask_fraction": mask_fraction,
-        "jobs": jobs,
-        "on_error": on_error,
+        "corpus": args.corpus,
+        "lexicon": args.lexicon,
+        "seed": args.seed,
+        "p_tr": args.p_tr,
+        "fraction": args.fraction,
+        "sampling": args.sampling,
+        "mask_fraction": args.mask_fraction,
+        "jobs": args.jobs,
+        "on_error": args.on_error,
         "skipped_records": len(skipped) + len(failed),
     }
-    inputs = [corpus_path] + [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, config, "augment", effective, inputs, out_path)
+    inputs = [args.corpus] + [_lexicon_spec(s)[1] for s in args.lexicon]
+    _finish_manifest(args, "augment", effective, inputs)
     return 0
 
 
 def cmd_token_pairs(args) -> int:
-    config = _load_config(args)
-    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
-    lang_specs = _list_setting(args, config, "langs")
-    langs = ",".join(lang_specs) if lang_specs else None
-    out_path = _setting(args, config, "out")
-    lexicon = _load_lexica(lexicon_specs)
+    _require(args, "lexicon")
+    langs = ",".join(args.langs) if args.langs else None
+    lexicon = _load_lexica(args.lexicon)
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
     lines = (
         json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True)
         for e in token_pair_examples(lexicon, lang_filter)
     )
-    _emit_lines(lines, out_path)
-    inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, config, "token-pairs", {"lexicon": lexicon_specs, "langs": langs}, inputs, out_path)
+    _emit_lines(lines, args.out)
+    inputs = [_lexicon_spec(s)[1] for s in args.lexicon]
+    _finish_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs}, inputs)
     return 0
 
 
 def cmd_mix(args) -> int:
-    config = _load_config(args)
-    weights_path = _setting(args, config, "weights")
-    if weights_path:
-        with open(weights_path, "r", encoding="utf-8") as handle:
+    if args.weights:
+        with open(args.weights, "r", encoding="utf-8") as handle:
             weights = TaskWeights.from_json_obj(json.load(handle))
     else:
-        weights = build_schedule(
-            mono_aug=_setting(args, config, "mono_aug", "none"),
-            parallel_aug=_setting(args, config, "parallel_aug", "none"),
-            token_pairs=bool(_setting(args, config, "token_pairs", False)),
-        )
-    stream_specs = _list_setting(args, config, "streams")
-    out_path = _setting(args, config, "out")
-    if not stream_specs:
-        _emit_json(weights.to_json_obj(), out_path)
-        _finish_manifest(args, config, "mix", {"weights": weights.to_json_obj()}, [], out_path)
+        weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
+    if not args.streams:
+        _emit_json(weights.to_json_obj(), args.out)
+        _finish_manifest(args, "mix", {"weights": weights.to_json_obj()}, [])
         return 0
 
-    seed = int(_setting(args, config, "seed", required=True))
-    count = int(_setting(args, config, "count", required=True))
+    _require(args, "seed", "count")
     streams: dict[Task, list[str]] = {}
     stream_paths = []
-    for spec_str in stream_specs:
+    for spec_str in args.streams:
         name, eq, path = spec_str.partition("=")
         if not eq:
             raise ScheduleError(f"--streams entries look like task=path, got {spec_str!r}")
@@ -319,15 +330,15 @@ def cmd_mix(args) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             streams[task] = [line.rstrip("\n") for line in handle if line.strip()]
         stream_paths.append(path)
-    mixed = interleave(streams, weights, seed)
-    _emit_lines(itertools.islice(mixed, count), out_path)
+    mixed = interleave(streams, weights, args.seed)
+    _emit_lines(itertools.islice(mixed, args.count), args.out)
     effective = {
         "weights": weights.to_json_obj(),
-        "streams": stream_specs,
-        "seed": seed,
-        "count": count,
+        "streams": args.streams,
+        "seed": args.seed,
+        "count": args.count,
     }
-    _finish_manifest(args, config, "mix", effective, stream_paths, out_path)
+    _finish_manifest(args, "mix", effective, stream_paths)
     return 0
 
 
@@ -339,15 +350,9 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_score(args) -> int:
-    config = _load_config(args)
-    metric = _setting(args, config, "metric", "chrf")
-    if metric != "chrf":
-        raise LexAugError(f"unsupported metric {metric!r}")
-    hyp_path = _setting(args, config, "hyp", required=True)
-    ref_path = _setting(args, config, "ref", required=True)
-    out_path = _setting(args, config, "out")
-    hyps = _read_lines(hyp_path)
-    refs = _read_lines(ref_path)
+    _require(args, "hyp", "ref")
+    hyps = _read_lines(args.hyp)
+    refs = _read_lines(args.ref)
     if len(hyps) != len(refs):
         raise LexAugError(
             f"hypothesis and reference files differ in length: {len(hyps)} vs {len(refs)}"
@@ -355,12 +360,12 @@ def cmd_score(args) -> int:
     if not hyps:
         raise LexAugError("input files are empty")
     score, sentence_scores = metrics.chrf_scores(zip(hyps, refs))
-    result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
-    if _setting(args, config, "sentence", False):
+    result = {"metric": args.metric, "score": round(score, 4), "pairs": len(hyps)}
+    if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
-    _emit_json(result, out_path)
-    _finish_manifest(args, config, "score", {"metric": metric, "hyp": hyp_path, "ref": ref_path},
-                     [hyp_path, ref_path], out_path)
+    _emit_json(result, args.out)
+    _finish_manifest(args, "score", {"metric": args.metric, "hyp": args.hyp, "ref": args.ref},
+                     [args.hyp, args.ref])
     return 0
 
 
@@ -378,53 +383,42 @@ def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args)
-    rows_path = _setting(args, config, "rows", required=True)
-    out_path = _setting(args, config, "out")
-    report = metrics.diagnose_corpus(_load_eval_rows(rows_path))
+    _require(args, "rows")
+    report = metrics.diagnose_corpus(_load_eval_rows(args.rows))
     print(report.format_table())
-    if out_path:
-        _emit_json(report.to_json_obj(), out_path)
-    _finish_manifest(args, config, "diagnose", {"rows": rows_path}, [rows_path], out_path)
+    if args.out:
+        _emit_json(report.to_json_obj(), args.out)
+    _finish_manifest(args, "diagnose", {"rows": args.rows}, [args.rows])
     return 0
 
 
 def cmd_hit_rate(args) -> int:
-    config = _load_config(args)
-    rows_path = _setting(args, config, "rows", required=True)
-    tokens_path = _setting(args, config, "tokens", required=True)
-    out_path = _setting(args, config, "out")
-    tokens = [line.strip() for line in _read_lines(tokens_path) if line.strip()]
-    rows = _load_eval_rows(rows_path)
+    _require(args, "rows", "tokens")
+    tokens = [line.strip() for line in _read_lines(args.tokens) if line.strip()]
+    rows = _load_eval_rows(args.rows)
     result = metrics.token_hit_rate(rows, tokens)
-    _emit_json(result.to_json_obj(), out_path)
-    _finish_manifest(args, config, "hit-rate", {"rows": rows_path, "tokens": tokens_path},
-                     [rows_path, tokens_path], out_path)
+    _emit_json(result.to_json_obj(), args.out)
+    _finish_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens}, [args.rows, args.tokens])
     return 0
 
 
 def cmd_regress(args) -> int:
-    config = _load_config(args)
-    table_path = _setting(args, config, "table", required=True)
-    out_path = _setting(args, config, "out")
-    rows = analysis.load_lang_rows(table_path)
+    _require(args, "table")
+    rows = analysis.load_lang_rows(args.table)
     try:
         result = analysis.regress_delta_chrf(rows).to_json_obj()
     except InsufficientDataError as exc:
         # Too few URL rows to fit; the per-class table needs no fit.
         print(f"warning: no fit: {exc}", file=sys.stderr)
         result = {"per_class": analysis.per_class_deltas(rows)}
-    _emit_json(result, out_path)
-    _finish_manifest(args, config, "regress", {"table": table_path}, [table_path], out_path)
+    _emit_json(result, args.out)
+    _finish_manifest(args, "regress", {"table": args.table}, [args.table])
     return 0
 
 
 def cmd_lexicon_stats(args) -> int:
-    config = _load_config(args)
-    lexicon_specs = _list_setting(args, config, "lexicon", required=True)
-    lang = _setting(args, config, "lang")
-    out_path = _setting(args, config, "out")
-    lexicon = _load_lexica(lexicon_specs)
+    _require(args, "lexicon")
+    lexicon = _load_lexica(args.lexicon)
     stats: dict = {
         "entries": len(lexicon),
         "languages": sorted(lexicon.languages()),
@@ -432,12 +426,12 @@ def cmd_lexicon_stats(args) -> int:
             f"{src}-{tgt}": count for (src, tgt), count in sorted(lexicon.pair_counts().items())
         },
     }
-    if lang:
-        stats["per_source"] = dict(sorted(lexicon.entry_counts(lang).items()))
-        stats["lang"] = lang
-    _emit_json(stats, out_path)
-    inputs = [_lexicon_spec(s)[1] for s in lexicon_specs]
-    _finish_manifest(args, config, "lexicon-stats", {"lexicon": lexicon_specs, "lang": lang}, inputs, out_path)
+    if args.lang:
+        stats["per_source"] = dict(sorted(lexicon.entry_counts(args.lang).items()))
+        stats["lang"] = args.lang
+    _emit_json(stats, args.out)
+    inputs = [_lexicon_spec(s)[1] for s in args.lexicon]
+    _finish_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang}, inputs)
     return 0
 
 
@@ -457,39 +451,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="render augmented training examples from a corpus")
     p.add_argument("--task", choices=sorted(_TASK_FLAGS))
     p.add_argument("--corpus")
-    p.add_argument("--lexicon", action="append", metavar="[NAME=]PATH")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p-tr", dest="p_tr", type=float)
-    p.add_argument("--fraction", type=float, help="share of records routed to augmentation")
-    p.add_argument("--sampling", choices=[m.value for m in SelectionMode])
-    p.add_argument("--mask-fraction", dest="mask_fraction", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"])
+    p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
+    p.add_argument("--seed", type=_number(int))
+    p.add_argument("--p-tr", dest="p_tr", type=_number(float), default=0.4)
+    p.add_argument("--fraction", type=_number(float), default=0.5, help="share of records routed to augmentation")
+    p.add_argument("--sampling", choices=[m.value for m in SelectionMode], default="binomial")
+    p.add_argument("--mask-fraction", dest="mask_fraction", type=_number(float), default=0.5)
+    p.add_argument("--jobs", type=_number(int, low=1), default=1)
+    p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"], default="abort")
     common(p)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("token-pairs", help="render lexicon entries as tiny translation examples")
-    p.add_argument("--lexicon", action="append", metavar="[NAME=]PATH")
-    p.add_argument("--langs", help="comma-separated language filter")
+    p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
+    p.add_argument("--langs", action=_Repeatable, help="comma-separated language filter")
     common(p)
     p.set_defaults(func=cmd_token_pairs)
 
     p = sub.add_parser("mix", help="build a task weight schedule and optionally interleave streams")
-    p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES)
-    p.add_argument("--parallel-aug", dest="parallel_aug", choices=AUG_CHOICES)
-    p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction)
+    p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES, default="none")
+    p.add_argument("--parallel-aug", dest="parallel_aug", choices=AUG_CHOICES, default="none")
+    p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--weights", help="JSON file mapping task name to weight")
-    p.add_argument("--streams", action="append", metavar="TASK=PATH")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, help="number of mixed examples to emit")
+    p.add_argument("--streams", action=_Repeatable, metavar="TASK=PATH")
+    p.add_argument("--seed", type=_number(int))
+    p.add_argument("--count", type=_number(int, low=0), help="number of mixed examples to emit")
     common(p)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("score", help="chrf over line-aligned hypothesis/reference files")
-    p.add_argument("--metric", choices=["chrf"])
+    p.add_argument("--metric", choices=["chrf"], default="chrf")
     p.add_argument("--hyp")
     p.add_argument("--ref")
-    p.add_argument("--sentence", action="store_true", default=None, help="include per-sentence scores")
+    p.add_argument("--sentence", action="store_true", help="include per-sentence scores")
     common(p)
     p.set_defaults(func=cmd_score)
 
@@ -510,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("lexicon-stats", help="entry counts per language pair and source")
-    p.add_argument("--lexicon", action="append", metavar="[NAME=]PATH")
+    p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
     p.add_argument("--lang", help="also report per-source counts for this language")
     common(p)
     p.set_defaults(func=cmd_lexicon_stats)
@@ -522,6 +516,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # The config file's values become the subcommand's defaults, so a
+            # second parse applies them below the flags.
+            subparser = parser._subparsers._group_actions[0].choices[args.subcommand]
+            subparser.set_defaults(**_read_config(args.config, subparser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ shrinks everything else by the factor 0.95.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .augment import Task
 from .errors import ScheduleError
@@ -32,8 +33,8 @@ class TaskWeights:
 
     def __post_init__(self):
         for task, weight in self.weights.items():
-            if weight < 0:
-                raise ScheduleError(f"negative weight for {task.value}: {weight}")
+            if not 0 <= weight < math.inf:
+                raise ScheduleError(f"weight for {task.value} must be finite and non-negative, got {weight!r}")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ScheduleError(f"weights sum to {total!r}, expected 1.0")
@@ -48,7 +49,13 @@ class TaskWeights:
         return {task.value: weight for task, weight in self.weights.items()}
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping[str, float]) -> "TaskWeights":
+    def from_json_obj(cls, obj) -> "TaskWeights":
+        """Weights from a JSON object mapping task name to a number."""
+        if not isinstance(obj, dict):
+            raise ScheduleError(f"weights must be a JSON object, got {type(obj).__name__}")
+        for name, weight in obj.items():
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ScheduleError(f"weight for {name} must be a number, got {weight!r}")
         return cls({Task(name): float(weight) for name, weight in obj.items()})
 
 
@@ -82,40 +89,29 @@ def build_schedule(
 
 
 class _StreamCycler:
-    """Iterate a task stream; finite sequences cycle with a fresh shuffle per
-    epoch (the first pass keeps the original order). One-shot iterators must
-    be unbounded: exhausting one is a configuration error."""
+    """Cycle a task's sequence with a fresh shuffle per epoch (the first pass
+    keeps the original order)."""
 
-    def __init__(self, task: Task, stream, rng: Rng):
-        self._task = task
+    def __init__(self, task: Task, stream: Sequence, rng: Rng):
+        if len(stream) == 0:
+            raise ScheduleError(f"stream for task {task.value!r} is empty")
         self._rng = rng
-        if isinstance(stream, Sequence) and not isinstance(stream, (str, bytes)):
-            if len(stream) == 0:
-                raise ScheduleError(f"stream for task {task.value!r} is empty")
-            self._items = list(stream)
-            self._current = iter(self._items)
-        else:
-            self._items = None
-            self._current = iter(stream)
+        self._items = list(stream)
+        self._current = iter(self._items)
 
     def next(self):
         try:
             return next(self._current)
         except StopIteration:
-            if self._items is None:
-                raise ScheduleError(
-                    f"stream for task {self._task.value!r} is exhausted; pass a sequence "
-                    "to enable cycling"
-                ) from None
             epoch = list(self._items)
             self._rng.shuffle(epoch)
             self._current = iter(epoch)
             return next(self._current)
 
 
-def interleave(streams: Mapping[Task, Iterable], weights: TaskWeights, seed: int) -> Iterator:
+def interleave(streams: Mapping[Task, Sequence], weights: TaskWeights, seed: int) -> Iterator:
     """Sample tasks i.i.d. per the weight schedule and pull from each task's
-    stream in turn.
+    sequence in turn.
 
     The emitted sequence is a pure function of (weights, seed, stream
     contents); tasks with zero weight are never drawn. Every positively

@@ -664,7 +664,7 @@ class TestConfigKeys:
              "--out", str(out)]
         )
         assert code == 1
-        assert "--on-error must be 'abort' or 'skip', got 'ignore'" in capsys.readouterr().err
+        assert f"{config}: on_error must be one of ['abort', 'skip'], got 'ignore'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_from_config(self, tmp_path):
@@ -679,6 +679,98 @@ class TestConfigKeys:
         assert code == 0
         assert json.loads(manifest.read_text())["subcommand"] == "lexicon-stats"
         assert not (tmp_path / "stats.json.manifest.json").exists()
+
+
+_CONFIG_CASES = [
+    pytest.param("augment", {"p_tr": [1]}, "p_tr must be a number, got [1]", id="p_tr-list"),
+    pytest.param("augment", {"jobs": 0.5}, "jobs must be an integer >= 1, got 0.5", id="jobs-fraction"),
+    pytest.param("augment", {"jobs": 0}, "jobs must be an integer >= 1, got 0", id="jobs-zero"),
+    pytest.param("augment", {"seed": True}, "seed must be an integer, got True", id="seed-bool"),
+    pytest.param("augment", {"seed": "x"}, "seed must be an integer, got 'x'", id="seed-text"),
+    pytest.param("augment", {"sampling": "gauss"}, "sampling must be one of ['binomial', 'uniform'], got 'gauss'",
+                 id="sampling-choice"),
+    pytest.param("augment", {"task": "nope"}, "task must be one of ['codeswitch-mono', ", id="task-choice"),
+    pytest.param("augment", {"lexicon": [1, 2]}, "lexicon must be a string or a list of strings, got [1, 2]",
+                 id="lexicon-numbers"),
+    pytest.param("augment", {"corpus": 5}, "corpus must be a string, got 5", id="corpus-number"),
+    pytest.param("mix", {"token_pairs": "false"}, "token_pairs must be true or false, got 'false'",
+                 id="token_pairs-text"),
+    pytest.param("mix", {"count": -1}, "count must be an integer >= 0, got -1", id="count-negative"),
+    pytest.param("score", {"sentence": 1}, "sentence must be true or false, got 1", id="sentence-number"),
+]
+
+
+class TestConfigValues:
+    """A config value is checked as its flag's would be; flags beat it."""
+
+    @pytest.mark.parametrize("subcommand,values,message", _CONFIG_CASES)
+    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, subcommand, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out.json"
+        code = main([subcommand, "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {config}: {message}"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["augment", "--jobs", "0"], "argument --jobs: must be an integer >= 1"),
+            (["augment", "--jobs", "-3"], "argument --jobs: must be an integer >= 1"),
+            (["mix", "--count", "-1"], "argument --count: must be an integer >= 0"),
+        ],
+        ids=["jobs-zero", "jobs-negative", "count-negative"],
+    )
+    def test_counts_out_of_range_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_lexicon_flag_replaces_config_list(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lexicon": [str(tmp_path / "missing.tsv"), str(tmp_path / "gone.tsv")]}))
+        lexicon = _lexicon_file(tmp_path)
+        out = tmp_path / "stats.json"
+        code = main(["lexicon-stats", "--config", str(config), "--lexicon", lexicon, "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["entries"] == 4
+        assert json.loads((tmp_path / "stats.json.manifest.json").read_text())["config"]["lexicon"] == [lexicon]
+
+    def test_no_token_pairs_flag_beats_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"token_pairs": True, "mono_aug": "codeswitch"}))
+        assert main(["mix", "--config", str(config)]) == 0
+        assert "token_pair" in json.loads(capsys.readouterr().out)
+        assert main(["mix", "--config", str(config), "--no-token-pairs"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"translation": 0.4, "mass": 0.3, "codeswitch_mono": 0.3}
+
+    def test_string_value_is_read_as_flag_text(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "7", "p_tr": "0.25", "fraction": 1}))
+        out = tmp_path / "out.jsonl"
+        code = main(["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path),
+                     "--lexicon", _lexicon_file(tmp_path), "--config", str(config), "--out", str(out)])
+        assert code == 0
+        effective = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())["config"]
+        assert (effective["seed"], effective["p_tr"], effective["fraction"]) == (7, 0.25, 1.0)
+        assert type(effective["seed"]) is int and type(effective["fraction"]) is float
+
+    def test_repeated_langs_filter_like_a_comma_list(self, tmp_path, capsys):
+        lexicon = tmp_path / "multi.tsv"
+        lexicon.write_text(
+            "de\tes\tLatn\thund\tperro\nfr\tbm\tLatn\tchat\tjakuma\n"
+            "en\tes\tLatn\tcat\tgato\nde\tlus\tLatn\tkatze\tui\n",
+            encoding="utf-8",
+        )
+        outputs = []
+        for langs in (["--langs", "en", "--langs", "fr"], ["--langs", "en,fr"]):
+            assert main(["token-pairs", "--lexicon", str(lexicon)] + langs) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [json.loads(line)["target"] for line in outputs[0].splitlines()] == ["jakuma", "gato"]
 
 
 class TestUsageErrors:
@@ -724,6 +816,14 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "{bad}:line 1: hypothesis must be a string, got int", id="hypothesis-not-string"),
         pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".jsonl", json.dumps({**_ROW, "lang": None}),
                      "{bad}:line 1: lang must be a string, got NoneType", id="lang-not-string"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", "[1]", "weights must be a JSON object, got list",
+                     id="weights-list"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": [1]}', "weight for mass must be a number, got [1]",
+                     id="weight-list"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": NaN}',
+                     "weight for mass must be finite and non-negative, got nan", id="weight-nan"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": true, "translation": 0}',
+                     "weight for mass must be a number, got True", id="weight-bool"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0\n",
                      "{bad}:line 2: row has fewer than 6 fields", id="short-row"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0,x,1,1,URL\n",

@@ -74,6 +74,16 @@ class TestTaskWeights:
         with pytest.raises(ScheduleError):
             TaskWeights({Task.TRANSLATION: 1.2, Task.MASS: -0.2})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [[1], {"mass": [1]}, {"mass": float("nan")}, {"mass": float("inf")}, {"mass": True, "translation": 0},
+         {"mass": "1"}, {"mass": None}],
+        ids=["list", "list-weight", "nan", "inf", "bool", "string", "null"],
+    )
+    def test_from_json_obj_rejects_non_weights(self, obj):
+        with pytest.raises(ScheduleError):
+            TaskWeights.from_json_obj(obj)
+
     def test_zero_weight_not_active(self):
         weights = TaskWeights({Task.TRANSLATION: 1.0, Task.MASS: 0.0})
         assert weights.active_tasks() == [Task.TRANSLATION]
@@ -100,12 +110,6 @@ class TestInterleave:
         assert first == second
         # Later epochs really are shuffled relative to the first.
         assert first[8:16] != first[:8]
-
-    def test_exhausted_iterator_is_an_error(self):
-        weights = TaskWeights({Task.TRANSLATION: 1.0})
-        mixed = interleave({Task.TRANSLATION: iter(["only"])}, weights, seed=1)
-        with pytest.raises(ScheduleError):
-            list(itertools.islice(mixed, 2))
 
     def test_missing_stream_is_an_error(self):
         weights = build_schedule()
@@ -156,12 +160,6 @@ class TestInterleaveProperties:
     @given(_mix_inputs())
     def test_pure_function_of_weights_seed_and_contents(self, inputs):
         weights, seed, streams = inputs
-        # Within the shortest stream's length no stream runs out, so one-shot
-        # iterators over the same contents give the same prefix as lists.
-        n = min(len(items) for items in streams.values())
-        as_lists = interleave({t: list(v) for t, v in streams.items()}, weights, seed)
-        as_iters = interleave({t: iter(v) for t, v in streams.items()}, weights, seed)
-        assert list(itertools.islice(as_lists, n)) == list(itertools.islice(as_iters, n))
         # Long enough that lists cycle and reshuffle: equal inputs, equal prefixes.
         long = 4 * max(len(items) for items in streams.values()) + 10
         first = interleave({t: list(v) for t, v in streams.items()}, weights, seed)

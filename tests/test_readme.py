@@ -1,7 +1,8 @@
 """The README's `## Library` example runs as printed, `lexaug.__all__`
 names what it imports plus `merge`, and the README lists the control tokens
-that `lexaug.augment` uses."""
+that `lexaug.augment` uses and the repeatable CLI settings."""
 
+import argparse
 import ast
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import lexaug
 from lexaug.augment import LITERALS
+from lexaug.cli import build_parser
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +49,11 @@ def test_control_tokens_are_the_module_literals():
     bullet = readme.split("\n- **Control tokens** (fixed): ", 1)[1]
     listed = re.findall(r"`([^`]+)`", bullet.split(".", 1)[0])
     assert listed == list(LITERALS)
+
+
+def test_repeatable_settings_are_the_append_flags():
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`([^`]+)`", readme.split("A repeatable setting (", 1)[1].split(")", 1)[0])
+    subcommands = build_parser()._subparsers._group_actions[0].choices.values()
+    appends = {a.dest for p in subcommands for a in p._actions if isinstance(a, argparse._AppendAction)}
+    assert sorted(listed) == sorted(appends)
