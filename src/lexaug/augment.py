@@ -13,7 +13,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import TAG_VALUE, Record, SentencePair, Token, TokenizedSentence, tokenize
 from .errors import EmptyInputError, SentinelCollisionError
@@ -152,8 +152,7 @@ def _splice(text: str, edits: list[tuple[int, int, str]]) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class MatchSpan:
+class MatchSpan(NamedTuple):
     """A contiguous token run with at least one dictionary translation."""
 
     start: int  # first token index
@@ -181,33 +180,29 @@ def find_translatable(
     max_len = lexicon.max_term_tokens(src_lang)
     if max_len == 0 or n == 0:
         return []
+    text = sentence.text
     folded = [t.surface.casefold() for t in tokens]
     spans: list[MatchSpan] = []
     i = 0
     while i < n:
-        matched = None
         limit = min(max_len, n - i)
         if limit > 1:
             # Shrink the window to the whitespace-joined run starting at i.
             run = 1
             while run < limit:
-                gap = sentence.text[tokens[i + run - 1].char_end : tokens[i + run].char_start]
+                gap = text[tokens[i + run - 1].char_end : tokens[i + run].char_start]
                 if gap and not gap.isspace():
                     break
                 run += 1
             limit = run
         for length in range(limit, 0, -1):
-            key = " ".join(folded[i : i + length])
+            key = folded[i] if length == 1 else " ".join(folded[i : i + length])
             if lexicon.has_term(key, src_lang, tgt_filter):
                 char_start = tokens[i].char_start
                 char_end = tokens[i + length - 1].char_end
-                matched = MatchSpan(
-                    i, i + length, char_start, char_end, sentence.text[char_start:char_end], key
-                )
+                spans.append(MatchSpan(i, i + length, char_start, char_end, text[char_start:char_end], key))
+                i += length
                 break
-        if matched is not None:
-            spans.append(matched)
-            i = matched.end
         else:
             i += 1
     return spans

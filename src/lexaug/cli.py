@@ -29,7 +29,7 @@ from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
 from .errors import InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
-from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave
+from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave, task_named
 from .sampling import SelectionMode, SelectionParams, derive_rng
 
 # --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
@@ -326,7 +326,7 @@ def cmd_mix(args) -> int:
         name, eq, path = spec_str.partition("=")
         if not eq:
             raise ScheduleError(f"--streams entries look like task=path, got {spec_str!r}")
-        task = Task(name.replace("-", "_"))
+        task = task_named(name.replace("-", "_"), "--streams")
         with open(path, "r", encoding="utf-8") as handle:
             streams[task] = [line.rstrip("\n") for line in handle if line.strip()]
         stream_paths.append(path)
@@ -483,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["chrf"], default="chrf")
     p.add_argument("--hyp")
     p.add_argument("--ref")
-    p.add_argument("--sentence", action="store_true", help="include per-sentence scores")
+    p.add_argument("--sentence", action=argparse.BooleanOptionalAction, default=False,
+                   help="include per-sentence scores")
     common(p)
     p.set_defaults(func=cmd_score)
 

@@ -9,13 +9,14 @@ memory stays bounded regardless of corpus size.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import re
 import struct
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import CorpusFormatError
 
@@ -27,6 +28,8 @@ TAG_VALUE = r"[^<>\s]+"
 _TAG_VALUE_RE = re.compile(TAG_VALUE)
 
 
+# Only a valid value is remembered: a call that raises leaves no entry.
+@functools.lru_cache(maxsize=1024)
 def check_tag_value(name: str, value: str) -> None:
     if not _TAG_VALUE_RE.fullmatch(value):
         raise ValueError(f"{name} must be non-empty with no whitespace, '<' or '>', got {value!r}")
@@ -75,8 +78,7 @@ class SentencePair:
             raise ValueError(f"src and tgt share language {self.src.lang!r}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A word token with its character span into the source text."""
 
     surface: str
@@ -84,8 +86,7 @@ class Token:
     char_end: int
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
+class TokenizedSentence(NamedTuple):
     text: str
     tokens: tuple[Token, ...]
 
@@ -97,7 +98,19 @@ class TokenizedSentence:
         return [t.surface for t in self.tokens]
 
 
-_WORD_CHAR_CACHE: dict[str, bool] = {}
+class _WordTable(dict):
+    """A ``str.translate`` table that keeps letters, marks and numbers and
+    turns every other code point into a space. Each code point's entry is
+    stored the first time it is seen; forked workers inherit the filled table."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> int | str:
+        value = self[code] = code if unicodedata.category(chr(code))[0] in "LMN" else " "
+        return value
+
+
+_WORD_TABLE = _WordTable()
 
 
 def tokenize(text: str) -> TokenizedSentence:
@@ -106,22 +119,17 @@ def tokenize(text: str) -> TokenizedSentence:
     Non-token characters are preserved through the recorded spans: slicing
     ``text`` at the char spans reproduces each surface exactly.
     """
-    tokens: list[Token] = []
-    run_start = -1
-    for pos, ch in enumerate(text):
-        is_word = _WORD_CHAR_CACHE.get(ch)
-        if is_word is None:
-            # Letters, combining marks, and numbers form tokens; everything
-            # else (punctuation, symbols, whitespace) separates them.
-            is_word = _WORD_CHAR_CACHE[ch] = unicodedata.category(ch)[0] in "LMN"
-        if is_word:
-            if run_start < 0:
-                run_start = pos
-        elif run_start >= 0:
-            tokens.append(Token(text[run_start:pos], run_start, pos))
-            run_start = -1
-    if run_start >= 0:
-        tokens.append(Token(text[run_start:], run_start, len(text)))
+    tokens = []
+    start = 0
+    # Word characters translate to themselves, so each non-empty piece is
+    # the text's own surface, and every piece is followed by one separator.
+    for piece in text.translate(_WORD_TABLE).split(" "):
+        if piece:
+            end = start + len(piece)
+            tokens.append(Token(piece, start, end))
+            start = end + 1
+        else:
+            start += 1
     return TokenizedSentence(text, tuple(tokens))
 
 

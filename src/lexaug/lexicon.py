@@ -10,18 +10,15 @@ and safe to share across workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import check_tag_value, tokenize
 from .errors import LexiconFormatError
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    """One directed term translation."""
-
+class _LexFields(NamedTuple):
     src_term: str
     tgt_term: str
     src_lang: str
@@ -29,17 +26,26 @@ class LexEntry:
     tgt_script: str
     source_name: str = ""
 
-    def __post_init__(self):
-        if not self.src_term.strip() or not self.tgt_term.strip():
+
+class LexEntry(_LexFields):
+    """One directed term translation: a named tuple whose constructor checks
+    its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, src_term: str, tgt_term: str, src_lang: str, tgt_lang: str, tgt_script: str,
+                source_name: str = ""):
+        if not src_term.strip() or not tgt_term.strip():
             raise ValueError("lexicon terms must be non-empty after trim")
-        if self.src_lang == self.tgt_lang:
-            raise ValueError(f"src_lang and tgt_lang are both {self.src_lang!r}")
-        for value in (self.src_term, self.tgt_term):
-            if any(ch in value for ch in "\t\n\r"):
+        if src_lang == tgt_lang:
+            raise ValueError(f"src_lang and tgt_lang are both {src_lang!r}")
+        for term in (src_term, tgt_term):
+            if "\t" in term or "\n" in term or "\r" in term:
                 raise ValueError("lexicon terms must not contain tabs or newlines")
-        check_tag_value("src_lang", self.src_lang)
-        check_tag_value("tgt_lang", self.tgt_lang)
-        check_tag_value("tgt_script", self.tgt_script)
+        check_tag_value("src_lang", src_lang)
+        check_tag_value("tgt_lang", tgt_lang)
+        check_tag_value("tgt_script", tgt_script)
+        return tuple.__new__(cls, (src_term, tgt_term, src_lang, tgt_lang, tgt_script, source_name))
 
     def key(self) -> tuple[str, str, str, str, str]:
         """Dedup identity: the five TSV fields, ignoring source_name."""
@@ -66,26 +72,29 @@ class Lexicon:
     """Indexed, deduplicated collection of LexEntry."""
 
     def __init__(self, entries: Iterable[LexEntry] = ()):
-        # Keyed by LexEntry.key(); insertion order is the entry order.
+        # Keyed by entry[:5], the five TSV fields that LexEntry.key() holds;
+        # insertion order is the entry order.
         self._entries: dict[tuple, LexEntry] = {}
         self._index: dict[tuple[str, str], list[LexEntry]] = {}
         self._max_term_tokens: dict[str, int] = {}
         for entry in entries:
             self._add(entry)
+        by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
         for bucket in self._index.values():
-            bucket.sort(key=lambda e: (e.tgt_lang, e.tgt_term))
+            bucket.sort(key=by_target)
 
     def _add(self, entry: LexEntry) -> None:
-        key = entry.key()
+        key = entry[:5]
         if key in self._entries:
             return
         self._entries[key] = entry
-        surfaces = tokenize(entry.src_term).surfaces()
+        src_term = entry[0]
+        lang = entry[2]
+        surfaces = tokenize(src_term).surfaces()
         token_count = max(1, len(surfaces))
-        lang = entry.src_lang
         if token_count > self._max_term_tokens.get(lang, 0):
             self._max_term_tokens[lang] = token_count
-        self._index.setdefault((lang, _match_key(entry.src_term, surfaces)), []).append(entry)
+        self._index.setdefault((lang, _match_key(src_term, surfaces)), []).append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -146,14 +155,7 @@ def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
                 )
             src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
             try:
-                yield LexEntry(
-                    src_term=src_term,
-                    tgt_term=tgt_term,
-                    src_lang=src_lang,
-                    tgt_lang=tgt_lang,
-                    tgt_script=tgt_script,
-                    source_name=source_name,
-                )
+                yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script, source_name)
             except ValueError as exc:
                 raise LexiconFormatError(str(exc), path, index + 1) from exc
 

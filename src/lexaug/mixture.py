@@ -56,7 +56,17 @@ class TaskWeights:
         for name, weight in obj.items():
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ScheduleError(f"weight for {name} must be a number, got {weight!r}")
-        return cls({Task(name): float(weight) for name, weight in obj.items()})
+        return cls({task_named(name, "weights file"): float(weight) for name, weight in obj.items()})
+
+
+def task_named(name: str, where: str) -> Task:
+    """The task called ``name``; ``where`` says where the name was read
+    (a flag or a file), for the error an unknown name raises."""
+    try:
+        return Task(name)
+    except ValueError:
+        allowed = ", ".join(t.value for t in Task)
+        raise ScheduleError(f"{where}: unknown task {name!r}; allowed: {allowed}") from None
 
 
 def build_schedule(

@@ -747,6 +747,17 @@ class TestConfigValues:
         assert main(["mix", "--config", str(config), "--no-token-pairs"]) == 0
         assert json.loads(capsys.readouterr().out) == {"translation": 0.4, "mass": 0.3, "codeswitch_mono": 0.3}
 
+    def test_no_sentence_flag_beats_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sentence": True}))
+        (tmp_path / "hyp.txt").write_text("a cat\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("the cat\n", encoding="utf-8")
+        argv = ["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"), "--config", str(config)]
+        assert main(argv) == 0
+        assert "sentence_scores" in json.loads(capsys.readouterr().out)
+        assert main(argv + ["--no-sentence"]) == 0
+        assert "sentence_scores" not in json.loads(capsys.readouterr().out)
+
     def test_string_value_is_read_as_flag_text(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": "7", "p_tr": "0.25", "fraction": 1}))
@@ -824,6 +835,10 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "weight for mass must be finite and non-negative, got nan", id="weight-nan"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": true, "translation": 0}',
                      "weight for mass must be a number, got True", id="weight-bool"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"bogus": 1}',
+                     "weights file: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="weights-unknown-task"),
+        pytest.param(["mix", "--streams", "bogus={bad}", "--seed", "1", "--count", "1"], ".jsonl", "{}\n",
+                     "--streams: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="streams-unknown-task"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0\n",
                      "{bad}:line 2: row has fewer than 6 fields", id="short-row"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0,x,1,1,URL\n",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexaug import corpus
 from lexaug.corpus import (
     Branch,
     Record,
@@ -62,6 +63,21 @@ class TestTokenize:
     def test_matches_category_oracle(self, text):
         got = [(t.surface, t.char_start, t.char_end) for t in tokenize(text).tokens]
         assert got == _oracle_tokens(text)
+
+    def test_every_code_point_classified_by_category(self, monkeypatch):
+        """Each code point is a word character exactly when its Unicode category
+        is L, M or N. Each chunk is read through a fresh table, so the shared
+        one is not left holding every code point."""
+        chunk = 0x10000
+        for first in range(0, 0x110000, chunk):
+            monkeypatch.setattr(corpus, "_WORD_TABLE", corpus._WordTable())
+            text = "".join(map(chr, range(first, first + chunk)))
+            is_word = [False] * chunk
+            for tok in tokenize(text).tokens:
+                assert tok.surface == text[tok.char_start : tok.char_end]
+                is_word[tok.char_start : tok.char_end] = [True] * len(tok.surface)
+            expected = [unicodedata.category(ch)[0] in "LMN" for ch in text]
+            assert is_word == expected, hex(first + next(i for i in range(chunk) if is_word[i] != expected[i]))
 
 
 def _rebuild_from_spans(text: str, sent) -> str:

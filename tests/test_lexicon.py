@@ -22,7 +22,24 @@ def _write(path, lines):
     return str(path)
 
 
+_GOOD = ("cat", "gato", "en", "es", "Latn")
+_BAD_FIELDS = [
+    ("src_term", " "), ("tgt_term", " "), ("tgt_lang", "en"),
+    *[(term, f"a{ch}b") for term in ("src_term", "tgt_term") for ch in "\t\n\r"],
+    *[(tag, f"x{ch}y") for tag in ("src_lang", "tgt_lang", "tgt_script") for ch in " <>"],
+]
+
+
 class TestLexEntry:
+    @pytest.mark.parametrize("field,value", _BAD_FIELDS, ids=[f"{f}={v!r}" for f, v in _BAD_FIELDS])
+    def test_bad_field_rejected(self, field, value):
+        fields = dict(zip(LexEntry._fields, _GOOD))
+        fields[field] = value
+        # Twice: a rejected value must not be remembered as valid.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                LexEntry(*fields.values())
+
     def test_empty_term_rejected(self):
         with pytest.raises(ValueError):
             LexEntry("  ", "gato", "en", "es", "Latn")
