@@ -1,8 +1,8 @@
 """Golden SHA-256 digests of the CLI's data-producing commands.
 
 The corpora, lexica and eval rows below are written from literals, so any
-change to the bytes that `augment`, `token-pairs`, `mix`, `score`,
-`diagnose` or `hit-rate` emit for them fails here. A
+change to the bytes that `augment`, `token-pairs`, `lexicon-stats`, `mix`,
+`score`, `diagnose` or `hit-rate` emit for them fails here. A
 refactor must leave every digest unchanged; a deliberate output change must
 update the digest in the same commit and say why.
 """
@@ -99,6 +99,7 @@ AUGMENT_DIGESTS = {
         "01a082aef5594505fc0ed05014d3c6b2b5d0b96aea2ea7397402666cafbe7b17",
 }
 TOKEN_PAIRS_DIGEST = "13b2e9a8eab81d64707d96535c4a3baed246788a099277d814cfb7a40cebf89d"
+LEXICON_STATS_DIGEST = "8b527907ddfcc7fe9ed4e8c5473cccafa71bf4f78a5937409cfb489f6e068e38"
 MIX_DIGEST = "84158f7cae4f1f3b158dd7dc5fedbd800caada7d2a73863d6edfc857522e1dd9"
 
 
@@ -158,6 +159,17 @@ def test_token_pairs_digest(inputs):
     code = main(["token-pairs", *_lexicon_flags(inputs), "--langs", "es,ru,ja", "--out", str(out)])
     assert code == 0
     assert _sha256(out) == TOKEN_PAIRS_DIGEST
+
+
+def test_lexicon_stats_digest(inputs):
+    # main and extra both hold cat→gato: the entry from main is kept, and
+    # per_source counts it there.
+    root = inputs["root"]
+    out = root / "lexicon-stats.json"
+    code = main(["lexicon-stats", "--lexicon", f"main={root / 'main.tsv'}",
+                 "--lexicon", f"extra={root / 'extra.tsv'}", "--lang", "en", "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == LEXICON_STATS_DIGEST
 
 
 def test_mix_digest(inputs):
