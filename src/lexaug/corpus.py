@@ -213,7 +213,9 @@ def load_corpus(
     """
     if kind not in ("mono", "parallel"):
         raise ValueError(f"kind must be 'mono' or 'parallel', got {kind!r}")
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" only, so a lone "\r" cannot shift the line numbers
+    # and default ids; json.loads skips the "\r" of a "\r\n" end.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for index, line in enumerate(handle):
             if not line.strip():
                 continue

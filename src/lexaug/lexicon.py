@@ -9,12 +9,13 @@ and safe to share across workers.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import check_tag_value, tokenize
+from .corpus import _WORD_TABLE, check_tag_value
 from .errors import LexiconFormatError
 
 
@@ -35,7 +36,7 @@ class LexEntry(_LexFields):
 
     def __new__(cls, src_term: str, tgt_term: str, src_lang: str, tgt_lang: str, tgt_script: str,
                 source_name: str = ""):
-        if not src_term.strip() or not tgt_term.strip():
+        if not src_term or src_term.isspace() or not tgt_term or tgt_term.isspace():
             raise ValueError("lexicon terms must be non-empty after trim")
         if src_lang == tgt_lang:
             raise ValueError(f"src_lang and tgt_lang are both {src_lang!r}")
@@ -59,13 +60,20 @@ def match_key(text: str) -> str:
     "hot chip" share a key. Terms without any word token (pure punctuation)
     fall back to their trimmed, case-folded surface.
     """
-    return _match_key(text, tokenize(text).surfaces())
+    return _key_and_length(text)[0]
 
 
-def _match_key(text: str, surfaces: list[str]) -> str:
-    if not surfaces:
-        return text.strip().casefold()
-    return " ".join(surfaces).casefold()
+def _key_and_length(text: str) -> tuple[str, int]:
+    """The match key of ``text`` and its length in word tokens (at least 1).
+
+    The words are ``tokenize``'s surfaces: word characters translate to
+    themselves and no word character is whitespace, so splitting the
+    translated text on whitespace yields each token.
+    """
+    words = text.translate(_WORD_TABLE).split()
+    if not words:
+        return text.strip().casefold(), 1
+    return " ".join(words).casefold(), len(words)
 
 
 class Lexicon:
@@ -77,24 +85,30 @@ class Lexicon:
         self._entries: dict[tuple, LexEntry] = {}
         self._index: dict[tuple[str, str], list[LexEntry]] = {}
         self._max_term_tokens: dict[str, int] = {}
-        for entry in entries:
-            self._add(entry)
+        seen, index, max_tokens = self._entries, self._index, self._max_term_tokens
+        # The index holds only tuples, lists and dicts of strings, so a
+        # collection during the build frees nothing and rescans every entry
+        # built so far. Pause the cyclic collector while the entries, and
+        # the file they may be read from, are consumed.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for entry in entries:
+                fields = entry[:5]
+                if fields in seen:
+                    continue
+                seen[fields] = entry
+                lang = entry[2]
+                key, length = _key_and_length(entry[0])
+                if length > max_tokens.get(lang, 0):
+                    max_tokens[lang] = length
+                index.setdefault((lang, key), []).append(entry)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
-        for bucket in self._index.values():
+        for bucket in index.values():
             bucket.sort(key=by_target)
-
-    def _add(self, entry: LexEntry) -> None:
-        key = entry[:5]
-        if key in self._entries:
-            return
-        self._entries[key] = entry
-        src_term = entry[0]
-        lang = entry[2]
-        surfaces = tokenize(src_term).surfaces()
-        token_count = max(1, len(surfaces))
-        if token_count > self._max_term_tokens.get(lang, 0):
-            self._max_term_tokens[lang] = token_count
-        self._index.setdefault((lang, _match_key(src_term, surfaces)), []).append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -143,10 +157,12 @@ class Lexicon:
 
 def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
     """The entries of a lexicon TSV file, in file order, duplicates included."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
+    # in its line, where LexEntry rejects it.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for index, line in enumerate(handle):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            line = line.removesuffix("\n").removesuffix("\r")
+            if not line or line.isspace() or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 5:

@@ -635,6 +635,16 @@ class TestRecordErrors:
         assert f"error: record 400: {error}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lone_carriage_return_keeps_record_ids(self, tmp_path, capsys):
+        # Line 1 ends in "\r \n"; the <mask> record is on line 2, so its id is 1.
+        corpus = tmp_path / "mono.jsonl"
+        corpus.write_bytes(b'{"lang": "en", "script": "Latn", "text": "the cat"}\r \n'
+                           b'{"lang": "en", "script": "Latn", "text": "the cat saw a <mask> here"}\n')
+        code = main(["augment", "--task", "codeswitch-mono", "--corpus", str(corpus),
+                     "--lexicon", _lexicon_file(tmp_path), "--seed", "1", "--fraction", "1.0"])
+        assert code == 1
+        assert "error: record 1: SentinelCollisionError: " in capsys.readouterr().err
+
 
 class TestConfigKeys:
     def test_unknown_keys_rejected(self, tmp_path, capsys):

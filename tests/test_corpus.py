@@ -210,6 +210,23 @@ class TestLoadCorpus:
         assert len(records) == 1
         assert records[0].id == 1  # line index, not record index
 
+    def test_lone_carriage_return_does_not_split_a_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        obj = '{"lang": "en", "script": "Latn", "text": "%s"}'
+        path.write_text(obj % "one" + "\r" + obj % "two" + "\n" + obj % "three" + "\n", newline="")
+        seen = []
+        records = list(load_corpus(str(path), "mono", on_error=seen.append))
+        assert [(r.id, r.text) for r in records] == [(1, "three")]
+        assert [e.line_no for e in seen] == [1]
+
+    def test_crlf_loads_as_lf(self, tmp_path):
+        lf = b'{"lang": "en", "script": "Latn", "text": "a"}\n\n{"lang": "en", "script": "Latn", "text": "b"}\n'
+        (tmp_path / "lf.jsonl").write_bytes(lf)
+        (tmp_path / "crlf.jsonl").write_bytes(lf.replace(b"\n", b"\r\n"))
+        records = list(load_corpus(str(tmp_path / "crlf.jsonl"), "mono"))
+        assert records == list(load_corpus(str(tmp_path / "lf.jsonl"), "mono"))
+        assert [(r.id, r.text) for r in records] == [(0, "a"), (2, "b")]
+
     def test_streaming_is_lazy(self, tmp_path):
         path = write_jsonl(
             tmp_path / "big.jsonl",

@@ -1,12 +1,16 @@
 import functools
+import gc
+import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexaug import lexicon
+from lexaug import corpus, lexicon
 from lexaug.cli import _load_lexica
+from lexaug.corpus import tokenize
 from lexaug.errors import LexiconFormatError
 from lexaug.lexicon import LexEntry, Lexicon, match_key, merge, read_entries
 
@@ -95,6 +99,20 @@ class TestLoad:
         assert lex.pair_counts()[("en", "mni")] == 4000
         assert lex.entry_counts("mni")["gatitos"] == 4000
 
+    def test_lone_carriage_return_stays_in_its_line(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"en\tes\tLatn\tca\rt\tgato\n")
+        with pytest.raises(LexiconFormatError, match="line 1: lexicon terms must not contain tabs or newlines"):
+            list(read_entries(str(path), "x"))
+
+    def test_crlf_reads_as_lf(self, tmp_path):
+        lines = ["# header", "", " ", "en\tes\tLatn\tcat\tgato", "en\tfr\tLatn\thot  chip\tfrites "]
+        lf = _write(tmp_path / "lf.tsv", lines)
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert list(read_entries(str(crlf), "x")) == list(read_entries(lf, "x"))
+        assert len(list(read_entries(lf, "x"))) == 2
+
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(_term, _term), min_size=1, max_size=8))
     def test_arbitrary_terms_read_back(self, tmp_path_factory, pairs):
@@ -151,8 +169,17 @@ class TestLoadSeveral:
             for f in range(3)
         ]
         calls = []
-        tokenize = lexicon.tokenize
-        monkeypatch.setattr(lexicon, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        key_and_length = lexicon._key_and_length
+        monkeypatch.setattr(lexicon, "_key_and_length", lambda text: calls.append(text) or key_and_length(text))
+
+        def no_tokenize(text):
+            raise AssertionError(f"tokenize({text!r}) called while loading")
+
+        # Every module-level binding of tokenize, as the benchmark's tracer counts them.
+        for module in [m for name, m in sys.modules.items() if name.startswith("lexaug")]:
+            if getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", no_tokenize)
+        assert corpus.tokenize is no_tokenize
         assert len(_load_lexica(specs)) == 3000
         assert len(calls) == 3000
 
@@ -246,3 +273,103 @@ class TestPhrases:
     def test_phrase_lookup(self):
         lex = Lexicon([LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])
         assert [e.tgt_term for e in lex.lookup_key(match_key("Hot Chip"), "en")] == ["papas fritas"]
+
+
+class TestCollector:
+    """The build pauses the cyclic garbage collector and restores its state."""
+
+    def test_paused_during_build_and_enabled_after(self):
+        states = []
+
+        def entries():
+            states.append(gc.isenabled())
+            yield LexEntry("cat", "gato", "en", "es", "Latn")
+
+        assert gc.isenabled()
+        assert len(Lexicon(entries())) == 1
+        assert states == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_format_error(self, tmp_path):
+        good = _write(tmp_path / "good.tsv", ["en\tes\tLatn\tcat\tgato"])
+        bad = _write(tmp_path / "bad.tsv", ["en\tes\tLatn\tdog\tperro", "en\tes\tdog", "en\tfr\tLatn\tcat\tchat"])
+        with pytest.raises(LexiconFormatError, match="line 2"):
+            _load_lexica([good, bad])
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+def _oracle_key(text, surfaces):
+    return " ".join(surfaces).casefold() if surfaces else text.strip().casefold()
+
+
+def _oracle_index(entries):
+    """The index as built by one tokenize call per entry: the first entry of
+    each five-field key, its bucket, and the longest term per language."""
+    kept, index, max_tokens = {}, {}, {}
+    for entry in entries:
+        if entry[:5] in kept:
+            continue
+        kept[entry[:5]] = entry
+        surfaces = tokenize(entry.src_term).surfaces()
+        max_tokens[entry.src_lang] = max(max_tokens.get(entry.src_lang, 0), max(1, len(surfaces)))
+        index.setdefault((entry.src_lang, _oracle_key(entry.src_term, surfaces)), []).append(entry)
+    for bucket in index.values():
+        bucket.sort(key=operator.attrgetter("tgt_lang", "tgt_term"))
+    return list(kept.values()), index, max_tokens
+
+
+_WORDS = ["cat", "Cat", "CAT", "hot", "HOT", "chip", "Straße", "STRASSE", "ﬁsh", "कुत्ता", "İs", "42"]
+_GAPS = ["", " ", "  ", "\u00a0", "\u3000", "-", " ? ", "…"]
+_PUNCT = ["?", "??", " !? ", "—", "...", "«»"]
+
+
+@st.composite
+def _src_terms(draw):
+    """Case variants, repeated inner whitespace and punctuation-only terms."""
+    words = draw(st.lists(st.sampled_from(_WORDS), max_size=3))
+    if not words:
+        return draw(st.sampled_from(_PUNCT))
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(words) + 1, max_size=len(words) + 1))
+    return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+
+_entries = st.lists(
+    st.builds(
+        LexEntry,
+        src_term=st.one_of(_src_terms(), _term),
+        tgt_term=st.sampled_from(["gato", "Gato", "chat", "кошка"]),
+        src_lang=st.sampled_from(["en", "de"]),
+        tgt_lang=st.sampled_from(["es", "fr", "ru"]),
+        tgt_script=st.sampled_from(["Latn", "Cyrl"]),
+        source_name=st.sampled_from(["panlex", "gatitos", ""]),
+    ),
+    max_size=40,
+)
+
+
+class TestIndexOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(entries=_entries)
+    def test_same_index_as_tokenize_per_entry(self, entries):
+        kept, index, max_tokens = _oracle_index(entries)
+        lex = Lexicon(entries)
+        assert list(lex) == kept
+        for (lang, key), bucket in index.items():
+            assert lex.lookup_key(key, lang) == bucket
+        # Every entry sits in one of the oracle's buckets, so there is no other key.
+        assert sum(map(len, index.values())) == len(lex)
+        for lang in ("en", "de", "es"):
+            assert lex.max_term_tokens(lang) == max_tokens.get(lang, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text())
+    def test_match_key_is_tokenize_key(self, text):
+        assert match_key(text) == _oracle_key(text, tokenize(text).surfaces())
