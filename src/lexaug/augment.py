@@ -15,7 +15,18 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import TAG_VALUE, Record, SentencePair, Token, TokenizedSentence, tokenize
+# LITERALS lives in corpus so that lexicon, which this module imports, can
+# check terms against it; it is re-exported here.
+from .corpus import (
+    _COLLISION_RE,
+    _LITERAL_PATTERN,
+    LITERALS,
+    Record,
+    SentencePair,
+    Token,
+    TokenizedSentence,
+    tokenize,
+)
 from .errors import EmptyInputError, SentinelCollisionError
 from .lexicon import Lexicon
 from .sampling import (
@@ -38,25 +49,15 @@ class Task(enum.Enum):
     TOKEN_PAIR = "token_pair"
 
 
-TASK_TOKENS: dict[Task, str] = {
-    Task.TRANSLATION: "<2translation>",
-    Task.MASS: "<2mass>",
-    Task.CODESWITCH_MONO: "<2codeswitch>",
-    Task.CODESWITCH_PARALLEL: "<2codeswitch_parallel>",
-    Task.GLOWUP_MONO: "<2glowup_mono>",
-    Task.GLOWUP_PARALLEL: "<2glowup>",
-}
-MASK_TOKEN = "<mask>"
-HINT_OPEN = "<hint>"
-HINT_IS = "<is>"
-HINT_CLOSE = "<endhints>"
-# The literal control tokens, mutually distinct. Token pairs reuse the
+# The control tokens, in corpus.LITERALS order. Token pairs reuse the
 # translation task token, so they carry no entry of their own.
-LITERALS = (*TASK_TOKENS.values(), MASK_TOKEN, HINT_OPEN, HINT_IS, HINT_CLOSE)
+_TASKS_WITH_TOKENS = (
+    Task.TRANSLATION, Task.MASS, Task.CODESWITCH_MONO, Task.CODESWITCH_PARALLEL, Task.GLOWUP_MONO,
+    Task.GLOWUP_PARALLEL,
+)
+TASK_TOKENS: dict[Task, str] = dict(zip(_TASKS_WITH_TOKENS, LITERALS))
+MASK_TOKEN, HINT_OPEN, HINT_IS, HINT_CLOSE = LITERALS[len(_TASKS_WITH_TOKENS):]
 
-_LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, reverse=True))
-# Language and script tags are an open family ("<2en>", "<2Latn>", ...).
-_COLLISION_RE = re.compile(f"{_LITERAL_PATTERN}|<2{TAG_VALUE}>")
 _UNIT_RE = re.compile(_LITERAL_PATTERN)
 
 
@@ -181,30 +182,40 @@ def find_translatable(
     if max_len == 0 or n == 0:
         return []
     text = sentence.text
-    folded = [t.surface.casefold() for t in tokens]
+    # One casefold per sentence: surfaces hold no space, and no code point
+    # folds to a string that holds one, so the split gives each surface's fold.
+    folded = " ".join([t[0] for t in tokens]).casefold().split(" ")
+    # Unscoped probes test the language's keys directly; a scoped probe has
+    # to scan the bucket's target languages, which has_term does.
+    keys = lexicon.term_keys(src_lang) if tgt_filter is None else None
+    has_term = lexicon.has_term
+    new = tuple.__new__
     spans: list[MatchSpan] = []
-    i = 0
-    while i < n:
-        limit = min(max_len, n - i)
-        if limit > 1:
-            # Shrink the window to the whitespace-joined run starting at i.
+    end = 0  # the tokens before it are inside a match or already probed
+    for i, key in enumerate(folded):
+        if i < end:
+            continue
+        surface, char_start, char_end = tokens[i]
+        end = i + 1
+        if max_len > 1:
+            # Shrink the window to the whitespace-joined run starting at i,
+            # then try its phrases longest first. A lexicon of one-word terms
+            # opens no window: each token costs one probe.
+            limit = min(max_len, n - i)
             run = 1
             while run < limit:
                 gap = text[tokens[i + run - 1].char_end : tokens[i + run].char_start]
                 if gap and not gap.isspace():
                     break
                 run += 1
-            limit = run
-        for length in range(limit, 0, -1):
-            key = folded[i] if length == 1 else " ".join(folded[i : i + length])
-            if lexicon.has_term(key, src_lang, tgt_filter):
-                char_start = tokens[i].char_start
-                char_end = tokens[i + length - 1].char_end
-                spans.append(MatchSpan(i, i + length, char_start, char_end, text[char_start:char_end], key))
-                i += length
-                break
-        else:
-            i += 1
+            for length in range(run, 1, -1):
+                phrase = " ".join(folded[i : i + length])
+                if phrase in keys if keys is not None else has_term(phrase, src_lang, tgt_filter):
+                    key, end, char_end = phrase, i + length, tokens[i + length - 1].char_end
+                    surface = text[char_start:char_end]
+                    break
+        if end > i + 1 or (key in keys if keys is not None else has_term(key, src_lang, tgt_filter)):
+            spans.append(new(MatchSpan, (i, end, char_start, char_end, surface, key)))
     return spans
 
 

@@ -327,8 +327,7 @@ def cmd_mix(args) -> int:
         if not eq:
             raise ScheduleError(f"--streams entries look like task=path, got {spec_str!r}")
         task = task_named(name.replace("-", "_"), "--streams")
-        with open(path, "r", encoding="utf-8") as handle:
-            streams[task] = [line.rstrip("\n") for line in handle if line.strip()]
+        streams[task] = [line for line in _read_lines(path) if line.strip()]
         stream_paths.append(path)
     mixed = interleave(streams, weights, args.seed)
     _emit_lines(itertools.islice(mixed, args.count), args.out)
@@ -342,17 +341,18 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines without their ``\n`` or ``\r\n`` ends; a lone
-    ``\r`` inside a line does not split it."""
+def _read_lines(path: str) -> Iterator[str]:
+    """The file's lines, read lazily, without their ``\n`` or ``\r\n``
+    ends; a lone ``\r`` inside a line does not split it."""
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        return [line.removesuffix("\n").removesuffix("\r") for line in handle]
+        for line in handle:
+            yield line.removesuffix("\n").removesuffix("\r")
 
 
 def cmd_score(args) -> int:
     _require(args, "hyp", "ref")
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = list(_read_lines(args.hyp))
+    refs = list(_read_lines(args.ref))
     if len(hyps) != len(refs):
         raise LexAugError(
             f"hypothesis and reference files differ in length: {len(hyps)} vs {len(refs)}"
@@ -371,14 +371,13 @@ def cmd_score(args) -> int:
 
 def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            if not line.strip():
-                continue
-            try:
-                rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
-            except (KeyError, ValueError) as exc:
-                raise LexAugError(f"{path}:line {index + 1}: {exc}") from exc
+    for index, line in enumerate(_read_lines(path)):
+        if not line.strip():
+            continue
+        try:
+            rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
+        except (KeyError, ValueError) as exc:
+            raise LexAugError(f"{path}:line {index + 1}: {exc}") from exc
     return rows
 
 

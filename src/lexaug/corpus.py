@@ -27,6 +27,18 @@ MAX_U64 = 2**64 - 1
 TAG_VALUE = r"[^<>\s]+"
 _TAG_VALUE_RE = re.compile(TAG_VALUE)
 
+# The literal control tokens, mutually distinct: the six task tokens (token
+# pairs reuse "<2translation>"), then the mask token and the three hint
+# delimiters. lexaug.augment names each one.
+LITERALS = (
+    "<2translation>", "<2mass>", "<2codeswitch>", "<2codeswitch_parallel>", "<2glowup_mono>", "<2glowup>",
+    "<mask>", "<hint>", "<is>", "<endhints>",
+)
+_LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, reverse=True))
+# What corpus text and lexicon terms may not hold: a control token, or a
+# language or script tag, an open family ("<2en>", "<2Latn>", ...).
+_COLLISION_RE = re.compile(f"{_LITERAL_PATTERN}|<2{TAG_VALUE}>")
+
 
 # Only a valid value is remembered: a call that raises leaves no entry.
 @functools.lru_cache(maxsize=1024)

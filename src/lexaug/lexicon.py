@@ -3,8 +3,9 @@
 Lexica load from TSV (``src_lang<TAB>tgt_lang<TAB>tgt_script<TAB>src_term
 <TAB>tgt_term``, ``#`` comments ignored). Matching is case-folded exact
 match; multi-word terms are indexed under a whitespace-normalized key so the
-augmenter's phrase window can find them. A Lexicon is immutable once built
-and safe to share across workers.
+augmenter's phrase window can find them. The index holds one dict per source
+language, from match key to bucket. A Lexicon is immutable once built and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import gc
 import itertools
 import operator
+import sys
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import _WORD_TABLE, check_tag_value
+from .corpus import _COLLISION_RE, _WORD_TABLE, check_tag_value
 from .errors import LexiconFormatError
 
 
@@ -43,6 +46,10 @@ class LexEntry(_LexFields):
         for term in (src_term, tgt_term):
             if "\t" in term or "\n" in term or "\r" in term:
                 raise ValueError("lexicon terms must not contain tabs or newlines")
+            # Terms are spliced into examples as written, so they obey the
+            # corpus text rule. Few terms hold a "<", so test that first.
+            if "<" in term and (hit := _COLLISION_RE.search(term)):
+                raise ValueError(f"lexicon term {term!r} contains reserved control token {hit.group()!r}")
         check_tag_value("src_lang", src_lang)
         check_tag_value("tgt_lang", tgt_lang)
         check_tag_value("tgt_script", tgt_script)
@@ -76,6 +83,10 @@ def _key_and_length(text: str) -> tuple[str, int]:
     return " ".join(words).casefold(), len(words)
 
 
+# The index of a language with no entries; never written.
+_NO_TERMS: dict[str, list[LexEntry]] = {}
+
+
 class Lexicon:
     """Indexed, deduplicated collection of LexEntry."""
 
@@ -83,7 +94,8 @@ class Lexicon:
         # Keyed by entry[:5], the five TSV fields that LexEntry.key() holds;
         # insertion order is the entry order.
         self._entries: dict[tuple, LexEntry] = {}
-        self._index: dict[tuple[str, str], list[LexEntry]] = {}
+        # src_lang -> match key -> bucket.
+        self._index: dict[str, dict[str, list[LexEntry]]] = {}
         self._max_term_tokens: dict[str, int] = {}
         seen, index, max_tokens = self._entries, self._index, self._max_term_tokens
         # The index holds only tuples, lists and dicts of strings, so a
@@ -102,13 +114,17 @@ class Lexicon:
                 key, length = _key_and_length(entry[0])
                 if length > max_tokens.get(lang, 0):
                     max_tokens[lang] = length
-                index.setdefault((lang, key), []).append(entry)
+                keys = index.get(lang)
+                if keys is None:
+                    keys = index[lang] = {}
+                keys.setdefault(key, []).append(entry)
         finally:
             if gc_was_enabled:
                 gc.enable()
         by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
-        for bucket in index.values():
-            bucket.sort(key=by_target)
+        for keys in index.values():
+            for bucket in keys.values():
+                bucket.sort(key=by_target)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -117,20 +133,25 @@ class Lexicon:
         return iter(self._entries.values())
 
     def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
-        """Entries in ``src_lang`` whose source term has match key ``key``
-        (raw text goes through match_key first).
+        """Entries in ``src_lang`` whose source term has match key ``key``.
 
-        Results are stably ordered by (tgt_lang, tgt_term); an unknown key
-        yields an empty list.
+        The caller passes a match key; this method does not fold raw text
+        (``lookup_key(match_key(text), ...)`` does). Results are stably
+        ordered by (tgt_lang, tgt_term); an unknown key yields an empty list.
         """
-        bucket = self._index.get((src_lang, key), [])
+        bucket = self._index.get(src_lang, _NO_TERMS).get(key, ())
         if tgt_filter is None:
             return list(bucket)
         return [e for e in bucket if e.tgt_lang == tgt_filter]
 
+    def term_keys(self, src_lang: str) -> Mapping[str, list[LexEntry]]:
+        """A read-only view of ``src_lang``'s index: each match key of its
+        source terms, mapped to the entries lookup_key returns for it."""
+        return MappingProxyType(self._index.get(src_lang, _NO_TERMS))
+
     def has_term(self, key: str, src_lang: str, tgt_filter: str | None = None) -> bool:
         """Fast membership probe for an already-normalized match key."""
-        bucket = self._index.get((src_lang, key))
+        bucket = self._index.get(src_lang, _NO_TERMS).get(key)
         if not bucket:
             return False
         if tgt_filter is None:
@@ -159,6 +180,7 @@ def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
     """The entries of a lexicon TSV file, in file order, duplicates included."""
     # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
     # in its line, where LexEntry rejects it.
+    intern = sys.intern
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for index, line in enumerate(handle):
             line = line.removesuffix("\n").removesuffix("\r")
@@ -170,6 +192,9 @@ def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
                     f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
                 )
             src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
+            # One shared string per distinct code: a large lexicon holds few
+            # codes but a copy of each per entry.
+            src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
             try:
                 yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script, source_name)
             except ValueError as exc:

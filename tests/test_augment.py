@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from lexaug.augment import (
     LITERALS,
     SENTINELS,
+    MatchSpan,
     Task,
     TrainingExample,
     _mask_units,
@@ -61,6 +62,48 @@ def _lexicon_of(terms):
     )
 
 
+def _reference_find_translatable(sentence, src_lang, lexicon, tgt_filter=None):
+    """The window scan with one has_term probe per window and one casefold
+    per token, as find_translatable was before it folded whole sentences."""
+    tokens = sentence.tokens
+    n = len(tokens)
+    max_len = lexicon.max_term_tokens(src_lang)
+    if max_len == 0 or n == 0:
+        return []
+    text = sentence.text
+    folded = [t.surface.casefold() for t in tokens]
+    spans = []
+    i = 0
+    while i < n:
+        limit = min(max_len, n - i)
+        if limit > 1:
+            run = 1
+            while run < limit:
+                gap = text[tokens[i + run - 1].char_end : tokens[i + run].char_start]
+                if gap and not gap.isspace():
+                    break
+                run += 1
+            limit = run
+        for length in range(limit, 0, -1):
+            key = folded[i] if length == 1 else " ".join(folded[i : i + length])
+            if lexicon.has_term(key, src_lang, tgt_filter):
+                char_start = tokens[i].char_start
+                char_end = tokens[i + length - 1].char_end
+                spans.append(MatchSpan(i, i + length, char_start, char_end, text[char_start:char_end], key))
+                i += length
+                break
+        else:
+            i += 1
+    return spans
+
+
+# Words whose case folds change length ("ß" -> "ss", "ﬁ" -> "fi", "İ" -> "i̇").
+_fold_word = st.one_of(_word, st.sampled_from(["STRASSE", "strasse", "ﬁsh", "FISH", "İs", "i̇s", "ǰ", "ΣΑΣ"]))
+_fold_sentence = st.lists(st.tuples(_fold_word, _sep), min_size=0, max_size=12).map(
+    lambda pairs: "".join(w + sep for w, sep in pairs)
+)
+
+
 class TestFindTranslatable:
     @settings(max_examples=200, deadline=None)
     @given(text=_sentence, terms=_terms, tgt_filter=st.sampled_from([None, "es", "fr"]))
@@ -89,6 +132,36 @@ class TestFindTranslatable:
         (span,) = find_translatable(sentence, "en", lexicon)
         assert (span.start, span.end) == (0, len(words)) == (0, sentence.n)
         assert span.surface == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_fold_sentence,
+        terms=st.lists(st.lists(_fold_word, min_size=1, max_size=3), min_size=1, max_size=8),
+        phrases=st.booleans(),
+        tgt_filter=st.sampled_from([None, "es", "fr"]),
+    )
+    def test_same_spans_as_reference_scan(self, text, terms, phrases, tgt_filter):
+        """One-token and phrase lexica, scoped or not, give the reference's
+        spans exactly."""
+        lexicon = _lexicon_of([" ".join(words) if phrases else words[0] for words in terms])
+        sentence = tokenize(text)
+        for lang in ("en", "de"):
+            got = find_translatable(sentence, lang, lexicon, tgt_filter)
+            assert got == _reference_find_translatable(sentence, lang, lexicon, tgt_filter)
+            assert all(type(span) is MatchSpan for span in got)
+
+    def test_no_code_point_folds_to_a_space(self):
+        """find_translatable folds a sentence once, as
+        " ".join(surfaces).casefold().split(" "): that gives each surface's own
+        fold only if no code point but the space folds to a string holding a
+        space. Checked over every code point, chunk by chunk."""
+        chunk = 0x10000
+        for first in range(0, 0x110000, chunk):
+            chars = [chr(c) for c in range(first, first + chunk) if c != 0x20]
+            folds = [ch.casefold() for ch in chars]
+            assert not [hex(ord(ch)) for ch, fold in zip(chars, folds) if " " in fold]
+            # Folding the joined chunk folds each code point on its own.
+            assert " ".join(chars).casefold().split(" ") == folds, hex(first)
 
 
 @st.composite

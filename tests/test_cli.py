@@ -295,6 +295,28 @@ class TestTokenPairsCommand:
         assert json.loads(lines[0])["target"] == "chat"
 
 
+class TestControlTokenInLexicon:
+    """A lexicon term holding a control token or a tag fails the run with one
+    error line naming the file line, and no output is written."""
+
+    @pytest.mark.parametrize("line", ["en\tes\tLatn\tcat\t<mask> gato", "en\tes\tLatn\t<2es> cat\tgato"])
+    @pytest.mark.parametrize("command", ["augment", "token-pairs"])
+    def test_run_fails_naming_the_line(self, tmp_path, capsys, command, line):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"en\tes\tLatn\tdog\tperro\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        args = [command, "--lexicon", str(lexicon), "--out", str(out)]
+        if command == "augment":
+            args += ["--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path), "--seed", "1",
+                     "--p-tr", "1", "--fraction", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {lexicon}:line 2: lexicon term ")
+        assert "contains reserved control token" in err[0]
+        assert not out.exists()
+
+
 class TestMixCommand:
     def test_schedule_printed(self, capsys):
         code = main(["mix", "--mono-aug", "codeswitch", "--token-pairs"])
@@ -328,6 +350,17 @@ class TestMixCommand:
         assert len(lines) == 200
         t_share = sum(1 for line in lines if '"t' in line) / 200
         assert 0.25 < t_share < 0.55
+
+    def test_lone_carriage_return_does_not_split_a_line(self, tmp_path):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"task": "translation",\r "n": 0}\r\n')
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}', encoding="utf-8")
+        out = tmp_path / "mixed.jsonl"
+        code = main(["mix", "--weights", str(weights), "--streams", f"translation={stream}",
+                     "--seed", "1", "--count", "3", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == b'{"task": "translation",\r "n": 0}\n' * 3
 
     def test_streams_require_seed(self, tmp_path, capsys):
         stream = tmp_path / "t.jsonl"
@@ -420,6 +453,14 @@ class TestDiagnoseCommand:
         assert "repetition" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["total"] == 2
+
+    def test_lone_carriage_return_does_not_split_a_row(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_bytes(b'{"lang": "xx",\r "direction": "en_to_xx", "source": "a", "hypothesis": "a",'
+                         b' "reference": "a"}\r\n')
+        out = tmp_path / "report.json"
+        assert main(["diagnose", "--rows", str(rows), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["total"] == 1
 
 
 class TestHitRateCommand:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lexaug import corpus, lexicon
 from lexaug.cli import _load_lexica
-from lexaug.corpus import tokenize
+from lexaug.corpus import LITERALS, _COLLISION_RE, tokenize
 from lexaug.errors import LexiconFormatError
 from lexaug.lexicon import LexEntry, Lexicon, match_key, merge, read_entries
 
@@ -18,7 +18,7 @@ _term = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
     min_size=1,
     max_size=12,
-).filter(lambda s: s.strip() and not s.startswith("#"))
+).filter(lambda s: s.strip() and not s.startswith("#") and not _COLLISION_RE.search(s))
 
 
 def _write(path, lines):
@@ -51,6 +51,18 @@ class TestLexEntry:
     def test_same_lang_rejected(self):
         with pytest.raises(ValueError):
             LexEntry("cat", "cat", "en", "en", "Latn")
+
+    @pytest.mark.parametrize("token", [*LITERALS, "<2es>", "<2Latn>"])
+    @pytest.mark.parametrize("field", ["src_term", "tgt_term"])
+    def test_control_token_in_term_rejected(self, field, token):
+        fields = dict(zip(LexEntry._fields, _GOOD))
+        fields[field] = f"a {token}b"
+        with pytest.raises(ValueError, match=f"contains reserved control token '{token}'"):
+            LexEntry(*fields.values())
+
+    @pytest.mark.parametrize("term", ["a < b", "<2 es>", "<2>", "<Mask>", "2es>"])
+    def test_angle_brackets_without_a_token_accepted(self, term):
+        assert LexEntry(term, term, "en", "es", "Latn").src_term == term
 
 
 class TestLoad:
@@ -98,6 +110,25 @@ class TestLoad:
         lex = Lexicon(read_entries(path, "gatitos"))
         assert lex.pair_counts()[("en", "mni")] == 4000
         assert lex.entry_counts("mni")["gatitos"] == 4000
+
+    def test_control_token_names_line(self, tmp_path):
+        path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato", "en\tes\tLatn\tcat\t<mask> gato"])
+        with pytest.raises(LexiconFormatError, match="line 2: lexicon term '<mask> gato' contains reserved control"):
+            list(read_entries(path, "x"))
+
+    def test_tags_are_shared(self, tmp_path):
+        """Each distinct language or script code is one string object across
+        the entries of a file, however many lines spell it."""
+        langs = ["en", "de", "es", "fr", "ru"]
+        scripts = ["Latn", "Cyrl"]
+        lines = [f"{langs[i % 2]}\t{langs[2 + i % 3]}\t{scripts[i % 2]}\tw{i}\tt{i}" for i in range(60)]
+        entries = list(read_entries(_write(tmp_path / "lex.tsv", lines), "x"))
+        for field in ("src_lang", "tgt_lang", "tgt_script"):
+            first = {}
+            for entry in entries:
+                value = getattr(entry, field)
+                assert value is first.setdefault(value, value), (field, value)
+            assert len(first) == (3 if field == "tgt_lang" else 2)
 
     def test_lone_carriage_return_stays_in_its_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
