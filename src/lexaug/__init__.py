@@ -9,7 +9,7 @@ the API.
 
 from .augment import codeswitch_mono
 from .corpus import Record
-from .lexicon import LexEntry, Lexicon, merge
+from .lexicon import LexEntry, Lexicon
 from .sampling import SelectionParams, derive_rng
 
 __version__ = "0.1.0"
@@ -21,5 +21,4 @@ __all__ = [
     "SelectionParams",
     "codeswitch_mono",
     "derive_rng",
-    "merge",
 ]

@@ -80,8 +80,7 @@ def _number(kind: type, low: int | None = None):
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     """The settings in the config file at ``path``, as the subcommand
     ``parser``'s flags would set them. Its keys are the flag destinations."""
-    with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = _read_json(path)
     if not isinstance(config, dict):
         raise LexAugError(f"{path}: config must be a JSON object")
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
@@ -89,6 +88,15 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     if unknown:
         raise LexAugError(f"{path}: unknown config keys {unknown}; allowed: {sorted(actions)}")
     return {key: _config_value(path, key, value, actions[key]) for key, value in config.items()}
+
+
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; a syntax error names the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise LexAugError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _config_value(path: str, key: str, value, action: argparse.Action):
@@ -135,10 +143,8 @@ def _lexicon_spec(spec: str) -> tuple[str, str]:
 
 def _load_lexica(specs: list[str]) -> Lexicon:
     """One Lexicon over every file's entries, in spec order: on a duplicate
-    entry the first file wins, as with ``merge``."""
-    return Lexicon(itertools.chain.from_iterable(
-        read_entries(path, source_name=name) for name, path in map(_lexicon_spec, specs)
-    ))
+    entry the first file's name is kept."""
+    return Lexicon((name, read_entries(path)) for name, path in map(_lexicon_spec, specs))
 
 
 def _write_manifest(
@@ -310,8 +316,7 @@ def cmd_token_pairs(args) -> int:
 
 def cmd_mix(args) -> int:
     if args.weights:
-        with open(args.weights, "r", encoding="utf-8") as handle:
-            weights = TaskWeights.from_json_obj(json.load(handle))
+        weights = TaskWeights.from_json_obj(_read_json(args.weights))
     else:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
     if not args.streams:
@@ -321,14 +326,16 @@ def cmd_mix(args) -> int:
 
     _require(args, "seed", "count")
     streams: dict[Task, list[str]] = {}
-    stream_paths = []
+    stream_paths: dict[Task, str] = {}
     for spec_str in args.streams:
         name, eq, path = spec_str.partition("=")
         if not eq:
             raise ScheduleError(f"--streams entries look like task=path, got {spec_str!r}")
         task = task_named(name.replace("-", "_"), "--streams")
+        if task in stream_paths:
+            raise ScheduleError(f"--streams: task {task.value!r} given twice ({stream_paths[task]}, {path})")
+        stream_paths[task] = path
         streams[task] = [line for line in _read_lines(path) if line.strip()]
-        stream_paths.append(path)
     mixed = interleave(streams, weights, args.seed)
     _emit_lines(itertools.islice(mixed, args.count), args.out)
     effective = {
@@ -337,7 +344,7 @@ def cmd_mix(args) -> int:
         "seed": args.seed,
         "count": args.count,
     }
-    _finish_manifest(args, "mix", effective, stream_paths)
+    _finish_manifest(args, "mix", effective, list(stream_paths.values()))
     return 0
 
 
@@ -360,12 +367,11 @@ def cmd_score(args) -> int:
     if not hyps:
         raise LexAugError("input files are empty")
     score, sentence_scores = metrics.chrf_scores(zip(hyps, refs))
-    result = {"metric": args.metric, "score": round(score, 4), "pairs": len(hyps)}
+    result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out)
-    _finish_manifest(args, "score", {"metric": args.metric, "hyp": args.hyp, "ref": args.ref},
-                     [args.hyp, args.ref])
+    _finish_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref}, [args.hyp, args.ref])
     return 0
 
 
@@ -479,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("score", help="chrf over line-aligned hypothesis/reference files")
-    p.add_argument("--metric", choices=["chrf"], default="chrf")
     p.add_argument("--hyp")
     p.add_argument("--ref")
     p.add_argument("--sentence", action=argparse.BooleanOptionalAction, default=False,

@@ -1,7 +1,10 @@
 """Multilingual term-pair store with per-language indices.
 
 Lexica load from TSV (``src_lang<TAB>tgt_lang<TAB>tgt_script<TAB>src_term
-<TAB>tgt_term``, ``#`` comments ignored). Matching is case-folded exact
+<TAB>tgt_term``, ``#`` comments ignored). An entry is exactly those five
+fields, so equal entries are one entry. A Lexicon is built from named
+sources (e.g. ``panlex``, ``gatitos``) and records which source each entry
+came from first, for per-source counts. Matching is case-folded exact
 match; multi-word terms are indexed under a whitespace-normalized key so the
 augmenter's phrase window can find them. The index holds one dict per source
 language, from match key to bucket. A Lexicon is immutable once built and
@@ -11,7 +14,6 @@ safe to share across workers.
 from __future__ import annotations
 
 import gc
-import itertools
 import operator
 import sys
 from collections import Counter
@@ -28,17 +30,15 @@ class _LexFields(NamedTuple):
     src_lang: str
     tgt_lang: str
     tgt_script: str
-    source_name: str = ""
 
 
 class LexEntry(_LexFields):
     """One directed term translation: a named tuple whose constructor checks
-    its fields."""
+    its fields. Equal fields make equal entries."""
 
     __slots__ = ()
 
-    def __new__(cls, src_term: str, tgt_term: str, src_lang: str, tgt_lang: str, tgt_script: str,
-                source_name: str = ""):
+    def __new__(cls, src_term: str, tgt_term: str, src_lang: str, tgt_lang: str, tgt_script: str):
         if not src_term or src_term.isspace() or not tgt_term or tgt_term.isspace():
             raise ValueError("lexicon terms must be non-empty after trim")
         if src_lang == tgt_lang:
@@ -53,11 +53,7 @@ class LexEntry(_LexFields):
         check_tag_value("src_lang", src_lang)
         check_tag_value("tgt_lang", tgt_lang)
         check_tag_value("tgt_script", tgt_script)
-        return tuple.__new__(cls, (src_term, tgt_term, src_lang, tgt_lang, tgt_script, source_name))
-
-    def key(self) -> tuple[str, str, str, str, str]:
-        """Dedup identity: the five TSV fields, ignoring source_name."""
-        return (self.src_lang, self.tgt_lang, self.tgt_script, self.src_term, self.tgt_term)
+        return tuple.__new__(cls, (src_term, tgt_term, src_lang, tgt_lang, tgt_script))
 
 
 def match_key(text: str) -> str:
@@ -88,36 +84,40 @@ _NO_TERMS: dict[str, list[LexEntry]] = {}
 
 
 class Lexicon:
-    """Indexed, deduplicated collection of LexEntry."""
+    """Indexed, deduplicated collection of LexEntry, built from named sources.
 
-    def __init__(self, entries: Iterable[LexEntry] = ()):
-        # Keyed by entry[:5], the five TSV fields that LexEntry.key() holds;
+    ``sources`` holds ``(source_name, entries)`` pairs, consumed in order. An
+    entry that an earlier source already gave keeps that source's name.
+    """
+
+    def __init__(self, sources: Iterable[tuple[str, Iterable[LexEntry]]] = ()):
+        # Each entry, mapped to the name of the first source that gave it;
         # insertion order is the entry order.
-        self._entries: dict[tuple, LexEntry] = {}
+        self._entries: dict[LexEntry, str] = {}
         # src_lang -> match key -> bucket.
         self._index: dict[str, dict[str, list[LexEntry]]] = {}
         self._max_term_tokens: dict[str, int] = {}
         seen, index, max_tokens = self._entries, self._index, self._max_term_tokens
         # The index holds only tuples, lists and dicts of strings, so a
         # collection during the build frees nothing and rescans every entry
-        # built so far. Pause the cyclic collector while the entries, and
-        # the file they may be read from, are consumed.
+        # built so far. Pause the cyclic collector while the sources, and
+        # the files they may be read from, are consumed.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for entry in entries:
-                fields = entry[:5]
-                if fields in seen:
-                    continue
-                seen[fields] = entry
-                lang = entry[2]
-                key, length = _key_and_length(entry[0])
-                if length > max_tokens.get(lang, 0):
-                    max_tokens[lang] = length
-                keys = index.get(lang)
-                if keys is None:
-                    keys = index[lang] = {}
-                keys.setdefault(key, []).append(entry)
+            for name, entries in sources:
+                for entry in entries:
+                    if entry in seen:
+                        continue
+                    seen[entry] = name
+                    lang = entry[2]
+                    key, length = _key_and_length(entry[0])
+                    if length > max_tokens.get(lang, 0):
+                        max_tokens[lang] = length
+                    keys = index.get(lang)
+                    if keys is None:
+                        keys = index[lang] = {}
+                    keys.setdefault(key, []).append(entry)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -130,7 +130,7 @@ class Lexicon:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[LexEntry]:
-        return iter(self._entries.values())
+        return iter(self._entries)
 
     def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
         """Entries in ``src_lang`` whose source term has match key ``key``.
@@ -169,14 +169,14 @@ class Lexicon:
     def entry_counts(self, lang: str) -> Counter:
         """Per-source-name counts of entries touching ``lang`` on either side."""
         return Counter(
-            e.source_name for e in self if lang in (e.src_lang, e.tgt_lang)
+            name for e, name in self._entries.items() if lang in (e.src_lang, e.tgt_lang)
         )
 
     def languages(self) -> set[str]:
         return {e.src_lang for e in self} | {e.tgt_lang for e in self}
 
 
-def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
+def read_entries(path: str) -> Iterator[LexEntry]:
     """The entries of a lexicon TSV file, in file order, duplicates included."""
     # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
     # in its line, where LexEntry rejects it.
@@ -196,12 +196,7 @@ def read_entries(path: str, source_name: str) -> Iterator[LexEntry]:
             # codes but a copy of each per entry.
             src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
             try:
-                yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script, source_name)
+                yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script)
             except ValueError as exc:
                 raise LexiconFormatError(str(exc), path, index + 1) from exc
 
-
-def merge(a: Lexicon, b: Lexicon) -> Lexicon:
-    """Union of two lexica. On duplicate five-field keys the entry from ``a``
-    wins (keeping its source_name)."""
-    return Lexicon(itertools.chain(a, b))

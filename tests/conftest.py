@@ -10,25 +10,30 @@ from lexaug.lexicon import LexEntry, Lexicon
 
 
 @pytest.fixture
-def tiny_lexicon():
-    """cat -> gato(es)/chat(fr), dog -> perro(es), kitten -> gatito(es)."""
-    return Lexicon(
-        [
-            LexEntry("cat", "gato", "en", "es", "Latn", "panlex"),
-            LexEntry("cat", "chat", "en", "fr", "Latn", "panlex"),
-            LexEntry("dog", "perro", "en", "es", "Latn", "panlex"),
-            LexEntry("kitten", "gatito", "en", "es", "Latn", "gatitos"),
-        ]
-    )
+def tiny_sources():
+    """panlex: cat -> gato(es)/chat(fr), dog -> perro(es); gatitos: kitten -> gatito(es)."""
+    return [
+        ("panlex", [
+            LexEntry("cat", "gato", "en", "es", "Latn"),
+            LexEntry("cat", "chat", "en", "fr", "Latn"),
+            LexEntry("dog", "perro", "en", "es", "Latn"),
+        ]),
+        ("gatitos", [LexEntry("kitten", "gatito", "en", "es", "Latn")]),
+    ]
+
+
+@pytest.fixture
+def tiny_lexicon(tiny_sources):
+    return Lexicon(tiny_sources)
 
 
 @pytest.fixture
 def es_only_lexicon():
     return Lexicon(
-        [
-            LexEntry("cat", "gato", "en", "es", "Latn", "panlex"),
-            LexEntry("dog", "perro", "en", "es", "Latn", "panlex"),
-        ]
+        [("panlex", [
+            LexEntry("cat", "gato", "en", "es", "Latn"),
+            LexEntry("dog", "perro", "en", "es", "Latn"),
+        ])]
     )
 
 

@@ -109,7 +109,7 @@ def test_criterion_3_swap_fraction():
     with criterion(3, "mean swap fraction 0.4 +/- 0.01; clamped case always swaps"):
         started = time.perf_counter()
         words = [f"w{i}" for i in range(20)]
-        lexicon = Lexicon(LexEntry(w, f"x{w}", "en", "es", "Latn") for w in words)
+        lexicon = Lexicon([("panlex", (LexEntry(w, f"x{w}", "en", "es", "Latn") for w in words))])
         sentence = tokenize(" ".join(words))
         params = SelectionParams(p_tr=0.4)
         trials = 10_000
@@ -136,11 +136,11 @@ def test_criterion_3_swap_fraction():
 def test_criterion_4_hint_count_uniformity():
     with criterion(4, "hint counts uniform on {0..3}: +/- 0.01 and chi-square p > 0.01"):
         lexicon = Lexicon(
-            [
+            [("panlex", [
                 LexEntry("cat", "gato", "en", "es", "Latn"),
                 LexEntry("dog", "perro", "en", "es", "Latn"),
                 LexEntry("kitten", "gatito", "en", "es", "Latn"),
-            ]
+            ])]
         )
         sentence = tokenize("cat dog kitten")
         trials = 10_000
@@ -263,7 +263,7 @@ def test_criterion_7_error_detectors():
 
 def test_criterion_8_token_pair_rendering():
     with criterion(8, "token pair renders '<2translation> <2es> <2Latn> cat' -> 'gato'"):
-        lexicon = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+        lexicon = Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
         (example,) = list(token_pair_examples(lexicon))
         assert example.source_text == "<2translation> <2es> <2Latn> cat"
         assert example.target_text == "gato"
@@ -326,9 +326,9 @@ def test_criterion_10_throughput_and_streaming():
         from lexaug.augment import codeswitch_mono
 
         vocabulary = [f"word{i}" for i in range(100_000)]
-        lexicon = Lexicon(
+        lexicon = Lexicon([("panlex", (
             LexEntry(w, f"tr{i}", "en", "xx", "Latn") for i, w in enumerate(vocabulary)
-        )
+        ))])
         assert len(lexicon) == 100_000
 
         params = SelectionParams(p_tr=0.4)

@@ -57,9 +57,9 @@ _terms = st.lists(st.lists(_word, min_size=1, max_size=3).map(" ".join), min_siz
 
 def _lexicon_of(terms):
     """en terms translated into es and fr in turn."""
-    return Lexicon(
+    return Lexicon([("panlex", (
         LexEntry(term, f"t{i}", "en", ("es", "fr")[i % 2], "Latn") for i, term in enumerate(terms)
-    )
+    ))])
 
 
 def _reference_find_translatable(sentence, src_lang, lexicon, tgt_filter=None):
@@ -218,14 +218,14 @@ class TestCodeswitch:
 
     def test_forced_single_swap(self, es_only_lexicon):
         # n=2, k=1, p_tr=1.0 -> adjusted probability clamps to 1
-        lex = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
         sent = tokenize("the cat")
         switched, swapped = codeswitch(sent, "en", lex, SelectionParams(p_tr=1.0), derive_rng(0, 0))
         assert switched == "the gato"
         assert swapped == frozenset({1})
 
     def test_punctuation_preserved(self):
-        lex = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
         sent = tokenize("A cat, a hat!")
         switched, _ = codeswitch(sent, "en", lex, SelectionParams(p_tr=1.0), derive_rng(0, 0))
         assert switched == "A gato, a hat!"
@@ -244,7 +244,7 @@ class TestCodeswitch:
 
     def test_swap_fraction_tracks_p_tr(self):
         words = [f"w{i}" for i in range(20)]
-        lex = Lexicon([LexEntry(w, f"x{w}", "en", "es", "Latn") for w in words])
+        lex = Lexicon([("panlex", [LexEntry(w, f"x{w}", "en", "es", "Latn") for w in words])])
         sent = tokenize(" ".join(words))
         params = SelectionParams(p_tr=0.4)
         trials = 1000
@@ -255,10 +255,10 @@ class TestCodeswitch:
 
     def test_phrase_substitution_leftmost_longest(self):
         lex = Lexicon(
-            [
+            [("panlex", [
                 LexEntry("hot chip", "papas fritas", "en", "es", "Latn"),
                 LexEntry("hot", "caliente", "en", "es", "Latn"),
-            ]
+            ])]
         )
         sent = tokenize("eats hot chip now")
         switched, swapped = codeswitch(sent, "en", lex, SelectionParams(p_tr=1.0), derive_rng(0, 1))
@@ -266,7 +266,7 @@ class TestCodeswitch:
         assert swapped == frozenset({1, 2})
 
     def test_phrase_does_not_cross_punctuation(self):
-        lex = Lexicon([LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])])
         sent = tokenize("hot, chip")
         switched, swapped = codeswitch(sent, "en", lex, SelectionParams(p_tr=1.0), derive_rng(0, 0))
         assert switched == "hot, chip"
@@ -384,7 +384,7 @@ class TestGlowupPrompt:
         assert hinted == frozenset()
 
     def test_single_hint_format(self):
-        lex = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
         sent = tokenize("the cat sat")
         for seed in range(50):
             prompt, hinted = glowup_prompt(sent, "en", lex, derive_rng(seed, 0))
@@ -445,7 +445,7 @@ class TestGlowupMono:
 class TestGlowupParallel:
     def test_no_target_language_hint_available(self):
         # Lexicon has only a French translation; the pair targets Spanish.
-        lex = Lexicon([LexEntry("cat", "chat", "en", "fr", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("cat", "chat", "en", "fr", "Latn")])])
         p = pair()
         example = glowup_parallel(p, lex, derive_rng(0, p.id))
         assert example.source_text == f"<2glowup> <2es> <2Latn> {p.src.text}"
@@ -476,7 +476,7 @@ class TestGlowupParallel:
 
 class TestTokenPairs:
     def test_exact_rendering(self):
-        lex = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
         (example,) = list(token_pair_examples(lex))
         assert example.source_text == "<2translation> <2es> <2Latn> cat"
         assert example.target_text == "gato"
@@ -536,10 +536,10 @@ def _texts_and_lexicon(draw):
     words of the source, from en into es and fr."""
     src, tgt = draw(_any_text), draw(_any_text)
     terms = draw(st.lists(st.one_of(_any_term, st.sampled_from(tokenize(src).surfaces())), max_size=8))
-    lexicon = Lexicon(
+    lexicon = Lexicon([("panlex", [
         LexEntry(term, draw(_any_term), "en", draw(st.sampled_from(["es", "fr"])), draw(st.sampled_from(["Latn", "Cyrl"])))
         for term in terms
-    )
+    ])])
     return src, tgt, lexicon
 
 

@@ -689,17 +689,21 @@ class TestRecordErrors:
 
 class TestConfigKeys:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
-        augment = ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path), "--seed", "1"]
+        lexicon = ["--lexicon", _lexicon_file(tmp_path)]
+        augment = ["augment", "--task", "codeswitch-mono", "--corpus", _mono_file(tmp_path), "--seed", "1", *lexicon]
+        (tmp_path / "hyp.txt").write_text("a cat\n", encoding="utf-8")
+        score = ["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "hyp.txt")]
         cases = [
             (augment, {"p-tr": 0.9, "seeed": 3}, "['p-tr', 'seeed']"),
             (augment, {"sentinels": {"mask_token": "<blank>"}}, "['sentinels']"),
-            (["token-pairs"], {"sentinels": {"mask_token": "<blank>"}}, "['sentinels']"),
+            (["token-pairs", *lexicon], {"sentinels": {"mask_token": "<blank>"}}, "['sentinels']"),
+            (score, {"metric": "chrf"}, "['metric']"),
         ]
         config = tmp_path / "config.json"
         out = tmp_path / "out.jsonl"
         for argv, keys, unknown in cases:
             config.write_text(json.dumps(keys))
-            code = main(argv + ["--lexicon", _lexicon_file(tmp_path), "--config", str(config), "--out", str(out)])
+            code = main(argv + ["--config", str(config), "--out", str(out)])
             assert code == 1
             err = capsys.readouterr().err
             assert f"unknown config keys {unknown}" in err
@@ -890,6 +894,12 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "weights file: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="weights-unknown-task"),
         pytest.param(["mix", "--streams", "bogus={bad}", "--seed", "1", "--count", "1"], ".jsonl", "{}\n",
                      "--streams: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="streams-unknown-task"),
+        pytest.param(["mix", "--streams", "mass={bad}", "--streams", "mass={mono}", "--streams", "translation={bad}",
+                      "--seed", "1", "--count", "6"], ".jsonl", "{}\n",
+                     "--streams: task 'mass' given twice ({bad}, {mono})", id="streams-task-twice"),
+        pytest.param(["augment", "--config", "{bad}"], ".json", '{"seed": 1,}',
+                     "{bad}: invalid JSON: Expecting property name enclosed in double quotes", id="config-invalid-json"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": 1', "{bad}: invalid JSON: Expecting", id="weights-invalid-json"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0\n",
                      "{bad}:line 2: row has fewer than 6 fields", id="short-row"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0,x,1,1,URL\n",
@@ -903,5 +913,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, suffix, conte
     bad.write_text(content, encoding="utf-8")
     files = {"bad": str(bad), "lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path)}
     assert main([arg.format(**files) for arg in argv]) == 1
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message.format(**files)}"), err

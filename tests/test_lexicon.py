@@ -1,8 +1,8 @@
-import functools
 import gc
 import operator
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from lexaug import corpus, lexicon
 from lexaug.cli import _load_lexica
 from lexaug.corpus import LITERALS, _COLLISION_RE, tokenize
 from lexaug.errors import LexiconFormatError
-from lexaug.lexicon import LexEntry, Lexicon, match_key, merge, read_entries
+from lexaug.lexicon import LexEntry, Lexicon, match_key, read_entries
 
 _term = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -26,6 +26,7 @@ def _write(path, lines):
     return str(path)
 
 
+_SMALL_FIELDS = (["cat", "Cat", "cat "], ["gato", "chat"], ["en", "de"], ["es", "fr"], ["Latn", "Cyrl"])
 _GOOD = ("cat", "gato", "en", "es", "Latn")
 _BAD_FIELDS = [
     ("src_term", " "), ("tgt_term", " "), ("tgt_lang", "en"),
@@ -64,57 +65,69 @@ class TestLexEntry:
     def test_angle_brackets_without_a_token_accepted(self, term):
         assert LexEntry(term, term, "en", "es", "Latn").src_term == term
 
+    def test_fields_are_the_five_tsv_fields(self):
+        assert LexEntry._fields == ("src_term", "tgt_term", "src_lang", "tgt_lang", "tgt_script")
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.tuples(*[st.sampled_from(v) for v in _SMALL_FIELDS]),
+           b=st.tuples(*[st.sampled_from(v) for v in _SMALL_FIELDS]))
+    def test_equal_exactly_when_the_five_fields_match(self, a, b):
+        x, y = LexEntry(*a), LexEntry(*b)
+        assert (x == y) == (a == b)
+        # A dict dedups them exactly when they are equal: hash agrees with ==.
+        assert len({x, y}) == (1 if a == b else 2)
+
 
 class TestLoad:
     def test_single_line(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato"])
-        lex = Lexicon(read_entries(path, "panlex"))
+        lex = Lexicon([("panlex", read_entries(path))])
         (entry,) = list(lex)
         assert entry.src_term == "cat"
         assert entry.tgt_term == "gato"
         assert entry.src_lang == "en"
         assert entry.tgt_lang == "es"
         assert entry.tgt_script == "Latn"
-        assert entry.source_name == "panlex"
+        assert lex.entry_counts("es") == {"panlex": 1}
 
     def test_exact_duplicates_dedup(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato"] * 2)
-        assert len(Lexicon(read_entries(path, "panlex"))) == 1
+        assert len(Lexicon([("panlex", read_entries(path))])) == 1
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = _write(
             tmp_path / "lex.tsv",
             ["# header", "", "en\tes\tLatn\tcat\tgato"],
         )
-        assert len(Lexicon(read_entries(path, "x"))) == 1
+        assert len(Lexicon([("x", read_entries(path))])) == 1
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato", "en\tes\tcat"])
         with pytest.raises(LexiconFormatError, match="line 2"):
-            Lexicon(read_entries(path, "x"))
+            Lexicon([("x", read_entries(path))])
 
     def test_empty_term_names_line(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\t\tgato"])
         with pytest.raises(LexiconFormatError, match="line 1"):
-            Lexicon(read_entries(path, "x"))
+            Lexicon([("x", read_entries(path))])
 
     def test_script_with_whitespace_names_line(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato", "en\tes\tLa tn\tdog\tperro"])
         with pytest.raises(LexiconFormatError, match="line 2: tgt_script must be non-empty with no whitespace"):
-            Lexicon(read_entries(path, "x"))
+            Lexicon([("x", read_entries(path))])
 
     def test_curated_style_file_counts(self, tmp_path):
         # A small curated lexicon: 4000 English rows into one language.
         lines = [f"en\tmni\tMtei\tword{i}\ttr{i}" for i in range(4000)]
         path = _write(tmp_path / "gatitos.tsv", lines)
-        lex = Lexicon(read_entries(path, "gatitos"))
+        lex = Lexicon([("gatitos", read_entries(path))])
         assert lex.pair_counts()[("en", "mni")] == 4000
         assert lex.entry_counts("mni")["gatitos"] == 4000
 
     def test_control_token_names_line(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato", "en\tes\tLatn\tcat\t<mask> gato"])
         with pytest.raises(LexiconFormatError, match="line 2: lexicon term '<mask> gato' contains reserved control"):
-            list(read_entries(path, "x"))
+            list(read_entries(path))
 
     def test_tags_are_shared(self, tmp_path):
         """Each distinct language or script code is one string object across
@@ -122,7 +135,7 @@ class TestLoad:
         langs = ["en", "de", "es", "fr", "ru"]
         scripts = ["Latn", "Cyrl"]
         lines = [f"{langs[i % 2]}\t{langs[2 + i % 3]}\t{scripts[i % 2]}\tw{i}\tt{i}" for i in range(60)]
-        entries = list(read_entries(_write(tmp_path / "lex.tsv", lines), "x"))
+        entries = list(read_entries(_write(tmp_path / "lex.tsv", lines)))
         for field in ("src_lang", "tgt_lang", "tgt_script"):
             first = {}
             for entry in entries:
@@ -134,22 +147,22 @@ class TestLoad:
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"en\tes\tLatn\tca\rt\tgato\n")
         with pytest.raises(LexiconFormatError, match="line 1: lexicon terms must not contain tabs or newlines"):
-            list(read_entries(str(path), "x"))
+            list(read_entries(str(path)))
 
     def test_crlf_reads_as_lf(self, tmp_path):
         lines = ["# header", "", " ", "en\tes\tLatn\tcat\tgato", "en\tfr\tLatn\thot  chip\tfrites "]
         lf = _write(tmp_path / "lf.tsv", lines)
         crlf = tmp_path / "crlf.tsv"
         crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        assert list(read_entries(str(crlf), "x")) == list(read_entries(lf, "x"))
-        assert len(list(read_entries(lf, "x"))) == 2
+        assert list(read_entries(str(crlf))) == list(read_entries(lf))
+        assert len(list(read_entries(lf))) == 2
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(_term, _term), min_size=1, max_size=8))
     def test_arbitrary_terms_read_back(self, tmp_path_factory, pairs):
         path = _write(tmp_path_factory.mktemp("lex") / "lex.tsv", [f"en\tes\tLatn\t{s}\t{t}" for s, t in pairs])
-        entries = [LexEntry(s, t, "en", "es", "Latn", "x") for s, t in pairs]
-        assert list(read_entries(path, "x")) == entries
+        entries = [LexEntry(s, t, "en", "es", "Latn") for s, t in pairs]
+        assert list(read_entries(path)) == entries
 
 
 class TestRoundTrip:
@@ -159,36 +172,38 @@ class TestRoundTrip:
 
 
 class TestMerge:
-    def test_identity(self, tiny_lexicon):
-        assert list(merge(tiny_lexicon, Lexicon())) == list(tiny_lexicon)
+    """Several sources build one Lexicon: the union of their entries, each
+    counted under the first source that gave it."""
 
-    def test_idempotent(self, tiny_lexicon):
-        merged = merge(tiny_lexicon, tiny_lexicon)
-        assert [e.key() for e in merged] == [e.key() for e in tiny_lexicon]
+    def test_identity(self, tiny_sources, tiny_lexicon):
+        merged = Lexicon([*tiny_sources, ("empty", [])])
+        assert list(merged) == list(tiny_lexicon)
+        for lang in ("en", "es", "fr"):
+            assert merged.entry_counts(lang) == tiny_lexicon.entry_counts(lang)
+
+    def test_idempotent(self, tiny_sources, tiny_lexicon):
+        merged = Lexicon(tiny_sources + tiny_sources)
+        assert list(merged) == list(tiny_lexicon)
+        for lang in ("en", "es", "fr"):
+            assert merged.entry_counts(lang) == tiny_lexicon.entry_counts(lang)
 
     def test_set_union_oracle(self):
         rng = random.Random(0)
-        def sample(n, source):
-            entries = []
-            for _ in range(n):
-                i = rng.randrange(60)
-                entries.append(
-                    LexEntry(f"w{i}", f"t{i}", "en", "es", "Latn", source)
-                )
-            return entries
 
-        a = Lexicon(sample(100, "panlex"))
-        b = Lexicon(sample(100, "gatitos"))
-        merged = merge(a, b)
-        expected = {e.key() for e in a} | {e.key() for e in b}
-        assert {e.key() for e in merged} == expected
-        assert len(merged) == len(expected)
+        def sample(n):
+            return [LexEntry(f"w{i}", f"t{i}", "en", "es", "Latn") for i in (rng.randrange(60) for _ in range(n))]
+
+        a, b = sample(100), sample(100)
+        merged = Lexicon([("panlex", a), ("gatitos", b)])
+        assert set(merged) == set(a) | set(b)
+        assert len(merged) == len(set(a) | set(b))
+        assert merged.entry_counts("es") == {"panlex": len(set(a)), "gatitos": len(set(b) - set(a))}
 
     def test_first_source_wins_on_overlap(self):
-        a = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn", "panlex")])
-        b = Lexicon([LexEntry("cat", "gato", "en", "es", "Latn", "gatitos")])
-        (entry,) = list(merge(a, b))
-        assert entry.source_name == "panlex"
+        entry = LexEntry("cat", "gato", "en", "es", "Latn")
+        merged = Lexicon([("panlex", [entry]), ("gatitos", [LexEntry(*entry)])])
+        assert list(merged) == [entry]
+        assert merged.entry_counts("es") == {"panlex": 1}
 
 
 class TestLoadSeveral:
@@ -226,12 +241,8 @@ class TestLoadSeveral:
             ]
             paths.append((f"src{f}", _write(tmp_path / f"l{f}.tsv", lines)))
         loaded = _load_lexica([f"{name}={path}" for name, path in paths])
-        merged = functools.reduce(merge, [Lexicon(read_entries(path, name)) for name, path in paths])
-        assert list(loaded) == list(merged)
-        assert [e.source_name for e in loaded] == [e.source_name for e in merged]
-        assert len({e.source_name for e in loaded}) == 3
-        for key in {match_key(term) for term in src_terms}:
-            assert loaded.lookup_key(key, "en") == merged.lookup_key(key, "en")
+        _assert_matches_oracle(loaded, [(name, list(read_entries(path))) for name, path in paths])
+        assert len(loaded.entry_counts("en")) == 3
 
 
 class TestLookup:
@@ -251,11 +262,11 @@ class TestLookup:
 
     def test_deterministic_order(self):
         lex = Lexicon(
-            [
+            [("panlex", [
                 LexEntry("cat", "kot", "en", "pl", "Latn"),
                 LexEntry("cat", "chat", "en", "fr", "Latn"),
                 LexEntry("cat", "gato", "en", "es", "Latn"),
-            ]
+            ])]
         )
         assert [e.tgt_term for e in lex.lookup_key(match_key("cat"), "en")] == ["gato", "chat", "kot"]
 
@@ -271,14 +282,12 @@ class TestCounts:
         assert lex.entry_counts("es") == {}
         assert len(lex) == 0
 
-    def test_counts_match_brute_force(self, tiny_lexicon):
+    def test_counts_match_brute_force(self, tiny_sources, tiny_lexicon):
         for lang in ("en", "es", "fr"):
-            counts = tiny_lexicon.entry_counts(lang)
-            brute = {}
-            for entry in tiny_lexicon:
-                if lang in (entry.src_lang, entry.tgt_lang):
-                    brute[entry.source_name] = brute.get(entry.source_name, 0) + 1
-            assert dict(counts) == brute
+            brute = Counter(
+                name for name, entries in tiny_sources for e in entries if lang in (e.src_lang, e.tgt_lang)
+            )
+            assert tiny_lexicon.entry_counts(lang) == brute
 
     def test_pair_counts_sum_to_total(self, tiny_lexicon):
         assert sum(tiny_lexicon.pair_counts().values()) == len(tiny_lexicon)
@@ -293,16 +302,16 @@ class TestPhrases:
 
     def test_max_term_tokens(self):
         lex = Lexicon(
-            [
+            [("panlex", [
                 LexEntry("cat", "gato", "en", "es", "Latn"),
                 LexEntry("hot chip", "papas fritas", "en", "es", "Latn"),
-            ]
+            ])]
         )
         assert lex.max_term_tokens("en") == 2
         assert lex.max_term_tokens("de") == 0
 
     def test_phrase_lookup(self):
-        lex = Lexicon([LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])
+        lex = Lexicon([("panlex", [LexEntry("hot chip", "papas fritas", "en", "es", "Latn")])])
         assert [e.tgt_term for e in lex.lookup_key(match_key("Hot Chip"), "en")] == ["papas fritas"]
 
 
@@ -317,7 +326,7 @@ class TestCollector:
             yield LexEntry("cat", "gato", "en", "es", "Latn")
 
         assert gc.isenabled()
-        assert len(Lexicon(entries())) == 1
+        assert len(Lexicon([("panlex", entries())])) == 1
         assert states == [False]
         assert gc.isenabled()
 
@@ -331,7 +340,7 @@ class TestCollector:
     def test_disabled_stays_disabled(self):
         gc.disable()
         try:
-            Lexicon([LexEntry("cat", "gato", "en", "es", "Latn")])
+            Lexicon([("panlex", [LexEntry("cat", "gato", "en", "es", "Latn")])])
             assert not gc.isenabled()
         finally:
             gc.enable()
@@ -341,20 +350,38 @@ def _oracle_key(text, surfaces):
     return " ".join(surfaces).casefold() if surfaces else text.strip().casefold()
 
 
-def _oracle_index(entries):
-    """The index as built by one tokenize call per entry: the first entry of
-    each five-field key, its bucket, and the longest term per language."""
+def _oracle_index(sources):
+    """A reference build with one tokenize call per entry. Each entry carries
+    its source name as a sixth field, and the first row of each five-field
+    key is kept. Returns the kept rows, the buckets and the longest term per
+    language."""
     kept, index, max_tokens = {}, {}, {}
-    for entry in entries:
-        if entry[:5] in kept:
-            continue
-        kept[entry[:5]] = entry
-        surfaces = tokenize(entry.src_term).surfaces()
-        max_tokens[entry.src_lang] = max(max_tokens.get(entry.src_lang, 0), max(1, len(surfaces)))
-        index.setdefault((entry.src_lang, _oracle_key(entry.src_term, surfaces)), []).append(entry)
+    for name, entries in sources:
+        for entry in entries:
+            row = (*entry, name)
+            if row[:5] in kept:
+                continue
+            kept[row[:5]] = row
+            surfaces = tokenize(entry.src_term).surfaces()
+            max_tokens[entry.src_lang] = max(max_tokens.get(entry.src_lang, 0), max(1, len(surfaces)))
+            index.setdefault((entry.src_lang, _oracle_key(entry.src_term, surfaces)), []).append(entry)
     for bucket in index.values():
         bucket.sort(key=operator.attrgetter("tgt_lang", "tgt_term"))
     return list(kept.values()), index, max_tokens
+
+
+def _assert_matches_oracle(lex, sources):
+    rows, index, max_tokens = _oracle_index(sources)
+    assert list(lex) == [row[:5] for row in rows]
+    for lang in ("en", "de", "es", "fr", "ru"):
+        assert lex.entry_counts(lang) == Counter(row[5] for row in rows if lang in row[2:4])
+    assert lex.pair_counts() == Counter(row[2:4] for row in rows)
+    for (lang, key), bucket in index.items():
+        assert lex.lookup_key(key, lang) == bucket
+    # Every entry sits in one of the oracle's buckets, so there is no other key.
+    assert sum(map(len, index.values())) == len(lex)
+    for lang in ("en", "de", "es"):
+        assert lex.max_term_tokens(lang) == max_tokens.get(lang, 0)
 
 
 _WORDS = ["cat", "Cat", "CAT", "hot", "HOT", "chip", "Straße", "STRASSE", "ﬁsh", "कुत्ता", "İs", "42"]
@@ -372,33 +399,30 @@ def _src_terms(draw):
     return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
 
 
-_entries = st.lists(
-    st.builds(
-        LexEntry,
-        src_term=st.one_of(_src_terms(), _term),
-        tgt_term=st.sampled_from(["gato", "Gato", "chat", "кошка"]),
-        src_lang=st.sampled_from(["en", "de"]),
-        tgt_lang=st.sampled_from(["es", "fr", "ru"]),
-        tgt_script=st.sampled_from(["Latn", "Cyrl"]),
-        source_name=st.sampled_from(["panlex", "gatitos", ""]),
-    ),
-    max_size=40,
+_entry = st.builds(
+    LexEntry,
+    src_term=st.one_of(_src_terms(), _term),
+    tgt_term=st.sampled_from(["gato", "Gato", "chat", "кошка"]),
+    src_lang=st.sampled_from(["en", "de"]),
+    tgt_lang=st.sampled_from(["es", "fr", "ru"]),
+    tgt_script=st.sampled_from(["Latn", "Cyrl"]),
 )
+
+
+@st.composite
+def _sources(draw):
+    """Named sources that draw their entries from one pool, so they share
+    entries, and may share a name."""
+    pool = draw(st.lists(_entry, min_size=1, max_size=20))
+    source = st.tuples(st.sampled_from(["panlex", "gatitos", ""]), st.lists(st.sampled_from(pool), max_size=15))
+    return draw(st.lists(source, max_size=4))
 
 
 class TestIndexOracle:
     @settings(max_examples=200, deadline=None)
-    @given(entries=_entries)
-    def test_same_index_as_tokenize_per_entry(self, entries):
-        kept, index, max_tokens = _oracle_index(entries)
-        lex = Lexicon(entries)
-        assert list(lex) == kept
-        for (lang, key), bucket in index.items():
-            assert lex.lookup_key(key, lang) == bucket
-        # Every entry sits in one of the oracle's buckets, so there is no other key.
-        assert sum(map(len, index.values())) == len(lex)
-        for lang in ("en", "de", "es"):
-            assert lex.max_term_tokens(lang) == max_tokens.get(lang, 0)
+    @given(sources=_sources())
+    def test_same_index_as_tokenize_per_entry(self, sources):
+        _assert_matches_oracle(Lexicon(sources), sources)
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.text())

@@ -1,5 +1,5 @@
 """The README's `## Library` example runs as printed, `lexaug.__all__`
-names what it imports plus `merge`, and the README lists the control tokens
+names what it imports, and the README lists the control tokens
 that `lexaug.augment` uses and the repeatable CLI settings."""
 
 import argparse
@@ -34,14 +34,14 @@ def test_library_example_prints_its_comments():
     assert proc.stdout.splitlines() == expected
 
 
-def test_all_is_the_library_example_imports_plus_merge():
+def test_all_is_the_library_example_imports():
     imported = [
         alias.name
         for node in ast.walk(ast.parse(_library_block()))
         if isinstance(node, ast.ImportFrom) and node.module == "lexaug"
         for alias in node.names
     ]
-    assert sorted(lexaug.__all__) == sorted(imported + ["merge"])
+    assert sorted(lexaug.__all__) == sorted(imported)
 
 
 def test_control_tokens_are_the_module_literals():

@@ -151,6 +151,6 @@ class TestChooseTranslation:
             assert abs(count / trials - 0.25) < 0.01
 
     def test_empty_after_filter(self):
-        pool = Lexicon(_entries()).lookup_key("cat", "en", tgt_filter="zu")
+        pool = Lexicon([("panlex", _entries())]).lookup_key("cat", "en", tgt_filter="zu")
         with pytest.raises(NoCandidateError):
             choose_translation(pool, derive_rng(0, 0))
