@@ -2,7 +2,8 @@
 
 The corpora, lexica and eval rows below are written from literals, so any
 change to the bytes that `augment`, `token-pairs`, `lexicon-stats`, `mix`,
-`score`, `diagnose` or `hit-rate` emit for them fails here. A
+`score`, `diagnose` or `hit-rate` emit for them, or that the library's
+`mass_example` and `translation_example` build from them, fails here. A
 refactor must leave every digest unchanged; a deliberate output change must
 update the digest in the same commit and say why.
 """
@@ -12,7 +13,10 @@ import json
 
 import pytest
 
+from lexaug.augment import mass_example, translation_example
 from lexaug.cli import main
+from lexaug.corpus import load_corpus
+from lexaug.sampling import derive_rng
 
 _MONO_TEXTS = [
     ("en", "Latn", "The cat sat on the mat."),
@@ -101,6 +105,7 @@ AUGMENT_DIGESTS = {
 TOKEN_PAIRS_DIGEST = "13b2e9a8eab81d64707d96535c4a3baed246788a099277d814cfb7a40cebf89d"
 LEXICON_STATS_DIGEST = "8b527907ddfcc7fe9ed4e8c5473cccafa71bf4f78a5937409cfb489f6e068e38"
 MIX_DIGEST = "84158f7cae4f1f3b158dd7dc5fedbd800caada7d2a73863d6edfc857522e1dd9"
+LIBRARY_DIGEST = "788afdf53b3c3e1d9f5b3f24d6edad77f1d30b5fadfc4d610a8b2d2a48874ff4"
 
 
 def _sha256(path) -> str:
@@ -187,6 +192,19 @@ def test_mix_digest(inputs):
     )
     assert code == 0
     assert _sha256(out) == MIX_DIGEST
+
+
+def test_library_builders_digest(inputs):
+    # No command reaches mass_example or translation_example, so their bytes
+    # are pinned here: MASS at several mask fractions, then translation.
+    examples = [
+        mass_example(rec, derive_rng(20230327, rec.id), fraction)
+        for fraction in (0.0, 0.1, 0.5, 0.9, 1.0)
+        for rec in load_corpus(inputs["mono"])
+    ]
+    examples += [translation_example(pair) for pair in load_corpus(inputs["parallel"], kind="parallel")]
+    text = "".join(json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True) + "\n" for e in examples)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LIBRARY_DIGEST
 
 
 # (source, hypothesis, reference) rows for the scoring commands: empty and
