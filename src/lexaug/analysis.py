@@ -166,29 +166,32 @@ def load_lang_rows(path: str) -> list[LangRow]:
     its line."""
     rows = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
-        for record in reader:
-            line_no = reader.line_num
-            try:
-                if None in record.values():
-                    raise ValueError(f"row has fewer than {len(reader.fieldnames)} fields")
-                row = LangRow(
-                    lang=record["lang"],
-                    delta_chrf=float(record["delta_chrf"]),
-                    n_panlex=int(record["n_panlex"]),
-                    n_gatitos=int(record["n_gatitos"]),
-                    n_mono_sentences=int(record["n_mono"]),
-                    resourcedness=Resourcedness(record["class"].strip().upper()),
-                )
-            except ValueError as exc:
-                raise FormatError(str(exc), path, line_no) from exc
-            if row.lang in first_line:
-                raise FormatError(f"language {row.lang!r} is also on line {first_line[row.lang]}", path, line_no)
-            first_line[row.lang] = line_no
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
+            missing = required - set(reader.fieldnames or [])
+            if missing:
+                raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
+            for record in reader:
+                line_no = reader.line_num
+                try:
+                    if None in record.values():
+                        raise ValueError(f"row has fewer than {len(reader.fieldnames)} fields")
+                    row = LangRow(
+                        lang=record["lang"],
+                        delta_chrf=float(record["delta_chrf"]),
+                        n_panlex=int(record["n_panlex"]),
+                        n_gatitos=int(record["n_gatitos"]),
+                        n_mono_sentences=int(record["n_mono"]),
+                        resourcedness=Resourcedness(record["class"].strip().upper()),
+                    )
+                except ValueError as exc:
+                    raise FormatError(str(exc), path, line_no) from exc
+                if row.lang in first_line:
+                    raise FormatError(f"language {row.lang!r} is also on line {first_line[row.lang]}", path, line_no)
+                first_line[row.lang] = line_no
+                rows.append(row)
+    except UnicodeDecodeError:
+        raise FormatError.not_utf8(path) from None
     return rows

@@ -49,14 +49,10 @@ class Task(enum.Enum):
     TOKEN_PAIR = "token_pair"
 
 
-# The control tokens, in corpus.LITERALS order. Token pairs reuse the
-# translation task token, so they carry no entry of their own.
-_TASKS_WITH_TOKENS = (
-    Task.TRANSLATION, Task.MASS, Task.CODESWITCH_MONO, Task.CODESWITCH_PARALLEL, Task.GLOWUP_MONO,
-    Task.GLOWUP_PARALLEL,
-)
-TASK_TOKENS: dict[Task, str] = dict(zip(_TASKS_WITH_TOKENS, LITERALS))
-MASK_TOKEN, HINT_OPEN, HINT_IS, HINT_CLOSE = LITERALS[len(_TASKS_WITH_TOKENS):]
+# The task tokens are the first six control tokens, in Task order; token
+# pairs reuse the translation token.
+TASK_TOKENS: dict[Task, str] = dict(zip(Task, (*LITERALS[:6], LITERALS[0])))
+MASK_TOKEN, HINT_OPEN, HINT_IS, HINT_CLOSE = LITERALS[6:]
 
 _UNIT_RE = re.compile(_LITERAL_PATTERN)
 
@@ -80,12 +76,8 @@ class SentinelInventory:
 SENTINELS = SentinelInventory()
 
 
-def _task_token(task: Task) -> str:
-    return TASK_TOKENS[Task.TRANSLATION if task is Task.TOKEN_PAIR else task]
-
-
 def _prefix(task: Task, lang: str, script: str) -> str:
-    return f"{_task_token(task)} <2{lang}> <2{script}>"
+    return f"{TASK_TOKENS[task]} <2{lang}> <2{script}>"
 
 
 @dataclass(frozen=True)
@@ -125,10 +117,15 @@ class TrainingExample:
         )
 
 
+def _example(task: Task, lang: str, script: str, body: str, target: str, origin_id: int) -> TrainingExample:
+    """The example whose source is the task's prefix, then ``body``."""
+    return TrainingExample(task, f"{_prefix(task, lang, script)} {body}", target, lang, script, origin_id)
+
+
 def validate_example(example: TrainingExample) -> None:
     """Check the sentinel-prefix contract: exactly one task token, then a
     language tag, then a script tag."""
-    expected = _task_token(example.task)
+    expected = TASK_TOKENS[example.task]
     parts = example.source_text.split(" ", 3)
     if len(parts) < 3 or parts[0] != expected:
         raise ValueError(f"source does not start with task token {expected!r}")
@@ -136,8 +133,6 @@ def validate_example(example: TrainingExample) -> None:
         raise ValueError(f"expected language tag after task token, got {parts[1]!r}")
     if parts[2] != f"<2{example.tgt_script}>":
         raise ValueError(f"expected script tag, got {parts[2]!r}")
-    if not example.target_text:
-        raise ValueError("target_text must be non-empty")
 
 
 def _splice(text: str, edits: list[tuple[int, int, str]]) -> str:
@@ -266,14 +261,7 @@ def codeswitch_mono(
     original."""
     SENTINELS.ensure_clean(rec.text)
     switched, _ = codeswitch(tokenize(rec.text), rec.lang, lexicon, params, rng)
-    return TrainingExample(
-        task=Task.CODESWITCH_MONO,
-        source_text=f"{_prefix(Task.CODESWITCH_MONO, rec.lang, rec.script)} {switched}",
-        target_text=rec.text,
-        tgt_lang=rec.lang,
-        tgt_script=rec.script,
-        origin_id=rec.id,
-    )
+    return _example(Task.CODESWITCH_MONO, rec.lang, rec.script, switched, rec.text, rec.id)
 
 
 def codeswitch_parallel(
@@ -287,14 +275,7 @@ def codeswitch_parallel(
     SENTINELS.ensure_clean(pair.src.text)
     SENTINELS.ensure_clean(pair.tgt.text)
     switched, _ = codeswitch(tokenize(pair.src.text), pair.src.lang, lexicon, params, rng)
-    return TrainingExample(
-        task=Task.CODESWITCH_PARALLEL,
-        source_text=f"{_prefix(Task.CODESWITCH_PARALLEL, pair.tgt.lang, pair.tgt.script)} {switched}",
-        target_text=pair.tgt.text,
-        tgt_lang=pair.tgt.lang,
-        tgt_script=pair.tgt.script,
-        origin_id=pair.id,
-    )
+    return _example(Task.CODESWITCH_PARALLEL, pair.tgt.lang, pair.tgt.script, switched, pair.tgt.text, pair.id)
 
 
 def _mask_units(
@@ -330,27 +311,13 @@ def mass_mask(sentence: TokenizedSentence, rng: Rng, mask_fraction: float = 0.5)
 def mass_example(rec: Record, rng: Rng, mask_fraction: float = 0.5) -> TrainingExample:
     SENTINELS.ensure_clean(rec.text)
     masked, original = mass_mask(tokenize(rec.text), rng, mask_fraction)
-    return TrainingExample(
-        task=Task.MASS,
-        source_text=f"{_prefix(Task.MASS, rec.lang, rec.script)} {masked}",
-        target_text=original,
-        tgt_lang=rec.lang,
-        tgt_script=rec.script,
-        origin_id=rec.id,
-    )
+    return _example(Task.MASS, rec.lang, rec.script, masked, original, rec.id)
 
 
 def translation_example(pair: SentencePair) -> TrainingExample:
     SENTINELS.ensure_clean(pair.src.text)
     SENTINELS.ensure_clean(pair.tgt.text)
-    return TrainingExample(
-        task=Task.TRANSLATION,
-        source_text=f"{_prefix(Task.TRANSLATION, pair.tgt.lang, pair.tgt.script)} {pair.src.text}",
-        target_text=pair.tgt.text,
-        tgt_lang=pair.tgt.lang,
-        tgt_script=pair.tgt.script,
-        origin_id=pair.id,
-    )
+    return _example(Task.TRANSLATION, pair.tgt.lang, pair.tgt.script, pair.src.text, pair.tgt.text, pair.id)
 
 
 def glowup_prompt(
@@ -414,14 +381,7 @@ def glowup_mono(
     # past the prompt and the space after it.
     units = _units_with_sentinels(prompt) + _char_spans(sentence.tokens, len(prompted) - len(rec.text))
     masked = _mask_units(prompted, units, rng, mask_fraction)
-    return TrainingExample(
-        task=Task.GLOWUP_MONO,
-        source_text=f"{_prefix(Task.GLOWUP_MONO, rec.lang, rec.script)} {masked}",
-        target_text=prompted,
-        tgt_lang=rec.lang,
-        tgt_script=rec.script,
-        origin_id=rec.id,
-    )
+    return _example(Task.GLOWUP_MONO, rec.lang, rec.script, masked, prompted, rec.id)
 
 
 def glowup_source(
@@ -451,14 +411,7 @@ def glowup_parallel(
     masking, target side untouched."""
     SENTINELS.ensure_clean(pair.tgt.text)
     source = glowup_source(pair.src.text, pair.src.lang, pair.tgt.lang, pair.tgt.script, lexicon, rng)
-    return TrainingExample(
-        task=Task.GLOWUP_PARALLEL,
-        source_text=source,
-        target_text=pair.tgt.text,
-        tgt_lang=pair.tgt.lang,
-        tgt_script=pair.tgt.script,
-        origin_id=pair.id,
-    )
+    return TrainingExample(Task.GLOWUP_PARALLEL, source, pair.tgt.text, pair.tgt.lang, pair.tgt.script, pair.id)
 
 
 def token_pair_examples(
@@ -472,14 +425,7 @@ def token_pair_examples(
     for position, entry in enumerate(lexicon):
         if wanted is not None and not ({entry.src_lang, entry.tgt_lang} & wanted):
             continue
-        yield TrainingExample(
-            task=Task.TOKEN_PAIR,
-            source_text=f"{_prefix(Task.TOKEN_PAIR, entry.tgt_lang, entry.tgt_script)} {entry.src_term}",
-            target_text=entry.tgt_term,
-            tgt_lang=entry.tgt_lang,
-            tgt_script=entry.tgt_script,
-            origin_id=position,
-        )
+        yield _example(Task.TOKEN_PAIR, entry.tgt_lang, entry.tgt_script, entry.src_term, entry.tgt_term, position)
 
 
 def augment_example(

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 from . import analysis, metrics
 from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
-from .errors import InsufficientDataError, LexAugError, ScheduleError
+from .errors import FormatError, InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
 from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave, task_named
 from .sampling import SelectionMode, SelectionParams, derive_rng
@@ -61,14 +61,19 @@ class _Repeatable(argparse._AppendAction):
         super().__call__(parser, namespace, values, option_string)
 
 
-def _number(kind: type, low: int | None = None):
-    """A flag type: the text as a ``kind`` (``int`` or ``float``) of at least ``low``."""
-    expected = ("an integer" if kind is int else "a number") + ("" if low is None else f" >= {low}")
+def _number(kind: type, low: int | None = None, high: int | None = None):
+    """A flag type: the text as a ``kind`` (``int`` or ``float``) of at least
+    ``low`` and at most ``high``, where each bound is given."""
+    expected = "an integer" if kind is int else "a number"
+    if high is not None:
+        expected += f" in [{low}, {high}]"
+    elif low is not None:
+        expected += f" >= {low}"
 
     def parse(text: str):
         try:
             value = kind(text)
-            if low is None or value >= low:
+            if (low is None or value >= low) and (high is None or value <= high):
                 return value
         except ValueError:
             pass
@@ -97,6 +102,8 @@ def _read_json(path: str):
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise LexAugError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise FormatError.not_utf8(path) from None
 
 
 def _config_value(path: str, key: str, value, action: argparse.Action):
@@ -302,8 +309,10 @@ def cmd_augment(args) -> int:
 def cmd_token_pairs(args) -> int:
     _require(args, "lexicon")
     langs = ",".join(args.langs) if args.langs else None
-    lexicon = _load_lexica(args.lexicon)
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
+    if lang_filter == []:
+        raise LexAugError(f"--langs names no language, got {langs!r}")
+    lexicon = _load_lexica(args.lexicon)
     lines = (
         json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True)
         for e in token_pair_examples(lexicon, lang_filter)
@@ -352,8 +361,11 @@ def _read_lines(path: str) -> Iterator[str]:
     """The file's lines, read lazily, without their ``\n`` or ``\r\n``
     ends; a lone ``\r`` inside a line does not split it."""
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        for line in handle:
-            yield line.removesuffix("\n").removesuffix("\r")
+        try:
+            for line in handle:
+                yield line.removesuffix("\n").removesuffix("\r")
+        except UnicodeDecodeError:
+            raise FormatError.not_utf8(path) from None
 
 
 def cmd_score(args) -> int:
@@ -366,6 +378,8 @@ def cmd_score(args) -> int:
         )
     if not hyps:
         raise LexAugError("input files are empty")
+    if "" in refs:
+        raise FormatError("reference is empty", args.ref, refs.index("") + 1)
     score, sentence_scores = metrics.chrf_scores(zip(hyps, refs))
     result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
     if args.sentence:
@@ -447,6 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lexaug {_version()}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Seeds key the per-record generators as unsigned 64-bit integers.
+    seed = _number(int, 0, 2**64 - 1)
+    share = _number(float, 0, 1)
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
@@ -457,11 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=sorted(_TASK_FLAGS))
     p.add_argument("--corpus")
     p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
-    p.add_argument("--seed", type=_number(int))
-    p.add_argument("--p-tr", dest="p_tr", type=_number(float), default=0.4)
-    p.add_argument("--fraction", type=_number(float), default=0.5, help="share of records routed to augmentation")
+    p.add_argument("--seed", type=seed)
+    p.add_argument("--p-tr", dest="p_tr", type=share, default=0.4)
+    p.add_argument("--fraction", type=share, default=0.5, help="share of records routed to augmentation")
     p.add_argument("--sampling", choices=[m.value for m in SelectionMode], default="binomial")
-    p.add_argument("--mask-fraction", dest="mask_fraction", type=_number(float), default=0.5)
+    p.add_argument("--mask-fraction", dest="mask_fraction", type=share, default=0.5)
     p.add_argument("--jobs", type=_number(int, low=1), default=1)
     p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"], default="abort")
     common(p)
@@ -479,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--weights", help="JSON file mapping task name to weight")
     p.add_argument("--streams", action=_Repeatable, metavar="TASK=PATH")
-    p.add_argument("--seed", type=_number(int))
+    p.add_argument("--seed", type=seed)
     p.add_argument("--count", type=_number(int, low=0), help="number of mixed examples to emit")
     common(p)
     p.set_defaults(func=cmd_mix)

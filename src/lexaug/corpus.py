@@ -228,22 +228,25 @@ def load_corpus(
     # Lines end at "\n" only, so a lone "\r" cannot shift the line numbers
     # and default ids; json.loads skips the "\r" of a "\r\n" end.
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        for index, line in enumerate(handle):
-            if not line.strip():
-                continue
-            line_no = index + 1
-            try:
+        try:
+            for index, line in enumerate(handle):
+                if not line.strip():
+                    continue
+                line_no = index + 1
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"invalid JSON: {exc.msg}", path, line_no) from exc
-                if not isinstance(obj, dict):
-                    raise CorpusFormatError("line is not a JSON object", path, line_no)
-                if kind == "mono":
-                    yield _record_from_obj(obj, index, line_no, path)
-                else:
-                    yield _pair_from_obj(obj, index, line_no, path)
-            except CorpusFormatError as exc:
-                if on_error is None:
-                    raise
-                on_error(exc)
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorpusFormatError(f"invalid JSON: {exc.msg}", path, line_no) from exc
+                    if not isinstance(obj, dict):
+                        raise CorpusFormatError("line is not a JSON object", path, line_no)
+                    if kind == "mono":
+                        yield _record_from_obj(obj, index, line_no, path)
+                    else:
+                        yield _pair_from_obj(obj, index, line_no, path)
+                except CorpusFormatError as exc:
+                    if on_error is None:
+                        raise
+                    on_error(exc)
+        except UnicodeDecodeError:
+            raise CorpusFormatError.not_utf8(path) from None

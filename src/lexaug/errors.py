@@ -23,6 +23,20 @@ class FormatError(LexAugError):
             prefix += f"line {line_no}: "
         super().__init__(prefix + message)
 
+    @classmethod
+    def not_utf8(cls, path: str) -> "FormatError":
+        """The error naming the first line of the file at ``path`` that is
+        not valid UTF-8, for a text reader that failed to decode the file.
+        Lines end at ``\\n``, which no UTF-8 sequence contains."""
+        with open(path, "rb") as handle:
+            for line_no, line in enumerate(handle, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return cls(f"not valid UTF-8: byte {line[exc.start]:#04x} at offset {exc.start} "
+                               f"({exc.reason})", path, line_no)
+        return cls("not valid UTF-8", path)
+
 
 class CorpusFormatError(FormatError):
     """A corpus line could not be parsed or violated a record invariant."""

@@ -182,21 +182,24 @@ def read_entries(path: str) -> Iterator[LexEntry]:
     # in its line, where LexEntry rejects it.
     intern = sys.intern
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        for index, line in enumerate(handle):
-            line = line.removesuffix("\n").removesuffix("\r")
-            if not line or line.isspace() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise LexiconFormatError(
-                    f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
-                )
-            src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-            # One shared string per distinct code: a large lexicon holds few
-            # codes but a copy of each per entry.
-            src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
-            try:
-                yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script)
-            except ValueError as exc:
-                raise LexiconFormatError(str(exc), path, index + 1) from exc
+        try:
+            for index, line in enumerate(handle):
+                line = line.removesuffix("\n").removesuffix("\r")
+                if not line or line.isspace() or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 5:
+                    raise LexiconFormatError(
+                        f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
+                    )
+                src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
+                # One shared string per distinct code: a large lexicon holds few
+                # codes but a copy of each per entry.
+                src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
+                try:
+                    yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script)
+                except ValueError as exc:
+                    raise LexiconFormatError(str(exc), path, index + 1) from exc
+        except UnicodeDecodeError:
+            raise LexiconFormatError.not_utf8(path) from None
 

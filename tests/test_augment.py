@@ -4,13 +4,13 @@ from hypothesis import strategies as st
 
 from lexaug.augment import (
     LITERALS,
+    TASK_TOKENS,
     SENTINELS,
     MatchSpan,
     Task,
     TrainingExample,
     _mask_units,
     _splice,
-    _task_token,
     _units_with_sentinels,
     augment_example,
     codeswitch,
@@ -193,9 +193,13 @@ class TestSentinelInventory:
         assert len(set(LITERALS)) == len(LITERALS) == 10
 
     def test_task_token_defaults(self):
-        assert _task_token(Task.CODESWITCH_MONO) == "<2codeswitch>"
-        assert _task_token(Task.GLOWUP_PARALLEL) == "<2glowup>"
-        assert _task_token(Task.TOKEN_PAIR) == "<2translation>"
+        assert TASK_TOKENS[Task.CODESWITCH_MONO] == "<2codeswitch>"
+        assert TASK_TOKENS[Task.GLOWUP_PARALLEL] == "<2glowup>"
+        assert TASK_TOKENS[Task.TOKEN_PAIR] == "<2translation>"
+
+    def test_every_task_has_a_token(self):
+        assert set(TASK_TOKENS) == set(Task)
+        assert [TASK_TOKENS[task] for task in Task] == [*LITERALS[:6], "<2translation>"]
 
     def test_collision_on_task_token(self):
         with pytest.raises(SentinelCollisionError):

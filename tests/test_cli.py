@@ -737,11 +737,11 @@ class TestConfigKeys:
 
 
 _CONFIG_CASES = [
-    pytest.param("augment", {"p_tr": [1]}, "p_tr must be a number, got [1]", id="p_tr-list"),
+    pytest.param("augment", {"p_tr": [1]}, "p_tr must be a number in [0, 1], got [1]", id="p_tr-list"),
     pytest.param("augment", {"jobs": 0.5}, "jobs must be an integer >= 1, got 0.5", id="jobs-fraction"),
     pytest.param("augment", {"jobs": 0}, "jobs must be an integer >= 1, got 0", id="jobs-zero"),
-    pytest.param("augment", {"seed": True}, "seed must be an integer, got True", id="seed-bool"),
-    pytest.param("augment", {"seed": "x"}, "seed must be an integer, got 'x'", id="seed-text"),
+    pytest.param("augment", {"seed": True}, "seed must be an integer in [0, 18446744073709551615], got True", id="seed-bool"),
+    pytest.param("augment", {"seed": "x"}, "seed must be an integer in [0, 18446744073709551615], got 'x'", id="seed-text"),
     pytest.param("augment", {"sampling": "gauss"}, "sampling must be one of ['binomial', 'uniform'], got 'gauss'",
                  id="sampling-choice"),
     pytest.param("augment", {"task": "nope"}, "task must be one of ['codeswitch-mono', ", id="task-choice"),
@@ -752,6 +752,14 @@ _CONFIG_CASES = [
                  id="token_pairs-text"),
     pytest.param("mix", {"count": -1}, "count must be an integer >= 0, got -1", id="count-negative"),
     pytest.param("score", {"sentence": 1}, "sentence must be true or false, got 1", id="sentence-number"),
+    pytest.param("augment", {"seed": -1}, "seed must be an integer in [0, 18446744073709551615], got -1",
+                 id="seed-negative"),
+    pytest.param("mix", {"seed": 2**64}, "seed must be an integer in [0, 18446744073709551615], got 18446744073709551616",
+                 id="mix-seed-too-large"),
+    pytest.param("augment", {"p_tr": -0.1}, "p_tr must be a number in [0, 1], got -0.1", id="p_tr-negative"),
+    pytest.param("augment", {"fraction": 3}, "fraction must be a number in [0, 1], got 3", id="fraction-above-one"),
+    pytest.param("augment", {"mask_fraction": 9}, "mask_fraction must be a number in [0, 1], got 9",
+                 id="mask_fraction-above-one"),
 ]
 
 
@@ -775,8 +783,15 @@ class TestConfigValues:
             (["augment", "--jobs", "0"], "argument --jobs: must be an integer >= 1"),
             (["augment", "--jobs", "-3"], "argument --jobs: must be an integer >= 1"),
             (["mix", "--count", "-1"], "argument --count: must be an integer >= 0"),
+            (["augment", "--seed", "-1"], "argument --seed: must be an integer in [0, 18446744073709551615]"),
+            (["mix", "--seed", str(2**64)], "argument --seed: must be an integer in [0, 18446744073709551615]"),
+            (["augment", "--p-tr", "1.5"], "argument --p-tr: must be a number in [0, 1]"),
+            (["augment", "--fraction", "3"], "argument --fraction: must be a number in [0, 1]"),
+            (["augment", "--fraction", "nan"], "argument --fraction: must be a number in [0, 1]"),
+            (["augment", "--mask-fraction", "9"], "argument --mask-fraction: must be a number in [0, 1]"),
         ],
-        ids=["jobs-zero", "jobs-negative", "count-negative"],
+        ids=["jobs-zero", "jobs-negative", "count-negative", "seed-negative", "mix-seed-too-large", "p_tr-above-one",
+             "fraction-above-one", "fraction-nan", "mask_fraction-above-one"],
     )
     def test_counts_out_of_range_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc_info:
@@ -906,11 +921,30 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "{bad}:line 2: invalid literal for int()", id="non-numeric-count"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1,1,1,1,URL\nu2,1,1,1,1,URL\nu1,2,1,1,1,URL\n",
                      "{bad}:line 4: language 'u1' is also on line 2", id="duplicate-lang"),
+        pytest.param(["token-pairs", "--lexicon", "{bad}", "--langs", " , "], ".tsv", "en\tes\tLatn\tcat\tgato\n",
+                     "--langs names no language, got ' , '", id="langs-names-none"),
+        pytest.param(["score", "--hyp", "{lex}", "--ref", "{bad}"], ".txt", "a\nb\n\nd\n",
+                     "{bad}:line 3: reference is empty", id="empty-reference"),
+        # Content given as bytes is written as is; a bad byte aborts even under --on-error skip.
+        pytest.param(_AUGMENT + ["--corpus", "{bad}", "--on-error", "skip"], ".jsonl",
+                     b'{"lang": "en", "script": "Latn", "text": "a cat"}\n{"lang": "en", "text": "\xff"}\n',
+                     "{bad}:line 2: not valid UTF-8: byte 0xff", id="corpus-not-utf8"),
+        pytest.param(["token-pairs", "--lexicon", "{bad}"], ".tsv", b"en\tes\tLatn\tcat\tgato\nen\tes\tLatn\tdog\tp\xe9rro\n",
+                     "{bad}:line 2: not valid UTF-8: byte 0xe9", id="lexicon-not-utf8"),
+        pytest.param(["augment", "--config", "{bad}"], ".json", b'{"seed": "\xff"}',
+                     "{bad}:line 1: not valid UTF-8: byte 0xff", id="config-not-utf8"),
+        pytest.param(["score", "--hyp", "{lex}", "--ref", "{bad}"], ".txt", b"a\nb\n\xffc\nd\n",
+                     "{bad}:line 3: not valid UTF-8: byte 0xff", id="reference-not-utf8"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE.encode() + b"u\xff,1,1,1,1,URL\n",
+                     "{bad}:line 2: not valid UTF-8: byte 0xff", id="table-not-utf8"),
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, suffix, content, message):
     bad = tmp_path / f"bad{suffix}"
-    bad.write_text(content, encoding="utf-8")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
     files = {"bad": str(bad), "lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path)}
     assert main([arg.format(**files) for arg in argv]) == 1
     out, err = capsys.readouterr()
