@@ -1,8 +1,13 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lexaug.analysis import (
     LangRow,
+    OlsFit,
     load_lang_rows,
     ols_fit,
     per_class_deltas,
@@ -73,6 +78,58 @@ class TestOlsFit:
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones((4, 3)), np.ones(4))
+
+
+def _det(matrix):
+    """Determinant by Laplace expansion along the first row."""
+    if not matrix:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * matrix[0][j] * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j in range(len(matrix))
+    )
+
+
+def _reference_fit(X, y):
+    """The least-squares fit by Cramer's rule over the normal equations, in
+    exact arithmetic, each reported number rounded to float once."""
+    design = [[Fraction(1), *map(Fraction, row)] for row in X]
+    y = [Fraction(v) for v in y]
+    k = len(design[0])
+    gram = [[sum(row[i] * row[j] for row in design) for j in range(k)] for i in range(k)]
+    moment = [sum(row[i] * v for row, v in zip(design, y)) for i in range(k)]
+    det = _det(gram)
+    coef = [_det([g[:j] + [b] + g[j + 1:] for g, b in zip(gram, moment)]) / det for j in range(k)]
+    ssr = sum((v - sum(c * x for c, x in zip(coef, row))) ** 2 for row, v in zip(design, y))
+    mean = sum(y) / len(y)
+    sst = sum((v - mean) ** 2 for v in y)
+    return OlsFit(
+        beta=tuple(float(c) for c in coef[1:]),
+        intercept=float(coef[0]),
+        r_squared=float(1 - ssr / sst) if sst else 1.0,
+        residual_se=math.sqrt(float(ssr / (len(y) - k))),
+    )
+
+
+def _random_table(seed):
+    """1 to 3 predictors over up to 40 rows: integer counts for odd seeds,
+    floats for even ones; float outcomes."""
+    rng = random.Random(seed)
+    p = rng.randint(1, 3)
+    m = rng.randint(p + 2, 40)
+    if seed % 2:
+        X = [[rng.randrange(50_000) for _ in range(p)] for _ in range(m)]
+    else:
+        X = [[rng.uniform(-100.0, 100.0) for _ in range(p)] for _ in range(m)]
+    return X, [rng.uniform(-20.0, 20.0) for _ in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_ols_fit_equals_exact_reference(seed):
+    # Every coefficient, R^2 and residual_se is the correctly rounded float
+    # of the exact least-squares value.
+    X, y = _random_table(seed)
+    assert ols_fit(X, y) == _reference_fit(X, y)
 
 
 def _url_row(lang, panlex, gatitos, mono, beta=(0.001, 0.003, 1e-7), noise=0.0):
