@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import FormatError, InsufficientDataError, SingularMatrixError
@@ -27,6 +30,8 @@ class LangRow:
     resourcedness: Resourcedness
 
     def __post_init__(self):
+        if not math.isfinite(self.delta_chrf):
+            raise ValueError(f"delta_chrf must be finite, got {self.delta_chrf}")
         for name in ("n_panlex", "n_gatitos", "n_mono_sentences"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -40,56 +45,70 @@ class OlsFit:
     residual_se: float
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a fraction; an integer of any type goes through int, so it cannot wrap."""
+    return Fraction(int(value) if isinstance(value, numbers.Integral) else value)
+
+
+def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
+    """The reduced row echelon form of ``rows`` and its rank, exactly."""
+    rows = list(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rows, rank
+
+
 def ols_fit(X, y) -> OlsFit:
-    """Ordinary least squares with an intercept, via an orthogonal
-    decomposition (np.linalg.lstsq).
+    """Ordinary least squares with an intercept, solved exactly in fractions;
+    each reported number is the correctly rounded float of its exact value.
 
-    Needs strictly more rows than fitted parameters. A rank-deficient design
-    raises SingularMatrixError naming the first linearly dependent predictor
-    column (0-based).
+    X is m rows of p numbers and y is m numbers (arrays work too). Needs
+    strictly more rows than fitted parameters. A rank-deficient design raises
+    SingularMatrixError naming the first predictor column (0-based) whose
+    removal leaves the rank unchanged.
     """
-    # Imported here, not at module level: no other command needs numpy, and
-    # importing it costs every CLI run a large share of its start-up time.
-    import numpy as np
-
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
-    m, p = X.shape
-    if y.shape != (m,):
-        raise ValueError(f"y must have shape ({m},), got {y.shape}")
-    if m <= p + 1:
-        raise InsufficientDataError(f"need more than {p + 1} rows to fit {p} predictors, got {m}")
-    design = np.column_stack([np.ones(m), X])
-    rank = np.linalg.matrix_rank(design)
-    if rank < p + 1:
-        for column in range(p):
-            without = np.delete(design, column + 1, axis=1)
-            if np.linalg.matrix_rank(without) == rank:
-                raise SingularMatrixError(
-                    f"design matrix is rank deficient: predictor column {column} is "
-                    "linearly dependent on the others",
-                    column=column,
-                )
+    design = [[Fraction(1), *map(_exact, row)] for row in X]
+    y = [_exact(v) for v in y]
+    m, k = len(design), len(design[0]) if design else 1
+    if any(len(row) != k for row in design) or len(y) != m:
+        raise ValueError(f"X must be {m} rows of one length and y must have {m} values")
+    if m <= k:
+        raise InsufficientDataError(f"need more than {k} rows to fit {k - 1} predictors, got {m}")
+    # [XᵀX | Xᵀy] is consistent, so it has the design's rank; at full rank
+    # its reduced last column holds the coefficients.
+    columns = [*zip(*design), y]
+    normal = [[sum(map(mul, a, b)) for b in columns] for a in columns[:k]]
+    reduced, rank = _row_reduce(normal)
+    if rank < k:
+        for column in range(1, k):
+            minor = [row[:column] + row[column + 1:-1] for i, row in enumerate(normal) if i != column]
+            if _row_reduce(minor)[1] == rank:
+                raise SingularMatrixError(f"design matrix is rank deficient: predictor column {column - 1} is "
+                                          "linearly dependent on the others", column=column - 1)
         raise SingularMatrixError("design matrix is rank deficient", column=None)
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residuals = y - fitted
-    ssr = float(residuals @ residuals)
-    sst = float(((y - y.mean()) ** 2).sum())
-    if sst > 0.0:
-        r_squared = 1.0 - ssr / sst
-    else:
-        # Constant outcome: the intercept-only fit is exact.
-        r_squared = 1.0 if ssr <= 1e-12 else 0.0
-    residual_se = math.sqrt(ssr / (m - p - 1))
-    return OlsFit(
-        beta=tuple(float(b) for b in coef[1:]),
-        intercept=float(coef[0]),
-        r_squared=r_squared,
-        residual_se=residual_se,
-    )
+    coef = [row[-1] for row in reduced]
+    yy = sum(v * v for v in y)
+    ssr = yy - sum(c * row[-1] for c, row in zip(coef, normal))  # yᵀy - coefᵀXᵀy
+    sst = yy - sum(y) ** 2 / m
+    try:
+        return OlsFit(
+            beta=tuple(map(float, coef[1:])),
+            intercept=float(coef[0]),
+            r_squared=float(1 - ssr / sst) if sst else 1.0,  # a constant outcome is fitted exactly
+            residual_se=math.sqrt(float(ssr / (m - k))),
+        )
+    except OverflowError:
+        raise ValueError("a fitted coefficient or the residual variance is too large for a float") from None
 
 
 def per_class_deltas(rows: Iterable[LangRow]) -> dict[str, dict]:
@@ -100,7 +119,7 @@ def per_class_deltas(rows: Iterable[LangRow]) -> dict[str, dict]:
     for r in rows:
         grouped.setdefault(r.resourcedness.value, []).append(r.delta_chrf)
     return {
-        cls: {"langs": len(deltas), "mean_delta_chrf": sum(deltas) / len(deltas)}
+        cls: {"langs": len(deltas), "mean_delta_chrf": float(sum(map(Fraction, deltas)) / len(deltas))}
         for cls, deltas in sorted(grouped.items())
     }
 
@@ -115,14 +134,7 @@ class RegressionReport:
     per_class: Mapping[str, dict]
 
     def to_json_obj(self) -> dict:
-        return {
-            "coefficients": dict(self.coefficients),
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "residual_se": self.residual_se,
-            "n_rows": self.n_rows,
-            "per_class": dict(self.per_class),
-        }
+        return asdict(self)
 
 
 def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:

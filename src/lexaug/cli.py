@@ -403,7 +403,10 @@ def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
 
 def cmd_diagnose(args) -> int:
     _require(args, "rows")
-    report = metrics.diagnose_corpus(_load_eval_rows(args.rows))
+    rows = _load_eval_rows(args.rows)
+    if not rows:
+        raise FormatError("holds no eval row", args.rows)
+    report = metrics.diagnose_corpus(rows)
     print(report.format_table())
     if args.out:
         _emit_json(report.to_json_obj(), args.out)
@@ -414,6 +417,8 @@ def cmd_diagnose(args) -> int:
 def cmd_hit_rate(args) -> int:
     _require(args, "rows", "tokens")
     tokens = [line.strip() for line in _read_lines(args.tokens) if line.strip()]
+    if not tokens:
+        raise FormatError("names no token: every line is blank", args.tokens)
     rows = _load_eval_rows(args.rows)
     result = metrics.token_hit_rate(rows, tokens)
     _emit_json(result.to_json_obj(), args.out)

@@ -18,7 +18,7 @@ class FormatError(LexAugError):
         self.line_no = line_no
         prefix = ""
         if path is not None:
-            prefix = f"{path}:"
+            prefix = f"{path}:" if line_no is not None else f"{path}: "
         if line_no is not None:
             prefix += f"line {line_no}: "
         super().__init__(prefix + message)

@@ -68,12 +68,30 @@ class TestOlsFit:
         assert np.allclose(fitted, fitted_scaled)
 
     def test_rank_deficiency_names_column(self):
+        # Integer columns, so that the sum is an exact dependency.
         rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 3))
+        X = rng.integers(-1000, 1000, size=(30, 3))
         X[:, 2] = X[:, 0] + X[:, 1]
         with pytest.raises(SingularMatrixError) as exc_info:
             ols_fit(X, rng.normal(size=30))
         assert exc_info.value.column in (0, 1, 2)
+
+    def test_float_rounded_sum_is_fitted(self):
+        # A sum of float columns, rounded to float, depends on them only up to
+        # rounding: the design has full rank, and its exact fit is reported.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 3))
+        X[:, 2] = X[:, 0] + X[:, 1]
+        y = rng.normal(size=30)
+        assert ols_fit(X, y) == _reference_fit(X, y)
+
+    def test_large_integer_counts_stay_exact(self):
+        # Counts above 2**53 are not floats, and their squares overflow 64 bits.
+        X = [[2**60 + i * i, 3**38 - 7 * i] for i in range(12)]
+        y = [float(i % 5) for i in range(12)]
+        expected = _reference_fit(X, y)
+        assert ols_fit(X, y) == expected
+        assert ols_fit(np.array(X, dtype=np.int64), np.array(y)) == expected
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -218,6 +236,21 @@ class TestPerClassDeltas:
             "HRL": {"langs": 1, "mean_delta_chrf": 0.0},
             "URL": {"langs": 1, "mean_delta_chrf": 0.0},
         }
+
+    def test_class_mean_does_not_overflow(self):
+        rows = [LangRow(lang, 1e308, 1, 1, 1, Resourcedness.HRL) for lang in ("h1", "h2")]
+        assert per_class_deltas(rows)["HRL"]["mean_delta_chrf"] == 1e308
+
+    def test_class_mean_is_correctly_rounded(self):
+        # 0.1 + 0.2 + 0.3 in floats is 0.6000000000000001; the exact sum of
+        # the three doubles, divided by 3, rounds to 0.2.
+        rows = [LangRow(f"u{i}", d, 1, 1, 1, Resourcedness.URL) for i, d in enumerate((0.1, 0.2, 0.3))]
+        assert per_class_deltas(rows)["URL"]["mean_delta_chrf"] == 0.2
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta_chrf must be finite"):
+            LangRow("aa", delta, 1, 1, 1, Resourcedness.URL)
 
     def test_single_language_class_mean(self):
         table = per_class_deltas([LangRow("aa", 2.0, 1, 1, 1, Resourcedness.URL)])

@@ -514,31 +514,45 @@ class TestRegressCommand:
 
 _NUMPY_PROBE = """
 import sys
-from lexaug.cli import main
-hyp, ref, table = sys.argv[1:]
-assert main(["score", "--hyp", hyp, "--ref", ref, "--out", hyp + ".json"]) == 0
-print("numpy" in sys.modules)
-assert main(["regress", "--table", table, "--out", table + ".json"]) == 0
-print("numpy" in sys.modules)
+from lexaug.cli import build_parser, main
+lexicon, mono, rows, tokens, table, out = sys.argv[1:]
+commands = [
+    ["augment", "--task", "codeswitch-mono", "--corpus", mono, "--lexicon", lexicon, "--seed", "1",
+     "--out", out + "/augment.jsonl"],
+    ["token-pairs", "--lexicon", lexicon, "--out", out + "/pairs.jsonl"],
+    ["mix", "--streams", "mass=" + mono, "--streams", "translation=" + mono, "--seed", "1", "--count", "5",
+     "--out", out + "/mix.jsonl"],
+    ["score", "--hyp", tokens, "--ref", tokens, "--out", out + "/score.json"],
+    ["diagnose", "--rows", rows, "--out", out + "/diagnose.json"],
+    ["hit-rate", "--rows", rows, "--tokens", tokens, "--out", out + "/hit-rate.json"],
+    ["regress", "--table", table, "--out", out + "/regress.json"],
+    ["lexicon-stats", "--lexicon", lexicon, "--out", out + "/lexicon-stats.json"],
+]
+assert {argv[0] for argv in commands} == set(build_parser()._subparsers._group_actions[0].choices)
+for argv in commands:
+    assert main(argv) == 0, argv
+print("numpy imported:", "numpy" in sys.modules)
 """
 
 
-def test_numpy_imported_only_by_regress(tmp_path):
-    hyp = tmp_path / "hyp.txt"
-    hyp.write_text("the cat sat\n")
+def test_no_command_imports_numpy(tmp_path):
+    rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW, {**_ROW, "hypothesis": "b"}])
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("a\nthe cat sat\n")
     lines = ["lang,delta_chrf,n_panlex,n_gatitos,n_mono,class"]
     lines += [f"l{i},{i * 0.5 + (i % 3)},{100 * i},{7 * i * i},{(i * 7) % 13},URL" for i in range(8)]
     table = tmp_path / "table.csv"
     table.write_text("\n".join(lines) + "\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [_lexicon_file(tmp_path), _mono_file(tmp_path), rows, tokens, table, tmp_path]
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, str(hyp), str(hyp), str(table)],
+        [sys.executable, "-c", _NUMPY_PROBE, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
-    assert json.loads((tmp_path / "table.csv.json").read_text())["n_rows"] == 8
+    assert proc.stdout.splitlines()[-1] == "numpy imported: False"
+    assert json.loads((tmp_path / "regress.json").read_text())["n_rows"] == 8
 
 
 class TestLexiconStatsCommand:
@@ -921,6 +935,18 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "{bad}:line 2: invalid literal for int()", id="non-numeric-count"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1,1,1,1,URL\nu2,1,1,1,1,URL\nu1,2,1,1,1,URL\n",
                      "{bad}:line 4: language 'u1' is also on line 2", id="duplicate-lang"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,nan,1,1,1,URL\n",
+                     "{bad}:line 2: delta_chrf must be finite, got nan", id="delta-nan"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1,1,1,1,URL\nh1,inf,1,1,1,HRL\n",
+                     "{bad}:line 3: delta_chrf must be finite, got inf", id="delta-inf"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,-Infinity,1,1,1,URL\n",
+                     "{bad}:line 2: delta_chrf must be finite, got -inf", id="delta-minus-inf"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv",
+                     _TABLE + "".join(f"u{i},{(-1) ** i}e308,{3 * i},{i * i},{7 * i % 5},URL\n" for i in range(8)),
+                     "a fitted coefficient or the residual variance is too large for a float", id="fit-overflow"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", "\n \t\n\n",
+                     "{bad}: names no token: every line is blank", id="tokens-all-blank"),
+        pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", "", "{bad}: holds no eval row", id="rows-empty"),
         pytest.param(["token-pairs", "--lexicon", "{bad}", "--langs", " , "], ".tsv", "en\tes\tLatn\tcat\tgato\n",
                      "--langs names no language, got ' , '", id="langs-names-none"),
         pytest.param(["score", "--hyp", "{lex}", "--ref", "{bad}"], ".txt", "a\nb\n\nd\n",

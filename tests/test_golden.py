@@ -2,7 +2,7 @@
 
 The corpora, lexica and eval rows below are written from literals, so any
 change to the bytes that `augment`, `token-pairs`, `lexicon-stats`, `mix`,
-`score`, `diagnose` or `hit-rate` emit for them, or that the library's
+`score`, `diagnose`, `hit-rate` or `regress` emit for them, or that the library's
 `mass_example` and `translation_example` build from them, fails here. A
 refactor must leave every digest unchanged; a deliberate output change must
 update the digest in the same commit and say why.
@@ -272,3 +272,41 @@ def test_hit_rate_digest(eval_inputs):
     assert main(["hit-rate", "--rows", eval_inputs["rows"], "--tokens", eval_inputs["tokens"],
                  "--out", str(out)]) == 0
     assert _sha256(out) == HIT_RATE_DIGEST
+
+
+# Per-language rows for `regress`: eight URL rows to fit, and every other
+# class. The second table holds four URL rows, too few to fit, so only the
+# per-class table is written, after a warning.
+_REGRESS_HEADER = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
+_REGRESS_FIT = _REGRESS_HEADER + """\
+gn,2.8,1200,4000,50000,URL
+ay,3.1,2500,3900,42000,URL
+qu,1.7,800,2100,120000,URL
+wo,0.4,300,900,310000,URL
+dz,-0.6,150,0,9000,URL
+ti,2.2,4100,1500,77000,URL
+om,1.05,2600,2800,260000,url
+ln,0.35,90,1200,15000,URL
+sw,0.1,52000,4300,4100000,LRL
+yo,0.2,31000,3800,2900000,LRL
+sr,0.3,90000,0,7000000,MRL
+fr,-0.15,250000,0,90000000,HRL
+"""
+_REGRESS_PER_CLASS = _REGRESS_HEADER + "".join(
+    line + "\n" for line in _REGRESS_FIT.splitlines()[1:] if not line.startswith(("qu", "wo", "dz", "ti"))
+)
+REGRESS_DIGESTS = {
+    "fit": "ffb7c6d35f3e21be5f0a9188fc61580c64c1bbaa2dc7a02842ab0f91c3219126",
+    "per-class": "af6b49595d1a367ea6bf2e5cd0dcc17b0e216d09ea56e5412fd4ae83e6f35849",
+}
+
+
+@pytest.mark.parametrize("table", sorted(REGRESS_DIGESTS))
+def test_regress_digest(tmp_path, capsys, table):
+    path = tmp_path / "table.csv"
+    path.write_text(_REGRESS_FIT if table == "fit" else _REGRESS_PER_CLASS, encoding="utf-8")
+    out = tmp_path / "regress.json"
+    assert main(["regress", "--table", str(path), "--out", str(out)]) == 0
+    warning = "warning: no fit: need at least 5 URL rows, got 4\n"
+    assert capsys.readouterr().err == ("" if table == "fit" else warning)
+    assert _sha256(out) == REGRESS_DIGESTS[table]
