@@ -194,6 +194,42 @@ def test_mix_digest(inputs):
     assert _sha256(out) == MIX_DIGEST
 
 
+# Stream bytes with every line rule `mix` keeps: CRLF ends, blank and
+# whitespace-only lines (ASCII, U+3000, U+00A0, \x1c) that are dropped, a
+# lone \r inside a line that stays, a last line ending in \r without \n, and
+# non-ASCII text.
+_RAGGED_STREAMS = {
+    "translation": (
+        b'{"t": 0, "text": "caf\xc3\xa9"}\r\n'
+        b"\r\n"
+        b'{"t": 1, "text": "a\rb"}\n'
+        b"   \t \n"
+        b"\xe3\x80\x80\xc2\xa0\x1c\n"
+        b'{"t": 2, "text": "\xd0\xba\xd0\xbe\xd1\x88\xd0\xba\xd0\xb0 \xe7\x8c\xab"}\r'
+    ),
+    "mass": (
+        b"\n"
+        b'{"m": 0, "text": "\xe0\xa4\x98\xe0\xa4\xb0"}\n'
+        b'{"m": 1, "text": "x\ry\r"}\r\r\n'
+        b"\xe3\x80\x80\r\n"
+        b'{"m": 2}\n'
+        b'{"m": 3, "text": " lead and trail "}  \n'
+    ),
+}
+MIX_RAGGED_DIGEST = "38fba4d2cd1f5ab224d788973f3a60d93a0a7de70f39f2b831743b8966bcb1b0"
+
+
+def test_mix_ragged_streams_digest(tmp_path):
+    flags = []
+    for task, content in _RAGGED_STREAMS.items():
+        path = tmp_path / f"{task}.jsonl"
+        path.write_bytes(content)
+        flags += ["--streams", f"{task}={path}"]
+    out = tmp_path / "mixed.jsonl"
+    assert main(["mix", *flags, "--seed", "11", "--count", "40", "--out", str(out)]) == 0
+    assert _sha256(out) == MIX_RAGGED_DIGEST
+
+
 def test_library_builders_digest(inputs):
     # No command reaches mass_example or translation_example, so their bytes
     # are pinned here: MASS at several mask fractions, then translation.
