@@ -13,6 +13,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -27,9 +28,9 @@ from typing import Iterable, Iterator
 from . import analysis, metrics
 from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
-from .errors import FormatError, InsufficientDataError, LexAugError, ScheduleError
+from .errors import FormatError, InsufficientDataError, LexAugError, ScheduleError, SingularMatrixError
 from .lexicon import Lexicon, read_entries
-from .mixture import AUG_CHOICES, TaskWeights, build_schedule, interleave, task_named
+from .mixture import AUG_CHOICES, StreamFile, TaskWeights, build_schedule, interleave, task_named
 from .sampling import SelectionMode, SelectionParams, derive_rng
 
 # --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
@@ -179,19 +180,25 @@ def _finish_manifest(args, subcommand: str, effective: dict, inputs: list) -> No
         _write_manifest(manifest_path, subcommand, effective, inputs, [args.out] if args.out else [])
 
 
-def _emit_lines(lines: Iterable[str], out_path: str | None) -> None:
-    """Write lines to stdout, or to ``out_path`` only once all are written:
-    they go to a temporary file beside it that then replaces it, and a
-    failed run removes the temporary file and leaves no ``out_path``."""
+def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, binary: bool = False) -> None:
+    """Write lines, each followed by a newline, to stdout, or to ``out_path``
+    only once all are written: they go to a temporary file beside it that
+    then replaces it, and a failed run removes the temporary file and leaves
+    no ``out_path``. Lines are ``str``, or ``bytes`` written as they are if
+    ``binary``."""
+    end = b"\n" if binary else "\n"
     if out_path is None:
+        if binary:
+            sys.stdout.flush()
+        out = sys.stdout.buffer if binary else sys.stdout
         for line in lines:
-            sys.stdout.write(line + "\n")
+            out.write(line + end)
         return
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8") as handle:
+        with open(tmp_path, "wb" if binary else "w", encoding=None if binary else "utf-8") as handle:
             for line in lines:
-                handle.write(line + "\n")
+                handle.write(line + end)
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -334,7 +341,6 @@ def cmd_mix(args) -> int:
         return 0
 
     _require(args, "seed", "count")
-    streams: dict[Task, list[str]] = {}
     stream_paths: dict[Task, str] = {}
     for spec_str in args.streams:
         name, eq, path = spec_str.partition("=")
@@ -344,9 +350,10 @@ def cmd_mix(args) -> int:
         if task in stream_paths:
             raise ScheduleError(f"--streams: task {task.value!r} given twice ({stream_paths[task]}, {path})")
         stream_paths[task] = path
-        streams[task] = [line for line in _read_lines(path) if line.strip()]
-    mixed = interleave(streams, weights, args.seed)
-    _emit_lines(itertools.islice(mixed, args.count), args.out)
+    with contextlib.ExitStack() as opened:
+        streams = {task: opened.enter_context(StreamFile(path)) for task, path in stream_paths.items()}
+        mixed = itertools.islice(interleave(streams, weights, args.seed), args.count)
+        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, binary=True)
     effective = {
         "weights": weights.to_json_obj(),
         "streams": args.streams,
@@ -355,6 +362,14 @@ def cmd_mix(args) -> int:
     }
     _finish_manifest(args, "mix", effective, list(stream_paths.values()))
     return 0
+
+
+def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
+    """No lines: chained after the mixed lines, it fails the run before its
+    output is kept if a stream changed while they were read."""
+    for stream in streams:
+        stream.check_unchanged()
+    yield from ()
 
 
 def _read_lines(path: str) -> Iterator[str]:
@@ -390,6 +405,8 @@ def cmd_score(args) -> int:
 
 
 def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
+    """The eval rows of a JSONL file, blank lines skipped; a file without
+    one fails."""
     rows = []
     for index, line in enumerate(_read_lines(path)):
         if not line.strip():
@@ -398,14 +415,14 @@ def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
             rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
         except (KeyError, ValueError) as exc:
             raise LexAugError(f"{path}:line {index + 1}: {exc}") from exc
+    if not rows:
+        raise FormatError("holds no eval row", path)
     return rows
 
 
 def cmd_diagnose(args) -> int:
     _require(args, "rows")
     rows = _load_eval_rows(args.rows)
-    if not rows:
-        raise FormatError("holds no eval row", args.rows)
     report = metrics.diagnose_corpus(rows)
     print(report.format_table())
     if args.out:
@@ -435,6 +452,9 @@ def cmd_regress(args) -> int:
         # Too few URL rows to fit; the per-class table needs no fit.
         print(f"warning: no fit: {exc}", file=sys.stderr)
         result = {"per_class": analysis.per_class_deltas(rows)}
+    except (SingularMatrixError, ValueError) as exc:
+        # The fit failed on the table's values, so name the table.
+        raise LexAugError(f"{args.table}: {exc}") from exc
     _emit_json(result, args.out)
     _finish_manifest(args, "regress", {"table": args.table}, [args.table])
     return 0

@@ -181,6 +181,9 @@ def read_entries(path: str) -> Iterator[LexEntry]:
     # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
     # in its line, where LexEntry rejects it.
     intern = sys.intern
+    # Source terms are shared through a table of the file's own: cheaper
+    # than sys.intern for that many strings, and freed once the file is read.
+    share_term = {}.setdefault
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         try:
             for index, line in enumerate(handle):
@@ -192,10 +195,11 @@ def read_entries(path: str) -> Iterator[LexEntry]:
                     raise LexiconFormatError(
                         f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
                     )
+                # One shared string per distinct code and source term: a large
+                # lexicon holds few codes, and each term once per translation.
                 src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-                # One shared string per distinct code: a large lexicon holds few
-                # codes but a copy of each per entry.
                 src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
+                src_term = share_term(src_term, src_term)
                 try:
                     yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script)
                 except ValueError as exc:

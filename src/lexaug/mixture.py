@@ -10,12 +10,18 @@ shrinks everything else by the factor 0.95.
 from __future__ import annotations
 
 import math
+import os
+import stat
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .augment import Task
-from .errors import ScheduleError
+from .errors import FormatError, ScheduleError
 from .sampling import Rng, derive_rng
 
 # Augmentation choices for both the mono and the parallel data.
@@ -98,58 +104,149 @@ def build_schedule(
     return TaskWeights({task: float(value) for task, value in weights.items()})
 
 
-class _StreamCycler:
-    """Cycle a task's sequence with a fresh shuffle per epoch (the first pass
-    keeps the original order)."""
+class StreamFile:
+    """The kept lines of a stream file, read from disk by offset.
 
-    def __init__(self, task: Task, stream: Sequence, rng: Rng):
-        if len(stream) == 0:
-            raise ScheduleError(f"stream for task {task.value!r} is empty")
-        self._rng = rng
-        self._items = list(stream)
-        self._current = iter(self._items)
+    One binary scan checks that the file is UTF-8 and indexes each line that
+    is not blank (``str.strip()`` of its text is empty): 16 bytes per line,
+    its start offset and its length. Lines end at ``\n``, and one trailing
+    ``\r`` is dropped; a lone ``\r`` inside a line stays in it. ``pick``
+    reads lines as bytes with ``os.pread``, so the file must be a regular
+    file and must not change while it is open; ``check_unchanged`` tells.
+    """
 
-    def next(self):
+    def __init__(self, path: str):
+        self.path = path
+        # O_NONBLOCK: opening a FIFO without a writer must not hang.
+        self._fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            return next(self._current)
-        except StopIteration:
-            epoch = list(self._items)
-            self._rng.shuffle(epoch)
-            self._current = iter(epoch)
-            return next(self._current)
+            status = os.fstat(self._fd)
+            if not stat.S_ISREG(status.st_mode):
+                raise FormatError("not a regular file; stream lines are read by offset", path)
+            self._stamp = (status.st_size, status.st_mtime_ns)
+            self._offsets, self._lengths = _index_lines(self._fd, path)
+        except BaseException:
+            os.close(self._fd)
+            raise
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __iter__(self) -> Iterator[bytes]:
+        """The kept lines in file order, read a block at a time."""
+        block, base = b"", 0
+        for offset, length in zip(self._offsets, self._lengths):
+            start = offset - base
+            if start + length > len(block):
+                block, base, start = os.pread(self._fd, max(length, _BLOCK), offset), offset, 0
+            yield block[start:start + length]
+
+    def pick(self, order: Sequence[int]) -> Iterator[bytes]:
+        """The kept lines with the indices in ``order``, in that order."""
+        return map(os.pread, repeat(self._fd), map(self._lengths.__getitem__, order),
+                   map(self._offsets.__getitem__, order))
+
+    def check_unchanged(self) -> None:
+        """Fail unless the file has the size and modification time it had
+        when it was indexed."""
+        status = os.fstat(self._fd)
+        if (status.st_size, status.st_mtime_ns) != self._stamp:
+            raise FormatError("changed while it was read", self.path)
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def __enter__(self) -> "StreamFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def interleave(streams: Mapping[Task, Sequence], weights: TaskWeights, seed: int) -> Iterator:
+# Bytes per read while indexing a stream file or reading it in order.
+_BLOCK = 1 << 16
+
+
+def _index_lines(fd: int, path: str) -> tuple[array, array]:
+    """Start offsets and lengths of the file's kept lines (see
+    ``StreamFile``). Each chunk ends at a ``\n``, so no UTF-8 sequence is
+    split between two decodes."""
+    offsets, lengths = array("q"), array("q")
+    start = 0  # the file offset of the chunk
+    head = bytearray()  # the start of a line that earlier blocks cut
+    while True:
+        block = os.read(fd, _BLOCK)
+        end_of_file = not block
+        if end_of_file:
+            block = b"\n"  # ends a last line that has none
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            head += block
+            continue
+        chunk, head = head + block[:cut], bytearray(block[cut:])
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError.not_utf8(path) from None
+        pos = 0
+        while (end := chunk.find(b"\n", pos)) >= 0:
+            # A line that starts with a printable ASCII byte is not blank.
+            if 32 < chunk[pos] < 127 or chunk[pos:end].decode("utf-8").strip():
+                offsets.append(start + pos)
+                lengths.append(end - pos - (chunk[end - 1] == 13))  # 13: "\r"
+            pos = end + 1
+        if end_of_file:
+            return offsets, lengths
+        start += len(chunk)
+
+
+def _cycle(stream: Sequence | StreamFile, rng: Rng) -> Iterator:
+    """A stream's items without end: the first pass in order, then each
+    pass in a fresh shuffle of the indices. Only the shuffles run in Python
+    for a sequence; a ``StreamFile`` reads its first pass a block at a time
+    and each later line with one ``os.pread``."""
+    pick = stream.pick if isinstance(stream, StreamFile) else partial(map, stream.__getitem__)
+    n = len(stream)
+
+    def orders() -> Iterator[Sequence[int]]:
+        while True:
+            order = array("q", range(n))
+            rng.shuffle(order)
+            yield order
+
+    return chain(stream, chain.from_iterable(map(pick, orders())))
+
+
+def interleave(streams: Mapping[Task, Sequence | StreamFile], weights: TaskWeights, seed: int) -> Iterator:
     """Sample tasks i.i.d. per the weight schedule and pull from each task's
     sequence in turn.
 
     The emitted sequence is a pure function of (weights, seed, stream
     contents); tasks with zero weight are never drawn. Every positively
-    weighted task must have a stream.
+    weighted task must have a non-empty stream.
     """
     active = weights.active_tasks()
     missing = [t.value for t in active if t not in streams]
     if missing:
         raise ScheduleError(f"weighted tasks without a stream: {', '.join(missing)}")
-    cyclers = {
-        task: _StreamCycler(task, streams[task], derive_rng(seed, index, domain=b"mixcycle"))
-        for index, task in enumerate(active)
-    }
-    cumulative: list[tuple[float, Task]] = []
-    running = 0.0
     for task in active:
+        if len(streams[task]) == 0:
+            raise ScheduleError(f"stream for task {task.value!r} is empty")
+    # The cumulative weights, and the next-item function of each task's
+    # stream, in task order. A draw picks the first task whose cumulative
+    # weight exceeds it; one at or past the last (by rounding) picks the last.
+    bounds: list[float] = []
+    nexts: list[Callable] = []
+    running = 0.0
+    for index, task in enumerate(active):
         running += weights.get(task)
-        cumulative.append((running, task))
+        bounds.append(running)
+        nexts.append(_cycle(streams[task], derive_rng(seed, index, domain=b"mixcycle")).__next__)
+    nexts.append(nexts[-1])
     rng = derive_rng(seed, 0, domain=b"mixdraws")
 
     def generate() -> Iterator:
         while True:
-            u = rng.random() * running
-            for bound, task in cumulative:
-                if u < bound:
-                    yield cyclers[task].next()
-                    break
-            else:
-                yield cyclers[active[-1]].next()
+            yield nexts[bisect_right(bounds, rng.random() * running)]()
 
     return generate()

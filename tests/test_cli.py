@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from lexaug import cli
 from lexaug.cli import main
+from lexaug.mixture import interleave
 
 from conftest import write_jsonl
 
@@ -361,6 +364,109 @@ class TestMixCommand:
                      "--seed", "1", "--count", "3", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == b'{"task": "translation",\r "n": 0}\n' * 3
+
+    @staticmethod
+    def _one_stream_mix(tmp_path, stream, *extra):
+        """Run ``mix`` with ``stream`` as the only (translation) stream."""
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}', encoding="utf-8")
+        return main(["mix", "--weights", str(weights), "--streams", f"translation={stream}", "--seed", "1", *extra])
+
+    def test_memory_does_not_grow_with_stream_size(self, tmp_path):
+        # Streams of 2k and 20k lines of about 400 bytes; --count covers both
+        # so each is read through and reshuffled. Holding the lines would
+        # cost over 400 bytes per extra line; an index costs 16 to 24.
+        def traced_peak(n_lines):
+            stream = tmp_path / f"stream-{n_lines}.jsonl"
+            stream.write_text("".join(f'{{"n": {i}, "text": "{"x" * 380}"}}\n' for i in range(n_lines)))
+            tracemalloc.start()
+            try:
+                assert self._one_stream_mix(tmp_path, stream, "--count", "21000", "--out", str(tmp_path / "out")) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(2_000), traced_peak(20_000)
+        assert (large - small) / 18_000 < 64, (small, large)
+
+    def test_stdout_gets_the_stream_bytes(self, tmp_path, capsysbinary):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes('{"text": "caf\u00e9 \u732b"}\r\n'.encode())
+        assert self._one_stream_mix(tmp_path, stream, "--count", "2") == 0
+        assert capsysbinary.readouterr().out == '{"text": "caf\u00e9 \u732b"}\n'.encode() * 2
+
+    def test_invalid_utf8_leaves_no_output(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n{"n": "\xe9"}\n')
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "3", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {stream}:line 2: not valid UTF-8: byte 0xe9 at offset 7 (invalid continuation byte)\n"
+        assert not list(tmp_path.glob("mixed.jsonl*"))
+
+    def test_blank_stream_is_empty(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes("\r\n \t\n\u3000\n\x1c".encode())
+        assert self._one_stream_mix(tmp_path, stream, "--count", "3") == 1
+        assert capsys.readouterr().err == "error: stream for task 'translation' is empty\n"
+
+    def test_fifo_stream_is_one_error_line(self, tmp_path, capsys):
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        assert self._one_stream_mix(tmp_path, fifo, "--count", "3") == 1
+        assert capsys.readouterr().err == f"error: {fifo}: not a regular file; stream lines are read by offset\n"
+
+    def test_stdin_stream_is_one_error_line(self, tmp_path):
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}', encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lexaug.cli", "mix", "--weights", str(weights),
+             "--streams", "translation=/dev/stdin", "--seed", "1", "--count", "2"],
+            input=b'{"n": 0}\n', capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: /dev/stdin: not a regular file; stream lines are read by offset\n"
+
+    def test_stream_changed_during_the_run_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n{"n": 1}\n')
+
+        def appending(streams, weights, seed):
+            mixed = interleave(streams, weights, seed)
+            yield next(mixed)
+            with open(stream, "ab") as handle:
+                handle.write(b'{"n": 2}\n')
+            yield from mixed
+
+        monkeypatch.setattr(cli, "interleave", appending)
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "5", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {stream}: changed while it was read\n"
+        assert not out.exists() and not list(tmp_path.glob("mixed.jsonl*"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
+    def test_every_stream_is_closed(self, tmp_path, capsys):
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(b'{"n": 0}\n')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"n": "\xff"}\n')
+        blank = tmp_path / "blank.jsonl"
+        blank.write_bytes(b"\n")
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        before = len(os.listdir("/proc/self/fd"))
+        runs = [
+            (["--streams", f"translation={good}", "--streams", f"mass={good}"], 0),
+            (["--streams", f"translation={good}", "--streams", f"mass={blank}"], 1),
+            (["--streams", f"translation={good}", "--streams", f"mass={bad}"], 1),
+            (["--streams", f"translation={good}", "--streams", f"mass={fifo}"], 1),
+            (["--streams", f"translation={good}"], 1),  # no mass stream
+        ]
+        for streams, code in runs:
+            assert main(["mix", *streams, "--seed", "1", "--count", "4", "--out", str(tmp_path / "out")]) == code
+            assert len(os.listdir("/proc/self/fd")) == before, streams
 
     def test_streams_require_seed(self, tmp_path, capsys):
         stream = tmp_path / "t.jsonl"
@@ -943,10 +1049,17 @@ _ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a",
                      "{bad}:line 2: delta_chrf must be finite, got -inf", id="delta-minus-inf"),
         pytest.param(["regress", "--table", "{bad}"], ".csv",
                      _TABLE + "".join(f"u{i},{(-1) ** i}e308,{3 * i},{i * i},{7 * i % 5},URL\n" for i in range(8)),
-                     "a fitted coefficient or the residual variance is too large for a float", id="fit-overflow"),
+                     "{bad}: a fitted coefficient or the residual variance is too large for a float", id="fit-overflow"),
+        pytest.param(["regress", "--table", "{bad}"], ".csv",
+                     _TABLE + "".join(f"u{i},{i % 3},{i},{2 * i},{i * i},URL\n" for i in range(6)),
+                     "{bad}: predictor 'n_panlex' is linearly dependent on the other predictors", id="fit-dependent"),
         pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", "\n \t\n\n",
                      "{bad}: names no token: every line is blank", id="tokens-all-blank"),
         pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", "", "{bad}: holds no eval row", id="rows-empty"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", "", "{bad}: holds no eval row",
+                     id="hit-rate-rows-empty"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", "\n \t\n\u3000\n",
+                     "{bad}: holds no eval row", id="hit-rate-rows-blank"),
         pytest.param(["token-pairs", "--lexicon", "{bad}", "--langs", " , "], ".tsv", "en\tes\tLatn\tcat\tgato\n",
                      "--langs names no language, got ' , '", id="langs-names-none"),
         pytest.param(["score", "--hyp", "{lex}", "--ref", "{bad}"], ".txt", "a\nb\n\nd\n",

@@ -90,6 +90,12 @@ class TestLoad:
         assert entry.tgt_script == "Latn"
         assert lex.entry_counts("es") == {"panlex": 1}
 
+    def test_equal_source_terms_share_one_string(self, tmp_path):
+        path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\thot dog\tperrito", "en\tfr\tLatn\thot dog\thot-dog"])
+        first, second = read_entries(path)
+        assert first.src_term == "hot dog"
+        assert first.src_term is second.src_term
+
     def test_exact_duplicates_dedup(self, tmp_path):
         path = _write(tmp_path / "lex.tsv", ["en\tes\tLatn\tcat\tgato"] * 2)
         assert len(Lexicon([("panlex", read_entries(path))])) == 1

@@ -1,12 +1,16 @@
 import itertools
+import os
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lexaug import mixture
 from lexaug.augment import Task
-from lexaug.errors import ScheduleError
-from lexaug.mixture import TaskWeights, build_schedule, interleave
+from lexaug.cli import _read_lines
+from lexaug.errors import FormatError, ScheduleError
+from lexaug.mixture import StreamFile, TaskWeights, build_schedule, interleave
 
 
 class TestBuildSchedule:
@@ -165,3 +169,65 @@ class TestInterleaveProperties:
         first = interleave({t: list(v) for t, v in streams.items()}, weights, seed)
         second = interleave({t: tuple(v) for t, v in streams.items()}, weights, seed)
         assert list(itertools.islice(first, long)) == list(itertools.islice(second, long))
+
+
+# Line text with every character the line rules treat specially: "\r",
+# ASCII and Unicode whitespace (U+3000, U+0085, U+2028, U+00A0, "\x1c",
+# which bytes.strip keeps), and multi-byte UTF-8.
+_line_text = st.text(alphabet=["a", "{", "\u00e9", "\u732b", " ", "\t", "\r", "\x0b", "\x1c",
+                               "\u3000", "\u0085", "\u2028", "\u00a0"], max_size=8)
+
+
+class TestStreamFile:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_line_text, max_size=10), end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+           block=st.integers(1, 24))
+    def test_keeps_the_lines_the_text_reader_keeps(self, tmp_path, lines, end, block):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
+        expected = [line.encode("utf-8") for line in _read_lines(str(path)) if line.strip()]
+        # Small blocks cut lines and UTF-8 sequences between reads.
+        with mock.patch.object(mixture, "_BLOCK", block), StreamFile(str(path)) as stream:
+            assert len(stream) == len(expected)
+            assert list(stream) == expected
+            assert list(stream.pick(range(len(stream)))) == expected
+            assert list(stream.pick(range(len(stream))[::-1])) == expected[::-1]
+
+    def test_lines_longer_than_a_block(self, tmp_path):
+        lines = [b"x" * 5000, b"", "\u732b".encode() * 3000, b"\x1c", b"y" * 70000]
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"\r\n".join(lines))
+        with StreamFile(str(path)) as stream:
+            assert list(stream) == [lines[0], lines[2], lines[4]]
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b'{"n": 0}\n{"n": "\xff"}\n')
+        with pytest.raises(FormatError, match=r"stream.jsonl:line 2: not valid UTF-8: byte 0xff"):
+            StreamFile(str(path))
+
+    def test_fifo_is_refused_without_waiting_for_a_writer(self, tmp_path):
+        fifo = tmp_path / "stream.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(FormatError, match="stream.fifo: not a regular file"):
+            StreamFile(str(fifo))
+
+    def test_a_change_is_detected(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b'{"n": 0}\n')
+        with StreamFile(str(path)) as stream:
+            stream.check_unchanged()
+            with open(path, "ab") as handle:
+                handle.write(b'{"n": 1}\n')
+            with pytest.raises(FormatError, match="stream.jsonl: changed while it was read"):
+                stream.check_unchanged()
+
+    def test_interleave_draws_the_same_lines_as_from_a_list(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"".join(b'{"n": %d}\r\n\n' % i for i in range(7)))
+        weights = build_schedule()
+        lines = [b'{"n": %d}' % i for i in range(7)]
+        with StreamFile(str(path)) as stream:
+            from_file = interleave({Task.TRANSLATION: stream, Task.MASS: stream}, weights, 9)
+            from_list = interleave({Task.TRANSLATION: lines, Task.MASS: lines}, weights, 9)
+            assert list(itertools.islice(from_file, 100)) == list(itertools.islice(from_list, 100))
