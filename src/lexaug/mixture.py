@@ -110,9 +110,10 @@ class StreamFile:
     One binary scan checks that the file is UTF-8 and indexes each line that
     is not blank (``str.strip()`` of its text is empty): 16 bytes per line,
     its start offset and its length. Lines end at ``\n``, and one trailing
-    ``\r`` is dropped; a lone ``\r`` inside a line stays in it. ``pick``
-    reads lines as bytes with ``os.pread``, so the file must be a regular
-    file and must not change while it is open; ``check_unchanged`` tells.
+    ``\r`` is dropped; a lone ``\r`` inside a line stays in it. Iteration
+    gives the lines in file order and ``pick`` in any order, as bytes read
+    with ``os.pread``, so the file must be a regular file and must not change
+    while it is open; ``check_unchanged`` tells whether it did.
     """
 
     def __init__(self, path: str):
@@ -202,9 +203,7 @@ def _index_lines(fd: int, path: str) -> tuple[array, array]:
 
 def _cycle(stream: Sequence | StreamFile, rng: Rng) -> Iterator:
     """A stream's items without end: the first pass in order, then each
-    pass in a fresh shuffle of the indices. Only the shuffles run in Python
-    for a sequence; a ``StreamFile`` reads its first pass a block at a time
-    and each later line with one ``os.pread``."""
+    pass in a fresh shuffle of the indices."""
     pick = stream.pick if isinstance(stream, StreamFile) else partial(map, stream.__getitem__)
     n = len(stream)
 
