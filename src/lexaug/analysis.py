@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping
 
-from .errors import FormatError, InsufficientDataError, SingularMatrixError
+from .errors import FitError, FormatError, InsufficientDataError, SingularMatrixError
 from .metrics import Resourcedness
 
 PREDICTOR_NAMES = ("n_panlex", "n_gatitos", "n_mono_sentences")
@@ -75,7 +75,8 @@ def ols_fit(X, y) -> OlsFit:
     X is m rows of p numbers and y is m numbers (arrays work too). Needs
     strictly more rows than fitted parameters. A rank-deficient design raises
     SingularMatrixError naming the first predictor column (0-based) whose
-    removal leaves the rank unchanged.
+    removal leaves the rank unchanged; a result too large for a float raises
+    FitError.
     """
     design = [[Fraction(1), *map(_exact, row)] for row in X]
     y = [_exact(v) for v in y]
@@ -108,7 +109,7 @@ def ols_fit(X, y) -> OlsFit:
             residual_se=math.sqrt(float(ssr / (m - k))),
         )
     except OverflowError:
-        raise ValueError("a fitted coefficient or the residual variance is too large for a float") from None
+        raise FitError("a fitted coefficient or the residual variance is too large for a float") from None
 
 
 def per_class_deltas(rows: Iterable[LangRow]) -> dict[str, dict]:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 from . import analysis, metrics
 from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
-from .errors import FormatError, InsufficientDataError, LexAugError, ScheduleError, SingularMatrixError
+from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
 from .mixture import AUG_CHOICES, StreamFile, TaskWeights, build_schedule, interleave, task_named
 from .sampling import SelectionMode, SelectionParams, derive_rng
@@ -341,6 +341,8 @@ def cmd_mix(args) -> int:
         return 0
 
     _require(args, "seed", "count")
+    if not hasattr(os, "pread"):
+        raise LexAugError("mix --streams reads stream lines with os.pread, which this platform lacks")
     stream_paths: dict[Task, str] = {}
     for spec_str in args.streams:
         name, eq, path = spec_str.partition("=")
@@ -452,7 +454,7 @@ def cmd_regress(args) -> int:
         # Too few URL rows to fit; the per-class table needs no fit.
         print(f"warning: no fit: {exc}", file=sys.stderr)
         result = {"per_class": analysis.per_class_deltas(rows)}
-    except (SingularMatrixError, ValueError) as exc:
+    except FitError as exc:
         # The fit failed on the table's values, so name the table.
         raise LexAugError(f"{args.table}: {exc}") from exc
     _emit_json(result, args.out)

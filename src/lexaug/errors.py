@@ -62,7 +62,11 @@ class ScheduleError(LexAugError):
     """Mixture configuration is inconsistent (missing stream, bad weights)."""
 
 
-class SingularMatrixError(LexAugError):
+class FitError(LexAugError):
+    """A fit failed on the values it was given."""
+
+
+class SingularMatrixError(FitError):
     """Design matrix is rank deficient; names the dependent column."""
 
     def __init__(self, message: str, column: int | str | None = None):

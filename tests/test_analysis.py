@@ -13,7 +13,7 @@ from lexaug.analysis import (
     per_class_deltas,
     regress_delta_chrf,
 )
-from lexaug.errors import InsufficientDataError, SingularMatrixError
+from lexaug.errors import FitError, InsufficientDataError, SingularMatrixError
 from lexaug.metrics import Resourcedness
 
 
@@ -223,6 +223,12 @@ class TestRegressDeltaChrf:
         with pytest.raises(SingularMatrixError) as exc_info:
             regress_delta_chrf(rows)
         assert exc_info.value.column in ("n_panlex", "n_gatitos", "n_mono_sentences")
+
+    def test_result_too_large_for_a_float_is_a_fit_error(self):
+        x = [[3 * i, i * i, 7 * i % 5] for i in range(8)]
+        y = [(-1) ** i * 1e308 for i in range(8)]
+        with pytest.raises(FitError, match="too large for a float"):
+            ols_fit(x, y)
 
 
 class TestPerClassDeltas:

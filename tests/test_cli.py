@@ -415,6 +415,13 @@ class TestMixCommand:
         assert self._one_stream_mix(tmp_path, fifo, "--count", "3") == 1
         assert capsys.readouterr().err == f"error: {fifo}: not a regular file; stream lines are read by offset\n"
 
+    def test_platform_without_pread_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n')
+        monkeypatch.delattr(os, "pread")
+        assert self._one_stream_mix(tmp_path, stream, "--count", "3") == 1
+        assert capsys.readouterr().err == "error: mix --streams reads stream lines with os.pread, which this platform lacks\n"
+
     def test_stdin_stream_is_one_error_line(self, tmp_path):
         weights = tmp_path / "weights.json"
         weights.write_text('{"translation": 1}', encoding="utf-8")
@@ -616,6 +623,19 @@ class TestRegressCommand:
                 "URL": {"langs": 2, "mean_delta_chrf": 4.0},
             }
         }
+
+    def test_only_fit_errors_name_the_table(self, tmp_path, capsys, monkeypatch):
+        # A ValueError from inside the fit is a fault of the program, not of
+        # the table, so it is not reported against the table's path.
+        table = tmp_path / "table.csv"
+        table.write_text(_TABLE + "".join(f"u{i},{i},{i},{i * i},{7 * i % 5},URL\n" for i in range(6)))
+
+        def broken(rows):
+            raise ValueError("broken fit")
+
+        monkeypatch.setattr(cli.analysis, "regress_delta_chrf", broken)
+        assert main(["regress", "--table", str(table)]) == 1
+        assert capsys.readouterr().err == "error: broken fit\n"
 
 
 _NUMPY_PROBE = """
