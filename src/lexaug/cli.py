@@ -7,7 +7,10 @@ destinations, ``p_tr`` for ``--p-tr``) sets the flags' defaults, each value
 checked and read as its flag's would be, so flags win and a repeatable flag
 replaces the config file's list. Data-producing runs write a manifest (config
 echo plus input/output digests) next to the output so a run can be reproduced
-exactly.
+exactly; neither the output nor the manifest may replace an input. ``augment``,
+``score``, ``diagnose`` and ``hit-rate`` run their records in batches, on
+``--jobs`` forked workers, and take the results in input order
+(``_map_batches``), so the worker count never changes the bytes.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from importlib import metadata
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, metrics
 from .augment import Task, augment_example, token_pair_examples
@@ -173,11 +176,45 @@ def _write_manifest(
     _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
 
 
-def _finish_manifest(args, subcommand: str, effective: dict, inputs: list) -> None:
+def _input_paths(args) -> list[str]:
+    """The input files a manifest digests, in flag order: the corpus, the
+    lexica, the streams, then each single-file flag."""
+    lexica = [_lexicon_spec(spec)[1] for spec in getattr(args, "lexicon", None) or []]
+    streams = [spec.partition("=")[2] for spec in getattr(args, "streams", None) or []]
+    singles = [getattr(args, key, None) for key in ("hyp", "ref", "rows", "tokens", "table")]
+    return [path for path in [getattr(args, "corpus", None), *lexica, *streams, *singles] if path]
+
+
+def _manifest_path(args) -> str | None:
+    """``--manifest``, else ``OUT.manifest.json`` if ``--out`` is set."""
+    return args.manifest or (args.out and args.out + ".manifest.json")
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
+def _check_outputs(args) -> None:
+    """Fail if ``--out`` or the manifest would replace a file the run reads,
+    or the manifest would replace ``--out``."""
+    manifest = _manifest_path(args)
+    reads = _input_paths(args) + [p for p in (getattr(args, "weights", None), args.config) if p]
+    for flag, out in (("--out", args.out), ("--manifest", manifest)):
+        for path in reads if out else ():
+            if _same_file(out, path):
+                raise LexAugError(f"{flag} {out} is the input file {path}; an output may not replace an input")
+    if args.out and _same_file(manifest, args.out):
+        raise LexAugError(f"--manifest {manifest} is the --out file {args.out}")
+
+
+def _finish_manifest(args, subcommand: str, effective: dict) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set."""
-    manifest_path = args.manifest or (args.out and args.out + ".manifest.json")
+    manifest_path = _manifest_path(args)
     if manifest_path:
-        _write_manifest(manifest_path, subcommand, effective, inputs, [args.out] if args.out else [])
+        _write_manifest(manifest_path, subcommand, effective, _input_paths(args), [args.out] if args.out else [])
 
 
 def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, binary: bool = False) -> None:
@@ -243,27 +280,50 @@ class _AugmentJob:
         return out, failed
 
 
-# A pool worker's job, set once by the pool initializer so the lexicon is
-# not pickled with every batch.
-_pool_job: _AugmentJob | None = None
+# Items per batch that _map_batches hands to its ``run``.
+BATCH_SIZE = 256
+# Whether this platform can fork pool workers; --jobs N > 1 needs it.
+_FORK = "fork" in get_all_start_methods()
+# A pool worker's ``run``, set once by the pool initializer so that it (and
+# the lexicon an augment job holds) is not pickled with every batch. Forked
+# workers inherit the initializer's arguments unpickled, so ``run`` may be a
+# closure.
+_worker_run: Callable[[list], object] | None = None
 
 
-def _set_pool_job(job: _AugmentJob) -> None:
-    global _pool_job
-    _pool_job = job
+def _start_worker(run: Callable[[list], object]) -> None:
+    global _worker_run
+    _worker_run = run
 
 
-def _run_pool_batch(batch: list) -> tuple[list[str], list[str]]:
-    return _pool_job.run(batch)
+def _run_in_worker(batch: list):
+    return _worker_run(batch)
 
 
-def _chunked(items: Iterable, size: int) -> Iterator[list]:
-    iterator = iter(items)
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
+def _map_batches(run: Callable[[list], object], items: Iterable, jobs: int) -> Iterator:
+    """``run(batch)`` for each batch of up to BATCH_SIZE items, in batch
+    order. A pool of ``jobs`` forked workers runs the batches when ``jobs`` >
+    1 and the items make more than one batch; otherwise they run here. Either
+    way an error in a batch, or in reading its items, is raised after the
+    results of every batch before it."""
+    items = iter(items)
+    batches = iter(lambda: list(itertools.islice(items, BATCH_SIZE)), [])
+    head: list[list] = []
+    try:
+        head.extend(itertools.islice(batches, 2))
+    except Exception:
+        yield from map(run, head)
+        raise
+    pooled = jobs > 1 and len(head) == 2
+    # Through an iterator over ``head``, so the batches read ahead are freed
+    # once they have run rather than at the end of the run.
+    batches = itertools.chain(iter(head), batches)
+    del head
+    if not pooled:
+        yield from map(run, batches)
+        return
+    with get_context("fork").Pool(processes=jobs, initializer=_start_worker, initargs=(run,)) as pool:
+        yield from pool.imap(_run_in_worker, batches)
 
 
 def cmd_augment(args) -> int:
@@ -285,12 +345,7 @@ def cmd_augment(args) -> int:
             failed.extend(batch_failed)
             yield from batch_lines
 
-    if args.jobs == 1:
-        _emit_lines(lines(map(job.run, _chunked(selected, 256))), args.out)
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=args.jobs, initializer=_set_pool_job, initargs=(job,)) as pool:
-            _emit_lines(lines(pool.imap(_run_pool_batch, _chunked(selected, 256))), args.out)
+    _emit_lines(lines(_map_batches(job.run, selected, args.jobs)), args.out)
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
@@ -308,8 +363,7 @@ def cmd_augment(args) -> int:
         "on_error": args.on_error,
         "skipped_records": len(skipped) + len(failed),
     }
-    inputs = [args.corpus] + [_lexicon_spec(s)[1] for s in args.lexicon]
-    _finish_manifest(args, "augment", effective, inputs)
+    _finish_manifest(args, "augment", effective)
     return 0
 
 
@@ -325,8 +379,7 @@ def cmd_token_pairs(args) -> int:
         for e in token_pair_examples(lexicon, lang_filter)
     )
     _emit_lines(lines, args.out)
-    inputs = [_lexicon_spec(s)[1] for s in args.lexicon]
-    _finish_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs}, inputs)
+    _finish_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs})
     return 0
 
 
@@ -337,7 +390,7 @@ def cmd_mix(args) -> int:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
     if not args.streams:
         _emit_json(weights.to_json_obj(), args.out)
-        _finish_manifest(args, "mix", {"weights": weights.to_json_obj()}, [])
+        _finish_manifest(args, "mix", {"weights": weights.to_json_obj()})
         return 0
 
     _require(args, "seed", "count")
@@ -362,7 +415,7 @@ def cmd_mix(args) -> int:
         "seed": args.seed,
         "count": args.count,
     }
-    _finish_manifest(args, "mix", effective, list(stream_paths.values()))
+    _finish_manifest(args, "mix", effective)
     return 0
 
 
@@ -397,39 +450,46 @@ def cmd_score(args) -> int:
         raise LexAugError("input files are empty")
     if "" in refs:
         raise FormatError("reference is empty", args.ref, refs.index("") + 1)
-    score, sentence_scores = metrics.chrf_scores(zip(hyps, refs))
+    batches = _map_batches(lambda batch: list(metrics.chrf_statistics(batch)), zip(hyps, refs), args.jobs)
+    score, sentence_scores = metrics.chrf_from_statistics(itertools.chain.from_iterable(batches))
     result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out)
-    _finish_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref}, [args.hyp, args.ref])
+    _finish_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref})
     return 0
 
 
-def _load_eval_rows(path: str) -> list[metrics.EvalRow]:
-    """The eval rows of a JSONL file, blank lines skipped; a file without
-    one fails."""
+def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]:
+    """The eval rows of a batch of numbered JSONL lines from ``path``."""
     rows = []
-    for index, line in enumerate(_read_lines(path)):
-        if not line.strip():
-            continue
+    for line_no, line in batch:
         try:
             rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
         except (KeyError, ValueError) as exc:
-            raise LexAugError(f"{path}:line {index + 1}: {exc}") from exc
-    if not rows:
-        raise FormatError("holds no eval row", path)
+            raise LexAugError(f"{path}:line {line_no}: {exc}") from exc
     return rows
+
+
+def _sum_eval_batches(path: str, run: Callable[[list[metrics.EvalRow]], tuple[int, ...]], jobs: int) -> list[int]:
+    """The sums of ``run``'s counts over every batch of the eval rows in
+    ``path``; the JSON is parsed where the batch runs. Blank lines are
+    skipped, and a file without a row fails."""
+    numbered = ((n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip())
+    counts = list(_map_batches(lambda batch: run(_eval_rows(path, batch)), numbered, jobs))
+    if not counts:
+        raise FormatError("holds no eval row", path)
+    return [sum(column) for column in zip(*counts)]
 
 
 def cmd_diagnose(args) -> int:
     _require(args, "rows")
-    rows = _load_eval_rows(args.rows)
-    report = metrics.diagnose_corpus(rows)
+    counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs)
+    report = metrics.ErrorReport(*counts)
     print(report.format_table())
     if args.out:
         _emit_json(report.to_json_obj(), args.out)
-    _finish_manifest(args, "diagnose", {"rows": args.rows}, [args.rows])
+    _finish_manifest(args, "diagnose", {"rows": args.rows})
     return 0
 
 
@@ -438,10 +498,14 @@ def cmd_hit_rate(args) -> int:
     tokens = [line.strip() for line in _read_lines(args.tokens) if line.strip()]
     if not tokens:
         raise FormatError("names no token: every line is blank", args.tokens)
-    rows = _load_eval_rows(args.rows)
-    result = metrics.token_hit_rate(rows, tokens)
+
+    def hit_counts(rows: list[metrics.EvalRow]) -> tuple[int, int]:
+        result = metrics.token_hit_rate(rows, tokens)
+        return result.rows_with_token, result.hits
+
+    result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs))
     _emit_json(result.to_json_obj(), args.out)
-    _finish_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens}, [args.rows, args.tokens])
+    _finish_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens})
     return 0
 
 
@@ -458,7 +522,7 @@ def cmd_regress(args) -> int:
         # The fit failed on the table's values, so name the table.
         raise LexAugError(f"{args.table}: {exc}") from exc
     _emit_json(result, args.out)
-    _finish_manifest(args, "regress", {"table": args.table}, [args.table])
+    _finish_manifest(args, "regress", {"table": args.table})
     return 0
 
 
@@ -476,9 +540,14 @@ def cmd_lexicon_stats(args) -> int:
         stats["per_source"] = dict(sorted(lexicon.entry_counts(args.lang).items()))
         stats["lang"] = args.lang
     _emit_json(stats, args.out)
-    inputs = [_lexicon_spec(s)[1] for s in args.lexicon]
-    _finish_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang}, inputs)
+    _finish_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang})
     return 0
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,6 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     # Seeds key the per-record generators as unsigned 64-bit integers.
     seed = _number(int, 0, 2**64 - 1)
     share = _number(float, 0, 1)
+
+    # Scoring workers hold one batch each, so they default to every usable
+    # core; augment's workers each dirty their copy of the lexicon, so it
+    # defaults to one.
+    cores = _usable_cores() if _FORK else 1
+
+    def jobs(p, default: int):
+        p.add_argument("--jobs", type=_number(int, low=1), default=default,
+                       help=f"worker processes (default: {default})")
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
@@ -506,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=share, default=0.5, help="share of records routed to augmentation")
     p.add_argument("--sampling", choices=[m.value for m in SelectionMode], default="binomial")
     p.add_argument("--mask-fraction", dest="mask_fraction", type=share, default=0.5)
-    p.add_argument("--jobs", type=_number(int, low=1), default=1)
+    jobs(p, 1)
     p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"], default="abort")
     common(p)
     p.set_defaults(func=cmd_augment)
@@ -533,17 +611,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref")
     p.add_argument("--sentence", action=argparse.BooleanOptionalAction, default=False,
                    help="include per-sentence scores")
+    jobs(p, cores)
     common(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("diagnose", help="null/copy/repetition error report over eval rows")
     p.add_argument("--rows", help="JSONL eval rows")
+    jobs(p, cores)
     common(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("hit-rate", help="watched-token hit rate over eval rows")
     p.add_argument("--rows", help="JSONL eval rows")
     p.add_argument("--tokens", help="watched tokens, one per line")
+    jobs(p, cores)
     common(p)
     p.set_defaults(func=cmd_hit_rate)
 
@@ -571,6 +652,9 @@ def main(argv=None) -> int:
             subparser = parser._subparsers._group_actions[0].choices[args.subcommand]
             subparser.set_defaults(**_read_config(args.config, subparser))
             args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) > 1 and not _FORK:
+            raise LexAugError(f"--jobs {args.jobs} forks worker processes, which this platform cannot")
+        _check_outputs(args)
         return args.func(args)
     except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,15 @@ _LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, 
 # What corpus text and lexicon terms may not hold: a control token, or a
 # language or script tag, an open family ("<2en>", "<2Latn>", ...).
 _COLLISION_RE = re.compile(f"{_LITERAL_PATTERN}|<2{TAG_VALUE}>")
+# A lone surrogate code point, which a JSON "\ud800" escape can give and
+# UTF-8 cannot encode.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _check_no_surrogate(name: str, value: str) -> None:
+    found = not value.isascii() and _SURROGATE_RE.search(value)
+    if found:
+        raise ValueError(f"{name} holds the lone surrogate U+{ord(found[0]):04X}, which UTF-8 cannot encode")
 
 
 # Only a valid value is remembered: a call that raises leaves no entry.
@@ -45,6 +54,7 @@ _COLLISION_RE = re.compile(f"{_LITERAL_PATTERN}|<2{TAG_VALUE}>")
 def check_tag_value(name: str, value: str) -> None:
     if not _TAG_VALUE_RE.fullmatch(value):
         raise ValueError(f"{name} must be non-empty with no whitespace, '<' or '>', got {value!r}")
+    _check_no_surrogate(name, value)
 
 
 def _check_id(value, kind: str) -> None:
@@ -74,6 +84,7 @@ class Record:
         check_tag_value("script", self.script)
         if not self.text.strip():
             raise ValueError("text is empty after whitespace trim")
+        _check_no_surrogate("text", self.text)
 
 
 @dataclass(frozen=True)

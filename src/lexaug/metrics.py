@@ -14,7 +14,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import tokenize
 
@@ -126,23 +126,35 @@ def _as_hyp_ref(row) -> tuple[str, str]:
     return hypothesis, reference
 
 
-def chrf_scores(rows: Iterable) -> tuple[float, list[float]]:
-    """Corpus chrf and every sentence chrf, counting each pair's n-grams
-    once. The corpus score sums the n-gram statistics over all pairs first
-    (micro-average), then scores. Accepts EvalRow or (hypothesis, reference)
-    tuples."""
-    totals = [0] * (3 * CHRF_CHAR_ORDER)
-    sentence_scores = []
+def chrf_statistics(rows: Iterable) -> Iterator[list[int]]:
+    """Each pair's flat per-order [hyp_total, ref_total, clipped_match]
+    counts, in row order. Accepts EvalRow or (hypothesis, reference) tuples."""
     for row in rows:
         hypothesis, reference = _as_hyp_ref(row)
         if not reference:
             raise ValueError("reference must be non-empty")
-        stats = _pair_statistics(hypothesis, reference)
+        yield _pair_statistics(hypothesis, reference)
+
+
+def chrf_from_statistics(statistics: Iterable[Sequence[int]]) -> tuple[float, list[float]]:
+    """Corpus chrf and every sentence chrf of the pairs' statistics. The
+    corpus score sums the integer statistics over all pairs first
+    (micro-average), then scores, so it does not depend on how the pairs
+    were split up to count them."""
+    totals = [0] * (3 * CHRF_CHAR_ORDER)
+    sentence_scores = []
+    for stats in statistics:
         totals = [a + b for a, b in zip(totals, stats)]
         sentence_scores.append(_f_score(stats))
     if not sentence_scores:
         raise ValueError("corpus_chrf needs at least one row")
     return _f_score(totals), sentence_scores
+
+
+def chrf_scores(rows: Iterable) -> tuple[float, list[float]]:
+    """Corpus chrf and every sentence chrf, counting each pair's n-grams
+    once. Accepts EvalRow or (hypothesis, reference) tuples."""
+    return chrf_from_statistics(chrf_statistics(rows))
 
 
 def corpus_chrf(rows: Iterable) -> float:
@@ -158,6 +170,10 @@ class HitRate:
     rate: float | None
     rows_with_token: int
     hits: int
+
+    @classmethod
+    def of(cls, rows_with_token: int, hits: int) -> "HitRate":
+        return cls(hits / rows_with_token if rows_with_token else None, rows_with_token, hits)
 
     def to_json_obj(self) -> dict:
         return {"rate": self.rate, "rows_with_token": self.rows_with_token, "hits": self.hits}
@@ -185,9 +201,7 @@ def token_hit_rate(rows: Iterable, tokens: Iterable[str]) -> HitRate:
         rows_with_token += 1
         if _contains_watched(hypothesis, watched):
             hits += 1
-    if rows_with_token == 0:
-        return HitRate(rate=None, rows_with_token=0, hits=0)
-    return HitRate(rate=hits / rows_with_token, rows_with_token=rows_with_token, hits=hits)
+    return HitRate.of(rows_with_token, hits)
 
 
 def detect_null(hypothesis: str) -> bool:

@@ -10,6 +10,7 @@ import pytest
 
 from lexaug import cli
 from lexaug.cli import main
+from lexaug.errors import LexAugError
 from lexaug.mixture import interleave
 
 from conftest import write_jsonl
@@ -35,6 +36,10 @@ def _mono_file(tmp_path, n=20):
             for i in range(n)
         ],
     )
+
+
+_AUGMENT = ["augment", "--task", "codeswitch-mono", "--lexicon", "{lex}", "--seed", "1", "--fraction", "1.0"]
+_ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a", "reference": "a"}
 
 
 class TestAugmentCommand:
@@ -764,6 +769,232 @@ class TestAtomicOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl", "panlex.tsv"]
 
 
+class TestOutputNamesAnInput:
+    """An --out or --manifest that is one of the run's input files fails
+    before anything is read or written, and leaves the input as it was."""
+
+    def _run(self, tmp_path, argv):
+        for name, text in (("hyp.txt", "the cat sat\n"), ("ref.txt", "the cat sits\n"), ("t.jsonl", '{"id": "t0"}\n')):
+            (tmp_path / name).write_text(text)
+        files = {"lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path), "tmp": str(tmp_path),
+                 "hyp": str(tmp_path / "hyp.txt"), "ref": str(tmp_path / "ref.txt"), "t": str(tmp_path / "t.jsonl")}
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code = main([arg.format(**files) for arg in argv])
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        return code, files, before, after
+
+    @pytest.mark.parametrize(
+        "argv,flag,out,path",
+        [
+            pytest.param(["score", "--hyp", "{hyp}", "--ref", "{ref}", "--out", "{hyp}"], "--out", "{hyp}", "{hyp}",
+                         id="score-out-hyp"),
+            pytest.param(["score", "--hyp", "{hyp}", "--ref", "{ref}", "--out", "{tmp}/s.json", "--manifest", "{ref}"],
+                         "--manifest", "{ref}", "{ref}", id="score-manifest-ref"),
+            pytest.param(_AUGMENT + ["--corpus", "{mono}", "--out", "{mono}"], "--out", "{mono}", "{mono}",
+                         id="augment-out-corpus"),
+            pytest.param(_AUGMENT + ["--corpus", "{mono}", "--out", "{tmp}/./panlex.tsv"], "--out",
+                         "{tmp}/./panlex.tsv", "{lex}", id="augment-out-lexicon"),
+            pytest.param(["mix", "--streams", "translation={t}", "--streams", "mass={mono}", "--seed", "1",
+                          "--count", "4", "--out", "{t}"], "--out", "{t}", "{t}", id="mix-out-stream"),
+        ],
+    )
+    def test_one_error_line_and_inputs_unchanged(self, tmp_path, capsys, argv, flag, out, path):
+        code, files, before, after = self._run(tmp_path, argv)
+        assert code == 1
+        out, path = out.format(**files), path.format(**files)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} {out} is the input file {path}; an output may not replace an input"]
+        assert after == before
+
+    def test_symlinked_output_is_the_same_file(self, tmp_path, capsys):
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "mono.jsonl")
+        code, files, before, after = self._run(tmp_path, _AUGMENT + ["--corpus", "{mono}", "--out", "{tmp}/link.jsonl"])
+        assert code == 1
+        assert "is the input file" in capsys.readouterr().err
+        assert after == before
+
+    def test_manifest_may_not_replace_the_output(self, tmp_path, capsys):
+        code, files, before, after = self._run(
+            tmp_path, ["score", "--hyp", "{hyp}", "--ref", "{ref}", "--out", "{tmp}/s.json", "--manifest", "{tmp}/s.json"])
+        assert code == 1
+        out = f"{tmp_path}/s.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: --manifest {out} is the --out file {out}"]
+        assert after == before
+
+    def test_distinct_output_runs(self, tmp_path, capsys):
+        code, files, before, after = self._run(
+            tmp_path, ["score", "--hyp", "{hyp}", "--ref", "{ref}", "--out", "{tmp}/hyp.txt.json"])
+        assert code == 0
+        assert {name: after[name] for name in before} == before
+
+
+class TestSurrogateText:
+    """A lone surrogate escape in corpus JSON is a bad line: it names the
+    file and line, and --on-error skip skips and counts it."""
+
+    def _corpus(self, tmp_path, task):
+        # json.dumps writes each surrogate as an escape, "\ud800".
+        if task == "codeswitch-mono":
+            objs = [{"lang": "en", "script": "Latn", "text": t} for t in ("the cat", "a \ud800 cat", "the dog")]
+        else:
+            objs = [{"src": {"lang": "en", "script": "Latn", "text": "the cat"},
+                     "tgt": {"lang": "es", "script": "Latn", "text": t}} for t in ("el gato", "x \udc00", "y")]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        assert "\\ud" in path.read_text()
+        return str(path)
+
+    @pytest.mark.parametrize("task", ["codeswitch-mono", "glowup-parallel"])
+    def test_skip_counts_the_line(self, tmp_path, capsys, task):
+        corpus = self._corpus(tmp_path, task)
+        out = tmp_path / "out.jsonl"
+        code = main(["augment", "--task", task, "--corpus", corpus, "--lexicon", _lexicon_file(tmp_path),
+                     "--seed", "1", "--fraction", "1.0", "--on-error", "skip", "--out", str(out)])
+        assert code == 0
+        assert [json.loads(line)["origin_id"] for line in out.read_text().splitlines()] == [0, 2]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: skipped {corpus}:line 2: text holds the lone surrogate U+D")
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"]["skipped_records"] == 1
+
+    def test_abort_names_the_line(self, tmp_path, capsys):
+        corpus = self._corpus(tmp_path, "codeswitch-mono")
+        code = main(["augment", "--task", "codeswitch-mono", "--corpus", corpus, "--lexicon",
+                     _lexicon_file(tmp_path), "--seed", "1", "--fraction", "1.0", "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}:line 2: text holds the lone surrogate U+D800, which UTF-8 cannot encode"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "panlex.tsv"]
+
+
+class TestScoringPool:
+    """score, diagnose and hit-rate give the same bytes and the same errors
+    at every --jobs, whether the batches run here or in a pool."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_SIZE", 3)
+
+    def _rows(self, tmp_path, bad_line=None):
+        rows = [{**_ROW, "hypothesis": f"a cat {i}", "reference": f"the cat {i % 4}", "source": f"a cat {i}"}
+                for i in range(20)]
+        lines = [json.dumps(row) for row in rows]
+        lines[5] = ""
+        if bad_line:
+            lines[bad_line - 1] = json.dumps({**_ROW, "reference": ""})
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        (tmp_path / "tokens.txt").write_text("cat\n")
+        return str(path)
+
+    COMMANDS = {
+        "diagnose": ["diagnose", "--rows", "{rows}"],
+        "hit-rate": ["hit-rate", "--rows", "{rows}", "--tokens", "{tokens}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_row_in_a_late_batch_is_the_same_error(self, tmp_path, capsys, command):
+        rows = self._rows(tmp_path, bad_line=17)
+        errors = []
+        for jobs in ("1", "2"):
+            argv = [arg.format(rows=rows, tokens=tmp_path / "tokens.txt") for arg in self.COMMANDS[command]]
+            assert main([*argv, "--jobs", jobs, "--out", str(tmp_path / "out.json")]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl", "tokens.txt"]
+        assert errors[0] == errors[1] == f"error: {rows}:line 17: reference must be non-empty\n"
+
+    def test_first_bad_row_wins(self, tmp_path, capsys):
+        rows = self._rows(tmp_path, bad_line=17)
+        lines = (tmp_path / "rows.jsonl").read_text().splitlines()
+        lines[1] = "[1]"
+        (tmp_path / "rows.jsonl").write_text("\n".join(lines) + "\n")
+        for jobs in ("1", "2"):
+            assert main(["diagnose", "--rows", rows, "--jobs", jobs]) == 1
+            assert capsys.readouterr().err == f"error: {rows}:line 2: eval row is not a JSON object\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS) + ["score"])
+    def test_jobs_do_not_change_bytes(self, tmp_path, capsys, command):
+        rows = self._rows(tmp_path)
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("".join(f"a cat {i}\n" for i in range(20)))
+        ref.write_text("".join(f"the cat {i % 4}\n" for i in range(20)))
+        argv = self.COMMANDS.get(command, ["score", "--hyp", str(hyp), "--ref", str(ref), "--sentence"])
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"{command}{jobs}.json"
+            assert main([*(a.format(rows=rows, tokens=tmp_path / "tokens.txt") for a in argv), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_default_is_every_usable_core(self):
+        for command in ("score", "diagnose", "hit-rate"):
+            assert cli.build_parser().parse_args([command]).jobs == len(os.sched_getaffinity(0))
+        assert cli.build_parser().parse_args(["augment"]).jobs == 1
+
+    def test_without_fork_default_is_one_and_more_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_FORK", False)
+        assert cli.build_parser().parse_args(["score"]).jobs == 1
+        rows = self._rows(tmp_path)
+        assert main(["diagnose", "--rows", rows, "--out", str(tmp_path / "out.json")]) == 0
+        assert main(["diagnose", "--rows", rows, "--jobs", "2", "--out", str(tmp_path / "two.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --jobs 2 forks worker processes, which this platform cannot"]
+        assert not (tmp_path / "two.json").exists()
+
+
+class TestMapBatches:
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_SIZE", 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_results_in_batch_order(self, jobs, n):
+        results = list(cli._map_batches(lambda batch: batch, range(n), jobs))
+        assert results == [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n,workers", [(2, False), (3, True)])
+    def test_one_batch_runs_here(self, jobs, n, workers):
+        results = list(cli._map_batches(lambda batch: (os.getpid(), batch), range(n), jobs))
+        assert [batch for _, batch in results] == [[0, 1], [2]][: len(results)]
+        assert any(pid != os.getpid() for pid, _ in results) == (workers and jobs > 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fail_at", [1, 2, 5])
+    def test_read_error_comes_after_earlier_results(self, jobs, fail_at):
+        def items():
+            for i in range(8):
+                if i == fail_at:
+                    raise LexAugError(f"bad item {i}")
+                yield i
+
+        results = cli._map_batches(lambda batch: batch, items(), jobs)
+        seen = []
+        with pytest.raises(LexAugError, match=f"bad item {fail_at}"):
+            for batch in results:
+                seen.append(batch)
+        assert seen == [[0, 1], [2, 3], [4, 5]][: fail_at // 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_error_beats_a_later_read_error(self, jobs):
+        def items():
+            yield from range(3)
+            raise LexAugError("bad read")
+
+        def run(batch):
+            if 0 in batch:
+                raise LexAugError("bad batch")
+            return batch
+
+        with pytest.raises(LexAugError, match="bad batch"):
+            list(cli._map_batches(run, items(), jobs))
+
+
 class TestRecordErrors:
     """A record that its task cannot augment is skipped and counted under
     --on-error skip, and names its id when it aborts the run."""
@@ -880,6 +1111,8 @@ _CONFIG_CASES = [
     pytest.param("augment", {"p_tr": [1]}, "p_tr must be a number in [0, 1], got [1]", id="p_tr-list"),
     pytest.param("augment", {"jobs": 0.5}, "jobs must be an integer >= 1, got 0.5", id="jobs-fraction"),
     pytest.param("augment", {"jobs": 0}, "jobs must be an integer >= 1, got 0", id="jobs-zero"),
+    pytest.param("score", {"jobs": 0}, "jobs must be an integer >= 1, got 0", id="score-jobs-zero"),
+    pytest.param("diagnose", {"jobs": 1.5}, "jobs must be an integer >= 1, got 1.5", id="diagnose-jobs-fraction"),
     pytest.param("augment", {"seed": True}, "seed must be an integer in [0, 18446744073709551615], got True", id="seed-bool"),
     pytest.param("augment", {"seed": "x"}, "seed must be an integer in [0, 18446744073709551615], got 'x'", id="seed-text"),
     pytest.param("augment", {"sampling": "gauss"}, "sampling must be one of ['binomial', 'uniform'], got 'gauss'",
@@ -922,6 +1155,8 @@ class TestConfigValues:
         [
             (["augment", "--jobs", "0"], "argument --jobs: must be an integer >= 1"),
             (["augment", "--jobs", "-3"], "argument --jobs: must be an integer >= 1"),
+            (["score", "--jobs", "0"], "argument --jobs: must be an integer >= 1"),
+            (["hit-rate", "--jobs", "x"], "argument --jobs: must be an integer >= 1"),
             (["mix", "--count", "-1"], "argument --count: must be an integer >= 0"),
             (["augment", "--seed", "-1"], "argument --seed: must be an integer in [0, 18446744073709551615]"),
             (["mix", "--seed", str(2**64)], "argument --seed: must be an integer in [0, 18446744073709551615]"),
@@ -930,7 +1165,8 @@ class TestConfigValues:
             (["augment", "--fraction", "nan"], "argument --fraction: must be a number in [0, 1]"),
             (["augment", "--mask-fraction", "9"], "argument --mask-fraction: must be a number in [0, 1]"),
         ],
-        ids=["jobs-zero", "jobs-negative", "count-negative", "seed-negative", "mix-seed-too-large", "p_tr-above-one",
+        ids=["jobs-zero", "jobs-negative", "score-jobs-zero", "hit-rate-jobs-text", "count-negative", "seed-negative",
+             "mix-seed-too-large", "p_tr-above-one",
              "fraction-above-one", "fraction-nan", "mask_fraction-above-one"],
     )
     def test_counts_out_of_range_are_usage_errors(self, capsys, argv, message):
@@ -1006,9 +1242,7 @@ class TestUsageErrors:
         assert "error" in capsys.readouterr().err
 
 
-_AUGMENT = ["augment", "--task", "codeswitch-mono", "--lexicon", "{lex}", "--seed", "1", "--fraction", "1.0"]
 _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
-_ROW = {"lang": "xx", "direction": "en_to_xx", "source": "a", "hypothesis": "a", "reference": "a"}
 
 
 @pytest.mark.parametrize(

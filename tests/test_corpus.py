@@ -113,6 +113,20 @@ class TestRecordTypes:
         with pytest.raises(ValueError):
             Record(id=0, lang="", script="Latn", text="hi")
 
+    @pytest.mark.parametrize(
+        "field,value,code",
+        [("text", "a \ud800 cat", "D800"), ("text", "\udfff", "DFFF"), ("lang", "e\udc00", "DC00"),
+         ("script", "\ud83dLatn", "D83D")],
+    )
+    def test_record_rejects_a_lone_surrogate(self, field, value, code):
+        fields = {"lang": "en", "script": "Latn", "text": "a cat", field: value}
+        for _ in range(2):  # a rejected tag value is not cached as valid
+            with pytest.raises(ValueError, match=f"{field} holds the lone surrogate U\\+{code}, which UTF-8"):
+                Record(id=0, **fields)
+
+    def test_record_keeps_astral_text(self):
+        assert Record(id=0, lang="en", script="Latn", text="a \U0001f408 cat").text == "a \U0001f408 cat"
+
     def test_pair_rejects_same_lang(self):
         rec = Record(id=0, lang="en", script="Latn", text="hi")
         with pytest.raises(ValueError):

@@ -10,9 +10,11 @@ update the digest in the same commit and say why.
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
+from lexaug import cli
 from lexaug.augment import mass_example, translation_example
 from lexaug.cli import main
 from lexaug.corpus import load_corpus
@@ -308,6 +310,39 @@ def test_hit_rate_digest(eval_inputs):
     assert main(["hit-rate", "--rows", eval_inputs["rows"], "--tokens", eval_inputs["tokens"],
                  "--out", str(out)]) == 0
     assert _sha256(out) == HIT_RATE_DIGEST
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Four eval rows per batch, so the 16 golden rows cross a pool in four
+    batches; the list records each pool the run starts."""
+    monkeypatch.setattr(cli, "BATCH_SIZE", 4)
+    pools = []
+
+    def get_context(method):
+        pools.append(method)
+        return multiprocessing.get_context(method)
+
+    monkeypatch.setattr(cli, "get_context", get_context)
+    return pools
+
+
+_SCORING_RUNS = {
+    "score": (["score", "--hyp", "{hyp}", "--ref", "{ref}", "--sentence"], SCORE_SENTENCE_DIGEST),
+    "diagnose": (["diagnose", "--rows", "{rows}"], DIAGNOSE_DIGEST),
+    "hit-rate": (["hit-rate", "--rows", "{rows}", "--tokens", "{tokens}"], HIT_RATE_DIGEST),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(_SCORING_RUNS))
+def test_scoring_digests_through_the_pool(eval_inputs, pool_spy, capsys, command, jobs):
+    argv, digest = _SCORING_RUNS[command]
+    out = eval_inputs["root"] / f"{command}-jobs{jobs}.json"
+    argv = [arg.format(**eval_inputs) for arg in argv]
+    assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+    assert _sha256(out) == digest
+    assert pool_spy == ([] if jobs == "1" else ["fork"])
 
 
 # Per-language rows for `regress`: eight URL rows to fit, and every other
