@@ -23,12 +23,10 @@ import json
 import os
 import sys
 from dataclasses import astuple, dataclass
-from importlib import metadata
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import analysis, metrics
+from . import __version__, metrics
 from .augment import Task, augment_example, token_pair_examples
 from .corpus import Branch, assign_branch, load_corpus
 from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
@@ -38,13 +36,6 @@ from .sampling import SelectionMode, SelectionParams, derive_rng
 
 # --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
 _TASK_FLAGS = {t.value.replace("_", "-"): t for t in Task if t.value.endswith(("_mono", "_parallel"))}
-
-
-def _version() -> str:
-    try:
-        return metadata.version("lexaug")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _sha256(path: str) -> str:
@@ -167,7 +158,7 @@ def _write_manifest(
 ) -> None:
     manifest = {
         "tool": "lexaug",
-        "version": _version(),
+        "version": __version__,
         "subcommand": subcommand,
         "config": config,
         "inputs": {path: _sha256(path) for path in inputs},
@@ -283,7 +274,8 @@ class _AugmentJob:
 # Items per batch that _map_batches hands to its ``run``.
 BATCH_SIZE = 256
 # Whether this platform can fork pool workers; --jobs N > 1 needs it.
-_FORK = "fork" in get_all_start_methods()
+# multiprocessing is imported only when a pool starts.
+_FORK = hasattr(os, "fork")
 # A pool worker's ``run``, set once by the pool initializer so that it (and
 # the lexicon an augment job holds) is not pickled with every batch. Forked
 # workers inherit the initializer's arguments unpickled, so ``run`` may be a
@@ -322,7 +314,9 @@ def _map_batches(run: Callable[[list], object], items: Iterable, jobs: int) -> I
     if not pooled:
         yield from map(run, batches)
         return
-    with get_context("fork").Pool(processes=jobs, initializer=_start_worker, initargs=(run,)) as pool:
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(processes=jobs, initializer=_start_worker, initargs=(run,)) as pool:
         yield from pool.imap(_run_in_worker, batches)
 
 
@@ -510,6 +504,8 @@ def cmd_hit_rate(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    from . import analysis  # only regress needs it
+
     _require(args, "table")
     rows = analysis.load_lang_rows(args.table)
     try:
@@ -555,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lexaug",
         description="Lexicon-driven augmentation and evaluation for MT data pipelines.",
     )
-    parser.add_argument("--version", action="version", version=f"lexaug {_version()}")
+    parser.add_argument("--version", action="version", version=f"lexaug {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # Seeds key the per-record generators as unsigned 64-bit integers.
     seed = _number(int, 0, 2**64 - 1)

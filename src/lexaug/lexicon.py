@@ -7,8 +7,15 @@ sources (e.g. ``panlex``, ``gatitos``) and records which source each entry
 came from first, for per-source counts. Matching is case-folded exact
 match; multi-word terms are indexed under a whitespace-normalized key so the
 augmenter's phrase window can find them. The index holds one dict per source
-language, from match key to bucket. A Lexicon is immutable once built and
-safe to share across workers.
+language, from match key to bucket: a tuple of entries, sorted once at build
+time and handed out as it is. A Lexicon is immutable once built and safe to
+share across workers.
+
+``LexEntry`` is the one place the field rules are written. A file holds few
+distinct language codes and repeats each source term once per translation,
+so ``read_entries`` checks only the target term of a line whose code triple
+and source term have both passed on earlier lines, and the index computes
+each source term's match key once.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ def _key_and_length(text: str) -> tuple[str, int]:
 
 
 # The index of a language with no entries; never written.
-_NO_TERMS: dict[str, list[LexEntry]] = {}
+_NO_TERMS: dict[str, tuple[LexEntry, ...]] = {}
 
 
 class Lexicon:
@@ -94,10 +101,13 @@ class Lexicon:
         # Each entry, mapped to the name of the first source that gave it;
         # insertion order is the entry order.
         self._entries: dict[LexEntry, str] = {}
-        # src_lang -> match key -> bucket.
-        self._index: dict[str, dict[str, list[LexEntry]]] = {}
+        # src_lang -> match key -> bucket; each bucket is a list until it is
+        # sorted into a tuple below.
+        self._index: dict[str, dict[str, tuple[LexEntry, ...]]] = {}
         self._max_term_tokens: dict[str, int] = {}
         seen, index, max_tokens = self._entries, self._index, self._max_term_tokens
+        # Each distinct source term's (match key, length), for this build only.
+        key_of: dict[str, tuple[str, int]] = {}
         # The index holds only tuples, lists and dicts of strings, so a
         # collection during the build frees nothing and rescans every entry
         # built so far. Pause the cyclic collector while the sources, and
@@ -110,8 +120,11 @@ class Lexicon:
                     if entry in seen:
                         continue
                     seen[entry] = name
-                    lang = entry[2]
-                    key, length = _key_and_length(entry[0])
+                    lang, term = entry[2], entry[0]
+                    key_and_length = key_of.get(term)
+                    if key_and_length is None:
+                        key_and_length = key_of[term] = _key_and_length(term)
+                    key, length = key_and_length
                     if length > max_tokens.get(lang, 0):
                         max_tokens[lang] = length
                     keys = index.get(lang)
@@ -123,8 +136,8 @@ class Lexicon:
                 gc.enable()
         by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
         for keys in index.values():
-            for bucket in keys.values():
-                bucket.sort(key=by_target)
+            for key, bucket in keys.items():
+                keys[key] = tuple(sorted(bucket, key=by_target))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -132,19 +145,20 @@ class Lexicon:
     def __iter__(self) -> Iterator[LexEntry]:
         return iter(self._entries)
 
-    def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> list[LexEntry]:
+    def lookup_key(self, key: str, src_lang: str, tgt_filter: str | None = None) -> tuple[LexEntry, ...]:
         """Entries in ``src_lang`` whose source term has match key ``key``.
 
         The caller passes a match key; this method does not fold raw text
         (``lookup_key(match_key(text), ...)`` does). Results are stably
-        ordered by (tgt_lang, tgt_term); an unknown key yields an empty list.
+        ordered by (tgt_lang, tgt_term). Unscoped, the result is the index's
+        own bucket, not a copy; an unknown key yields ``()``.
         """
         bucket = self._index.get(src_lang, _NO_TERMS).get(key, ())
         if tgt_filter is None:
-            return list(bucket)
-        return [e for e in bucket if e.tgt_lang == tgt_filter]
+            return bucket
+        return tuple(e for e in bucket if e.tgt_lang == tgt_filter)
 
-    def term_keys(self, src_lang: str) -> Mapping[str, list[LexEntry]]:
+    def term_keys(self, src_lang: str) -> Mapping[str, tuple[LexEntry, ...]]:
         """A read-only view of ``src_lang``'s index: each match key of its
         source terms, mapped to the entries lookup_key returns for it."""
         return MappingProxyType(self._index.get(src_lang, _NO_TERMS))
@@ -181,9 +195,14 @@ def read_entries(path: str) -> Iterator[LexEntry]:
     # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
     # in its line, where LexEntry rejects it.
     intern = sys.intern
-    # Source terms are shared through a table of the file's own: cheaper
-    # than sys.intern for that many strings, and freed once the file is read.
-    share_term = {}.setdefault
+    new_entry = tuple.__new__
+    # The code triples and source terms of the entries built so far, each
+    # mapped to the shared strings those entries hold: a large lexicon holds
+    # few codes, and each term once per translation. Both tables are the
+    # file's own, cheaper than sys.intern for that many terms and freed once
+    # the file is read.
+    checked_codes: dict[tuple[str, str, str], tuple[str, str, str]] = {}
+    checked_terms: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         try:
             for index, line in enumerate(handle):
@@ -195,15 +214,31 @@ def read_entries(path: str) -> Iterator[LexEntry]:
                     raise LexiconFormatError(
                         f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
                     )
-                # One shared string per distinct code and source term: a large
-                # lexicon holds few codes, and each term once per translation.
                 src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-                src_lang, tgt_lang, tgt_script = intern(src_lang), intern(tgt_lang), intern(tgt_script)
-                src_term = share_term(src_term, src_term)
+                codes = checked_codes.get((src_lang, tgt_lang, tgt_script))
+                shared_term = checked_terms.get(src_term)
+                # Codes and source term have passed LexEntry before, so only
+                # the target term's rules are left. A tab or "\n" cannot be
+                # in a field, and a control token needs a "<".
+                if (
+                    codes is not None
+                    and shared_term is not None
+                    and tgt_term
+                    and "<" not in tgt_term
+                    and "\r" not in tgt_term
+                    and not tgt_term.isspace()
+                ):
+                    yield new_entry(LexEntry, (shared_term, tgt_term, *codes))
+                    continue
                 try:
-                    yield LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script)
+                    entry = LexEntry(
+                        shared_term or src_term, tgt_term, intern(src_lang), intern(tgt_lang), intern(tgt_script)
+                    )
                 except ValueError as exc:
                     raise LexiconFormatError(str(exc), path, index + 1) from exc
+                codes = entry[2:]
+                checked_codes[codes] = codes
+                checked_terms[entry[0]] = entry[0]
+                yield entry
         except UnicodeDecodeError:
             raise LexiconFormatError.not_utf8(path) from None
-

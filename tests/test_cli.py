@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from lexaug import cli
+import lexaug
+from lexaug import analysis, cli
 from lexaug.cli import main
 from lexaug.errors import LexAugError
 from lexaug.mixture import interleave
@@ -638,7 +640,7 @@ class TestRegressCommand:
         def broken(rows):
             raise ValueError("broken fit")
 
-        monkeypatch.setattr(cli.analysis, "regress_delta_chrf", broken)
+        monkeypatch.setattr(analysis, "regress_delta_chrf", broken)
         assert main(["regress", "--table", str(table)]) == 1
         assert capsys.readouterr().err == "error: broken fit\n"
 
@@ -666,6 +668,15 @@ print("numpy imported:", "numpy" in sys.modules)
 """
 
 
+def _python(*args: str) -> str:
+    """The stdout of ``python *args`` with the checkout's src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_no_command_imports_numpy(tmp_path):
     rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW, {**_ROW, "hypothesis": "b"}])
     tokens = tmp_path / "tokens.txt"
@@ -674,16 +685,67 @@ def test_no_command_imports_numpy(tmp_path):
     lines += [f"l{i},{i * 0.5 + (i % 3)},{100 * i},{7 * i * i},{(i * 7) % 13},URL" for i in range(8)]
     table = tmp_path / "table.csv"
     table.write_text("\n".join(lines) + "\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [_lexicon_file(tmp_path), _mono_file(tmp_path), rows, tokens, table, tmp_path]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy imported: False"
+    assert _python("-c", _NUMPY_PROBE, *map(str, args)).splitlines()[-1] == "numpy imported: False"
     assert json.loads((tmp_path / "regress.json").read_text())["n_rows"] == 8
+
+
+# Modules only some runs need: each must load when that run starts, not when
+# the CLI is imported.
+_DEFERRED = {"importlib.metadata", "multiprocessing", "lexaug.analysis"}
+
+_IMPORT_PROBE = """
+import json, sys
+from lexaug import cli
+at_import = sorted(sys.modules)
+table, hyp, out = sys.argv[1:]
+cli.BATCH_SIZE = 1  # two lines make two batches, so --jobs 2 starts a pool
+assert cli.main(["regress", "--table", table, "--out", out + "/regress.json"]) == 0
+assert cli.main(["score", "--hyp", hyp, "--ref", hyp, "--jobs", "2", "--out", out + "/score.json"]) == 0
+print(json.dumps({"at_import": at_import, "after_runs": sorted(sys.modules)}))
+"""
+
+
+def test_cli_import_defers_what_only_some_runs_use(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(_TABLE + "".join(f"u{i},{i * 0.5 + i % 3},{100 * i},{7 * i * i},{7 * i % 13},URL\n" for i in range(8)))
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the cat sat\na dog\n")
+    # Site .pth files may import modules of their own, so compare with an
+    # interpreter that imports nothing.
+    bare = set(_python("-c", "import sys; print(*sys.modules, sep='\\n')").split())
+    probe = json.loads(_python("-c", _IMPORT_PROBE, str(table), str(hyp), str(tmp_path)))
+    at_import = set(probe["at_import"]) - bare
+    assert "lexaug.cli" in at_import
+    assert _DEFERRED & at_import == set()
+    # regress and a pooled score still find what they import.
+    assert {"lexaug.analysis", "multiprocessing"} <= set(probe["after_runs"])
+    assert json.loads((tmp_path / "regress.json").read_text())["n_rows"] == 8
+    assert json.loads((tmp_path / "score.json").read_text())["pairs"] == 2
+
+
+def _pyproject_version() -> str:
+    """``version`` in pyproject.toml's ``[project]`` table, read without
+    tomllib, which Python 3.10 lacks."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE)
+    return version
+
+
+class TestVersion:
+    def test_version_flag_prints_the_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"lexaug {lexaug.__version__}\n"
+        assert lexaug.__version__ == _pyproject_version()
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        out = tmp_path / "stats.json"
+        assert main(["lexicon-stats", "--lexicon", _lexicon_file(tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+        assert manifest["version"] == lexaug.__version__ == _pyproject_version()
 
 
 class TestLexiconStatsCommand:

@@ -318,12 +318,15 @@ def pool_spy(monkeypatch):
     batches; the list records each pool the run starts."""
     monkeypatch.setattr(cli, "BATCH_SIZE", 4)
     pools = []
+    real_get_context = multiprocessing.get_context
 
     def get_context(method):
         pools.append(method)
-        return multiprocessing.get_context(method)
+        return real_get_context(method)
 
-    monkeypatch.setattr(cli, "get_context", get_context)
+    # cli imports multiprocessing when it starts a pool, and takes the
+    # context from the module.
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
     return pools
 
 

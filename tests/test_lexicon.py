@@ -260,11 +260,19 @@ class TestLookup:
         entries = tiny_lexicon.lookup_key(match_key("Cat"), "en", tgt_filter="fr")
         assert [e.tgt_term for e in entries] == ["chat"]
 
+    def test_buckets_are_tuples_handed_out_uncopied(self, tiny_lexicon):
+        key = match_key("cat")
+        bucket = tiny_lexicon.lookup_key(key, "en")
+        assert type(bucket) is tuple
+        assert tiny_lexicon.lookup_key(key, "en") is bucket
+        assert tiny_lexicon.term_keys("en")[key] is bucket
+        assert type(tiny_lexicon.lookup_key(key, "en", tgt_filter="fr")) is tuple
+
     def test_absent_token(self, tiny_lexicon):
-        assert tiny_lexicon.lookup_key(match_key("crocodile"), "en") == []
+        assert tiny_lexicon.lookup_key(match_key("crocodile"), "en") == ()
 
     def test_wrong_src_lang(self, tiny_lexicon):
-        assert tiny_lexicon.lookup_key(match_key("cat"), "fr") == []
+        assert tiny_lexicon.lookup_key(match_key("cat"), "fr") == ()
 
     def test_deterministic_order(self):
         lex = Lexicon(
@@ -383,7 +391,7 @@ def _assert_matches_oracle(lex, sources):
         assert lex.entry_counts(lang) == Counter(row[5] for row in rows if lang in row[2:4])
     assert lex.pair_counts() == Counter(row[2:4] for row in rows)
     for (lang, key), bucket in index.items():
-        assert lex.lookup_key(key, lang) == bucket
+        assert lex.lookup_key(key, lang) == tuple(bucket)
     # Every entry sits in one of the oracle's buckets, so there is no other key.
     assert sum(map(len, index.values())) == len(lex)
     for lang in ("en", "de", "es"):
@@ -434,3 +442,71 @@ class TestIndexOracle:
     @given(text=st.text())
     def test_match_key_is_tokenize_key(self, text):
         assert match_key(text) == _oracle_key(text, tokenize(text).surfaces())
+
+
+# Values that a line of the reader property below may hold, by field, as
+# variants of a valid line seen before it: each is bad, or valid only if
+# LexEntry says so. "en" as tgt_lang makes same-language codes on an "en"
+# line, and "es" as src_lang on an "es" target line.
+_VALID_ROWS = [
+    ("en", "es", "Latn", "cat", "gato"),
+    ("en", "ru", "Cyrl", "cat", "кот"),
+    ("de", "es", "Latn", "hot chip", "papas fritas"),
+    ("en", "es", "Latn", "Hot  chip", "1 < 2"),
+]
+_VARIANTS = {
+    0: ["es", "e n", "<x>", ""],
+    1: ["en", "de", "x>y", "<2es>"],
+    2: ["La tn", "", "Latn"],
+    3: [" ", "\u3000", "<mask>", "a\rb", "cat ", "Cat", "a <b> c"],
+    4: ["a\rb", "\r", "<mask>", "<2es>", "x <2es> y", " ", "\u3000", "", "<b>", "1 < 2", "gato", "perro"],
+}
+
+
+@st.composite
+def _lexicon_rows(draw):
+    """Valid rows, each followed at random by variants of a row before it:
+    the variant keeps four fields, often a triple and a source term that a
+    valid line already gave, and changes one."""
+    rows = [draw(st.sampled_from(_VALID_ROWS))]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            rows.append(draw(st.sampled_from(_VALID_ROWS)))
+            continue
+        row = list(draw(st.sampled_from(rows)))
+        field = draw(st.sampled_from(sorted(_VARIANTS)))
+        row[field] = draw(st.sampled_from(_VARIANTS[field]))
+        rows.append(tuple(row))
+    return rows
+
+
+def _oracle_read(path, rows):
+    """The entries of ``rows`` (lines 2, 3, … of ``path``) up to the first
+    row ``LexEntry`` rejects, and that row's error text, or None."""
+    entries = []
+    for line_no, (src_lang, tgt_lang, tgt_script, src_term, tgt_term) in enumerate(rows, 2):
+        try:
+            entries.append(LexEntry(src_term, tgt_term, src_lang, tgt_lang, tgt_script))
+        except ValueError as exc:
+            return entries, str(LexiconFormatError(str(exc), path, line_no))
+    return entries, None
+
+
+class TestReaderOracle:
+    """read_entries checks each code triple and source term once, so a line
+    whose codes and source term passed before takes a shorter path; it must
+    accept and reject exactly what LexEntry does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_lexicon_rows())
+    def test_same_entries_and_errors_as_lexentry_per_line(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("reader") / "lex.tsv"
+        path.write_text("# comment\n" + "".join("\t".join(row) + "\n" for row in rows), encoding="utf-8", newline="")
+        got, error = [], None
+        try:
+            got.extend(read_entries(str(path)))
+        except LexiconFormatError as exc:
+            error = str(exc)
+        expected, expected_error = _oracle_read(str(path), rows)
+        assert (got, error) == (expected, expected_error)
+        assert all(type(entry) is LexEntry for entry in got)
