@@ -232,6 +232,26 @@ def test_mix_ragged_streams_digest(tmp_path):
     assert _sha256(out) == MIX_RAGGED_DIGEST
 
 
+MIX_LONG_DIGEST = "536dd845c2b67c429fb3dae0417e4a28244a45b197b9e72c0b3ace4b718c8f8c"
+
+
+def test_mix_long_streams_digest(tmp_path):
+    # 16,000 draws cross many blocks of task draws. The translation stream
+    # (weight 0.38, 2,500 lines) is reshuffled twice, each shuffle taking its
+    # draws from blocks and hitting the rejection rule; the 20-line stream
+    # shuffles draw by draw, and the 1-line stream is reshuffled on every draw.
+    flags = []
+    for task, n in (("translation", 2500), ("mass", 300), ("codeswitch_mono", 20), ("token_pair", 1)):
+        path = tmp_path / f"{task}.jsonl"
+        path.write_text("".join(f'{{"task": "{task}", "n": {i}}}\n' for i in range(n)), encoding="utf-8")
+        flags += ["--streams", f"{task}={path}"]
+    out = tmp_path / "mixed.jsonl"
+    code = main(["mix", "--mono-aug", "codeswitch", "--token-pairs", *flags,
+                 "--seed", "17", "--count", "16000", "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == MIX_LONG_DIGEST
+
+
 def test_library_builders_digest(inputs):
     # No command reaches mass_example or translation_example, so their bytes
     # are pinned here: MASS at several mask fractions, then translation.
