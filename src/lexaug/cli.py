@@ -21,10 +21,11 @@ import hashlib
 import itertools
 import json
 import os
+import stat
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__, metrics
 from .augment import Task, augment_example, token_pair_examples
@@ -155,13 +156,16 @@ def _write_manifest(
     config: dict,
     inputs: Iterable[str],
     outputs: Iterable[str],
+    digests: Mapping[str, str],
 ) -> None:
+    """Write the manifest. An input's digest comes from ``digests`` if the
+    reader that read it took one, else from reading the file again."""
     manifest = {
         "tool": "lexaug",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
-        "inputs": {path: _sha256(path) for path in inputs},
+        "inputs": {path: digests.get(path) or _sha256(path) for path in inputs},
         "outputs": {path: _sha256(path) for path in outputs},
     }
     _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
@@ -189,11 +193,15 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(args) -> None:
-    """Fail if ``--out`` or the manifest would replace a file the run reads,
-    or the manifest would replace ``--out``."""
+    """Fail if ``--out`` or the manifest would replace a file the run reads
+    or a path that is not a regular file (a FIFO or a device), or the
+    manifest would replace ``--out``."""
     manifest = _manifest_path(args)
     reads = _input_paths(args) + [p for p in (getattr(args, "weights", None), args.config) if p]
     for flag, out in (("--out", args.out), ("--manifest", manifest)):
+        if out and os.path.exists(out) and not stat.S_ISREG(os.stat(out).st_mode):
+            raise LexAugError(f"{flag} {out} is not a regular file, and an output would replace it; "
+                              "write to stdout to stream")
         for path in reads if out else ():
             if _same_file(out, path):
                 raise LexAugError(f"{flag} {out} is the input file {path}; an output may not replace an input")
@@ -201,11 +209,13 @@ def _check_outputs(args) -> None:
         raise LexAugError(f"--manifest {manifest} is the --out file {args.out}")
 
 
-def _finish_manifest(args, subcommand: str, effective: dict) -> None:
-    """Write the manifest to ``--manifest``, else beside ``--out`` if set."""
+def _finish_manifest(args, subcommand: str, effective: dict, digests: Mapping[str, str] = {}) -> None:
+    """Write the manifest to ``--manifest``, else beside ``--out`` if set.
+    ``digests`` holds the SHA-256 of inputs that were hashed as they were read."""
     manifest_path = _manifest_path(args)
     if manifest_path:
-        _write_manifest(manifest_path, subcommand, effective, _input_paths(args), [args.out] if args.out else [])
+        outputs = [args.out] if args.out else []
+        _write_manifest(manifest_path, subcommand, effective, _input_paths(args), outputs, digests)
 
 
 def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, binary: bool = False) -> None:
@@ -213,20 +223,27 @@ def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, bi
     only once all are written: they go to a temporary file beside it that
     then replaces it, and a failed run removes the temporary file and leaves
     no ``out_path``. Lines are ``str``, or ``bytes`` written as they are if
-    ``binary``."""
+    ``binary``. They are written joined, one ``write`` per BATCH_SIZE lines."""
     end = b"\n" if binary else "\n"
+    lines = iter(lines)
+
+    def chunks() -> Iterator[str] | Iterator[bytes]:
+        while batch := list(itertools.islice(lines, BATCH_SIZE)):
+            batch.append(end[:0])  # so that the join ends the last line too
+            yield end.join(batch)
+
     if out_path is None:
         if binary:
             sys.stdout.flush()
-        out = sys.stdout.buffer if binary else sys.stdout
-        for line in lines:
-            out.write(line + end)
+        write = sys.stdout.buffer.write if binary else sys.stdout.write
+        for chunk in chunks():
+            write(chunk)
         return
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "wb" if binary else "w", encoding=None if binary else "utf-8") as handle:
-            for line in lines:
-                handle.write(line + end)
+            for chunk in chunks():
+                handle.write(chunk)
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -403,13 +420,14 @@ def cmd_mix(args) -> int:
         streams = {task: opened.enter_context(StreamFile(path)) for task, path in stream_paths.items()}
         mixed = itertools.islice(interleave(streams, weights, args.seed), args.count)
         _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, binary=True)
+    digests = {stream.path: stream.digest for stream in streams.values()}
     effective = {
         "weights": weights.to_json_obj(),
         "streams": args.streams,
         "seed": args.seed,
         "count": args.count,
     }
-    _finish_manifest(args, "mix", effective)
+    _finish_manifest(args, "mix", effective, digests)
     return 0
 
 

@@ -5,24 +5,31 @@ Enabling a monolingual augmentation splits the masking weight 30/30 between
 augmented and vanilla data; a parallel augmentation splits the translation
 weight 20/20 the same way. Adding the token-pair task gives it 5% and
 shrinks everything else by the factor 0.95.
+
+``interleave`` mixes task streams without a Python step per line: the task
+draws come in blocks from ``Rng.block`` and pass through a chain of ``map``
+calls to each task's stream; stream files are read in runs of lines, one
+``os.pread`` per run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import stat
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import add, mul, rshift, sub
+from typing import Iterator, Mapping, Sequence
 
 from .augment import Task
 from .errors import FormatError, ScheduleError
-from .sampling import Rng, derive_rng
+from .sampling import DRAW_BLOCK, Rng, derive_rng
 
 # Augmentation choices for both the mono and the parallel data.
 AUG_CHOICES = ("none", "codeswitch", "glowup")
@@ -113,7 +120,8 @@ class StreamFile:
     ``\r`` is dropped; a lone ``\r`` inside a line stays in it. Iteration
     gives the lines in file order and ``pick`` in any order, as bytes read
     with ``os.pread``, so the file must be a regular file and must not change
-    while it is open; ``check_unchanged`` tells whether it did.
+    while it is open; ``check_unchanged`` tells whether it did. ``digest`` is
+    the SHA-256 of the bytes the scan read.
     """
 
     def __init__(self, path: str):
@@ -125,7 +133,7 @@ class StreamFile:
             if not stat.S_ISREG(status.st_mode):
                 raise FormatError("not a regular file; stream lines are read by offset", path)
             self._stamp = (status.st_size, status.st_mtime_ns)
-            self._offsets, self._lengths = _index_lines(self._fd, path)
+            self._offsets, self._lengths, self.digest = _index_lines(self._fd, path)
         except BaseException:
             os.close(self._fd)
             raise
@@ -134,15 +142,32 @@ class StreamFile:
         return len(self._offsets)
 
     def __iter__(self) -> Iterator[bytes]:
-        """The kept lines in file order, read a block at a time: on the
-        perfbench ``mix`` workload (2 cores, Python 3.11) a first pass of one
-        ``os.pread`` per line cost about 8% more CPU time."""
-        block, base = b"", 0
-        for offset, length in zip(self._offsets, self._lengths):
-            start = offset - base
-            if start + length > len(block):
-                block, base, start = os.pread(self._fd, max(length, _BLOCK), offset), offset, 0
-            yield block[start:start + length]
+        """The kept lines in file order, read in runs of lines that span at
+        most ``_BLOCK`` bytes (or one longer line): on the perfbench ``mix``
+        workload (2 cores, Python 3.11) a first pass of one ``os.pread`` per
+        line cost about 8% more CPU time."""
+        return chain.from_iterable(map(self._read_run, self._runs()))
+
+    def _runs(self) -> Iterator[tuple[int, int]]:
+        """(first, end) index ranges of the runs that ``__iter__`` reads."""
+        offsets, lengths = self._offsets, self._lengths
+        first = 0
+        while first < len(offsets):
+            limit = offsets[first] + _BLOCK
+            end = bisect_left(offsets, limit, first + 1)
+            if end - 1 > first and offsets[end - 1] + lengths[end - 1] > limit:
+                end -= 1
+            yield first, end
+            first = end
+
+    def _read_run(self, run: tuple[int, int]) -> Iterator[bytes]:
+        """The lines of one run, cut from one read."""
+        first, end = run
+        offsets, lengths = self._offsets[first:end], self._lengths[first:end]
+        base = offsets[0]
+        block = os.pread(self._fd, offsets[-1] + lengths[-1] - base, base)
+        starts = array("q", map(sub, offsets, repeat(base)))
+        return map(block.__getitem__, map(slice, starts, map(add, starts, lengths)))
 
     def pick(self, order: Sequence[int]) -> Iterator[bytes]:
         """The kept lines with the indices in ``order``, in that order."""
@@ -170,15 +195,17 @@ class StreamFile:
 _BLOCK = 1 << 16
 
 
-def _index_lines(fd: int, path: str) -> tuple[array, array]:
+def _index_lines(fd: int, path: str) -> tuple[array, array, str]:
     """Start offsets and lengths of the file's kept lines (see
-    ``StreamFile``). Each chunk ends at a ``\n``, so no UTF-8 sequence is
-    split between two decodes."""
+    ``StreamFile``), and the SHA-256 of the file's bytes. Each chunk ends at
+    a ``\n``, so no UTF-8 sequence is split between two decodes."""
     offsets, lengths = array("q"), array("q")
+    digest = hashlib.sha256()
     start = 0  # the file offset of the chunk
     head = bytearray()  # the start of a line that earlier blocks cut
     while True:
         block = os.read(fd, _BLOCK)
+        digest.update(block)
         end_of_file = not block
         if end_of_file:
             block = b"\n"  # ends a last line that has none
@@ -199,7 +226,7 @@ def _index_lines(fd: int, path: str) -> tuple[array, array]:
                 lengths.append(end - pos - (chunk[end - 1] == 13))  # 13: "\r"
             pos = end + 1
         if end_of_file:
-            return offsets, lengths
+            return offsets, lengths, digest.hexdigest()
         start += len(chunk)
 
 
@@ -233,21 +260,19 @@ def interleave(streams: Mapping[Task, Sequence | StreamFile], weights: TaskWeigh
     for task in active:
         if len(streams[task]) == 0:
             raise ScheduleError(f"stream for task {task.value!r} is empty")
-    # The cumulative weights, and the next-item function of each task's
-    # stream, in task order. A draw picks the first task whose cumulative
-    # weight exceeds it; one at or past the last (by rounding) picks the last.
+    # The cumulative weights, and each task's endless stream, in task order.
+    # A draw picks the first task whose cumulative weight exceeds it; one at
+    # or past the last (by rounding) picks the last.
     bounds: list[float] = []
-    nexts: list[Callable] = []
+    cycles: list[Iterator] = []
     running = 0.0
     for index, task in enumerate(active):
         running += weights.get(task)
         bounds.append(running)
-        nexts.append(_cycle(streams[task], derive_rng(seed, index, domain=b"mixcycle")).__next__)
-    nexts.append(nexts[-1])
+        cycles.append(_cycle(streams[task], derive_rng(seed, index, domain=b"mixcycle")))
+    cycles.append(cycles[-1])
     rng = derive_rng(seed, 0, domain=b"mixdraws")
-
-    def generate() -> Iterator:
-        while True:
-            yield nexts[bisect_right(bounds, rng.random() * running)]()
-
-    return generate()
+    draws = chain.from_iterable(iter(partial(rng.block, DRAW_BLOCK), None))
+    # rng.random() * running for each draw, as the same two float products.
+    points = map(mul, map(mul, map(rshift, draws, repeat(11)), repeat(2.0**-53)), repeat(running))
+    return map(next, map(cycles.__getitem__, map(bisect_right, repeat(bounds), points)))

@@ -4,19 +4,33 @@ Every record gets its own generator derived from (run seed, record id), so
 records can be processed by any number of workers in any order and still
 produce byte-identical output. The generator is splitmix64: a counter-based
 64-bit mixer with a fixed, documented output stream on every platform.
+Because draw k is a pure function of the state plus k steps, ``Rng.block``
+computes many draws at once on the lanes of one Python int, and a long
+``Rng.shuffle`` (like ``mixture.interleave``) takes its draws from blocks:
+the same draws, in the same order, as one call per draw.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from functools import lru_cache
+from typing import Iterable, MutableSequence, Sequence, TypeVar
 
 from .corpus import keyed_u64
 from .errors import NoCandidateError
 
 _MASK64 = 2**64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Draws per block for long shuffles and for ``mixture.interleave``: past
+# this size a draw costs no less, and the ints grow.
+DRAW_BLOCK = 1024
+# Shorter sequences shuffle draw by draw, where a block costs more than the
+# draws it replaces (one sentence's spans in ``select_uniform_count``).
+_SHUFFLE_BLOCKS_FROM = 16
 
 T = TypeVar("T")
 
@@ -56,11 +70,64 @@ class Rng:
             if value < n:
                 return value
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def block(self, n: int) -> array:
+        """The next ``n`` draws of ``next_uint64``, as an ``array("Q")``."""
+        if n < 0:
+            raise ValueError(f"block needs n >= 0, got {n}")
+        draws = _block(self._state, n)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return draws
+
+    def shuffle(self, items: MutableSequence) -> None:
+        """In-place Fisher-Yates shuffle: for i from the last index down to
+        1, swap item i with item ``randrange(i + 1)``. A long sequence takes
+        its draws from blocks, with randrange's rejection rule, and leaves
+        the state after the last draw it used, as the draw-by-draw loop
+        does."""
+        i = len(items) - 1
+        if i < _SHUFFLE_BLOCKS_FROM - 1:
+            for i in range(i, 0, -1):
+                j = self.randrange(i + 1)
+                items[i], items[j] = items[j], items[i]
+            return
+        start, used = self._state, 0
+        while i:
+            # No block much longer than the draws still needed (about i).
+            for z in _block((start + used * _GOLDEN) & _MASK64, min(1 << i.bit_length(), DRAW_BLOCK)):
+                used += 1
+                j = z >> (64 - i.bit_length())
+                if j <= i:
+                    items[i], items[j] = items[j], items[i]
+                    i -= 1
+                    if not i:
+                        break
+        self._state = (start + used * _GOLDEN) & _MASK64
+
+
+@lru_cache(maxsize=16)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """Constants for ``n`` 128-bit lanes of one int: 1 in each lane, the
+    64-bit mask in each lane, and ``(k + 1) * _GOLDEN`` mod 2**64 in lane k."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    steps = b"".join((k * _GOLDEN & _MASK64).to_bytes(16, "little") for k in range(1, n + 1))
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
+
+
+def _block(state: int, n: int) -> array:
+    """Draws 1 to ``n`` of the splitmix64 stream at ``state``. Lane k of one
+    int holds the k-th: a 64-bit value in 128 bits, so that a 64-bit multiply
+    never carries into the next lane."""
+    ones, mask, steps = _lanes(n)
+    z = (state * ones + steps) & mask
+    # A right shift moves lane k + 1's low bits into the top of lane k; the
+    # mask clears them before the multiply would carry them into lane k + 1.
+    z = ((z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB) & mask
+    # The last shift's stray bits stay in each lane's top half, dropped here.
+    draws = array("Q", (z ^ (z >> 31)).to_bytes(16 * n, "little"))[::2]
+    if sys.byteorder == "big":
+        draws.byteswap()
+    return draws
 
 
 def derive_rng(seed: int, record_id: int, domain: bytes = b"record") -> Rng:

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import lexaug
 from lexaug import analysis, cli
 from lexaug.cli import main
 from lexaug.errors import LexAugError
-from lexaug.mixture import interleave
+from lexaug.mixture import StreamFile, interleave
 
 from conftest import write_jsonl
 
@@ -482,6 +484,27 @@ class TestMixCommand:
             assert main(["mix", *streams, "--seed", "1", "--count", "4", "--out", str(tmp_path / "out")]) == code
             assert len(os.listdir("/proc/self/fd")) == before, streams
 
+    def test_manifest_digests_the_bytes_that_were_read(self, tmp_path, monkeypatch):
+        # The path is replaced after the scan; the open stream still reads
+        # the old file, so the run succeeds and mixes only the old lines.
+        stream = tmp_path / "t.jsonl"
+        read = b'{"n": 0}\n{"n": 1}\n'
+        stream.write_bytes(read)
+        replacement = tmp_path / "replacement.jsonl"
+        replacement.write_bytes(b'{"n": 2}\n')
+        check = StreamFile.check_unchanged
+
+        def replaced_then_checked(self):
+            os.replace(replacement, self.path)
+            check(self)
+
+        monkeypatch.setattr(StreamFile, "check_unchanged", replaced_then_checked)
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "4", "--out", str(out)) == 0
+        assert set(out.read_bytes().splitlines()) == set(read.splitlines())
+        manifest = json.loads((tmp_path / "mixed.jsonl.manifest.json").read_text())
+        assert manifest["inputs"][str(stream)] == hashlib.sha256(read).hexdigest()
+
     def test_streams_require_seed(self, tmp_path, capsys):
         stream = tmp_path / "t.jsonl"
         stream.write_text('{"id": 1}\n')
@@ -829,6 +852,32 @@ class TestAtomicOutput:
         assert code == 1
         assert "<mask>" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl", "panlex.tsv"]
+
+
+class TestEmitLines:
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+    def test_one_write_per_batch(self, monkeypatch, n):
+        monkeypatch.setattr(cli, "BATCH_SIZE", 3)
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        cli._emit_lines((f"line {i}" for i in range(n)), None)
+        assert writes == ["".join(f"line {i}\n" for i in range(k, min(k + 3, n))) for k in range(0, n, 3)]
+
+
+class TestOutputIsNotARegularFile:
+    """An existing --out or manifest path that is not a regular file fails
+    before anything is read or written; the output would replace it."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_fifo_is_one_error_line_and_stays_a_fifo(self, tmp_path, capsys, flag):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        assert main(["mix", "--mono-aug", "codeswitch", flag, str(fifo)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {flag} {fifo} is not a regular file, and an output would replace it; write to stdout to stream"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestOutputNamesAnInput:

@@ -11,6 +11,9 @@ from lexaug.augment import Task
 from lexaug.cli import _read_lines
 from lexaug.errors import FormatError, ScheduleError
 from lexaug.mixture import StreamFile, TaskWeights, build_schedule, interleave
+from lexaug.sampling import DRAW_BLOCK
+
+from reference_mix import reference_interleave
 
 
 class TestBuildSchedule:
@@ -149,13 +152,13 @@ class TestInterleave:
 
 
 @st.composite
-def _mix_inputs(draw):
+def _mix_inputs(draw, max_items=6):
     """Positive integer shares for a non-empty subset of tasks (normalised to
     weights), a seed, and a non-empty list of items per weighted task."""
     tasks = draw(st.lists(st.sampled_from(list(Task)), min_size=1, max_size=4, unique=True))
     shares = [draw(st.integers(1, 10)) for _ in tasks]
     weights = TaskWeights({t: k / sum(shares) for t, k in zip(tasks, shares)})
-    streams = {t: draw(st.lists(st.integers(), min_size=1, max_size=6)) for t in tasks}
+    streams = {t: draw(st.lists(st.integers(), min_size=1, max_size=max_items)) for t in tasks}
     return weights, draw(st.integers(0, 2**64 - 1)), streams
 
 
@@ -169,6 +172,16 @@ class TestInterleaveProperties:
         first = interleave({t: list(v) for t, v in streams.items()}, weights, seed)
         second = interleave({t: tuple(v) for t, v in streams.items()}, weights, seed)
         assert list(itertools.islice(first, long)) == list(itertools.islice(second, long))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mix_inputs(max_items=40))
+    def test_draws_as_the_draw_by_draw_reference(self, inputs):
+        # More draws than one block; streams of up to 40 items reshuffle
+        # both draw by draw and from blocks.
+        weights, seed, streams = inputs
+        n = 3 * DRAW_BLOCK
+        mixed = interleave(streams, weights, seed)
+        assert list(itertools.islice(mixed, n)) == list(itertools.islice(reference_interleave(streams, weights, seed), n))
 
 
 # Line text with every character the line rules treat specially: "\r",

@@ -1,5 +1,11 @@
-import pytest
+from array import array
+from functools import partial
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lexaug import sampling
 from lexaug.errors import NoCandidateError
 from lexaug.lexicon import LexEntry, Lexicon
 from lexaug.sampling import (
@@ -12,6 +18,8 @@ from lexaug.sampling import (
     select_binomial_adjusted,
     select_uniform_count,
 )
+
+from reference_mix import reference_shuffle
 
 
 class TestRng:
@@ -54,6 +62,43 @@ class TestRng:
         rng.shuffle(shuffled)
         assert sorted(shuffled) == items
         assert shuffled != items
+
+
+_KEYS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+# Lengths on both sides of the switch from draw-by-draw to block shuffles,
+# and long enough to cross DRAW_BLOCK-draw blocks.
+_LENGTHS = st.one_of(st.integers(0, 2 * sampling._SHUFFLE_BLOCKS_FROM), st.integers(0, 3000))
+
+
+class TestBlocks:
+    """``block`` and the block shuffle against one ``next_uint64`` per draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=_KEYS, n=st.one_of(st.integers(0, 40), st.integers(0, 2 * sampling.DRAW_BLOCK + 50)))
+    @example(key=2**64 - 1, n=sampling.DRAW_BLOCK)
+    def test_block_is_the_next_n_draws(self, key, n):
+        by_block, by_draw = Rng(key), Rng(key)
+        draws = by_block.block(n)
+        assert draws.typecode == "Q"
+        assert list(draws) == [by_draw.next_uint64() for _ in range(n)]
+        assert by_block.next_uint64() == by_draw.next_uint64()
+
+    def test_block_rejects_negative_size(self):
+        with pytest.raises(ValueError):
+            Rng(1).block(-1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=_KEYS, n=_LENGTHS, kind=st.sampled_from([list, partial(array, "q")]))
+    @example(key=0, n=sampling._SHUFFLE_BLOCKS_FROM - 1, kind=list)
+    @example(key=2**64 - 1, n=sampling._SHUFFLE_BLOCKS_FROM, kind=list)
+    @example(key=0, n=3000, kind=partial(array, "q"))
+    def test_shuffle_takes_the_draw_by_draw_swaps(self, key, n, kind):
+        items, expected = kind(range(n)), kind(range(n))
+        rng, reference = Rng(key), Rng(key)
+        rng.shuffle(items)
+        reference_shuffle(reference, expected)
+        assert items == expected
+        assert rng.next_uint64() == reference.next_uint64()
 
 
 class TestSelectionParams:
