@@ -4,6 +4,7 @@ counts, and mean deltas per resourcedness class."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -11,6 +12,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping
 
+from .corpus import read_text
 from .errors import FitError, FormatError, InsufficientDataError, SingularMatrixError
 from .metrics import Resourcedness
 
@@ -173,38 +175,37 @@ def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:
     )
 
 
-def load_lang_rows(path: str) -> list[LangRow]:
+def load_lang_rows(path: str, digests: dict[str, str] | None = None) -> list[LangRow]:
     """Read the regression table CSV: lang,delta_chrf,n_panlex,n_gatitos,
     n_mono,class, one row per language. A bad row raises FormatError naming
-    its line."""
+    its line. The text comes from ``read_text``, which puts the file's
+    SHA-256 in ``digests``."""
     rows = []
     first_line: dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
-            missing = required - set(reader.fieldnames or [])
-            if missing:
-                raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
-            for record in reader:
-                line_no = reader.line_num
-                try:
-                    if None in record.values():
-                        raise ValueError(f"row has fewer than {len(reader.fieldnames)} fields")
-                    row = LangRow(
-                        lang=record["lang"],
-                        delta_chrf=float(record["delta_chrf"]),
-                        n_panlex=int(record["n_panlex"]),
-                        n_gatitos=int(record["n_gatitos"]),
-                        n_mono_sentences=int(record["n_mono"]),
-                        resourcedness=Resourcedness(record["class"].strip().upper()),
-                    )
-                except ValueError as exc:
-                    raise FormatError(str(exc), path, line_no) from exc
-                if row.lang in first_line:
-                    raise FormatError(f"language {row.lang!r} is also on line {first_line[row.lang]}", path, line_no)
-                first_line[row.lang] = line_no
-                rows.append(row)
-    except UnicodeDecodeError:
-        raise FormatError.not_utf8(path) from None
+    # newline="": csv sees each line with its own end, as from a file opened
+    # so, and a quoted field keeps its line breaks.
+    reader = csv.DictReader(io.StringIO(read_text(path, digests), newline=""))
+    required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
+    missing = required - set(reader.fieldnames or [])
+    if missing:
+        raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
+    for record in reader:
+        line_no = reader.line_num
+        try:
+            if None in record.values():
+                raise ValueError(f"row has fewer than {len(reader.fieldnames)} fields")
+            row = LangRow(
+                lang=record["lang"],
+                delta_chrf=float(record["delta_chrf"]),
+                n_panlex=int(record["n_panlex"]),
+                n_gatitos=int(record["n_gatitos"]),
+                n_mono_sentences=int(record["n_mono"]),
+                resourcedness=Resourcedness(record["class"].strip().upper()),
+            )
+        except ValueError as exc:
+            raise FormatError(str(exc), path, line_no) from exc
+        if row.lang in first_line:
+            raise FormatError(f"language {row.lang!r} is also on line {first_line[row.lang]}", path, line_no)
+        first_line[row.lang] = line_no
+        rows.append(row)
     return rows

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__, metrics
 from .augment import Task, augment_example, token_pair_examples
-from .corpus import Branch, assign_branch, load_corpus
+from .corpus import Branch, assign_branch, load_corpus, read_lines, read_text
 from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
 from .lexicon import Lexicon, read_entries
 from .mixture import AUG_CHOICES, StreamFile, TaskWeights, build_schedule, interleave, task_named
@@ -37,14 +37,6 @@ from .sampling import SelectionMode, SelectionParams, derive_rng
 
 # --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
 _TASK_FLAGS = {t.value.replace("_", "-"): t for t in Task if t.value.endswith(("_mono", "_parallel"))}
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class _Repeatable(argparse._AppendAction):
@@ -93,13 +85,10 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def _read_json(path: str):
     """The JSON value in the file at ``path``; a syntax error names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LexAugError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError:
-            raise FormatError.not_utf8(path) from None
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise LexAugError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _config_value(path: str, key: str, value, action: argparse.Action):
@@ -144,31 +133,10 @@ def _lexicon_spec(spec: str) -> tuple[str, str]:
     return (name, path) if eq else (Path(spec).stem, spec)
 
 
-def _load_lexica(specs: list[str]) -> Lexicon:
+def _load_lexica(specs: list[str], digests: dict[str, str] | None = None) -> Lexicon:
     """One Lexicon over every file's entries, in spec order: on a duplicate
     entry the first file's name is kept."""
-    return Lexicon((name, read_entries(path)) for name, path in map(_lexicon_spec, specs))
-
-
-def _write_manifest(
-    manifest_path: str,
-    subcommand: str,
-    config: dict,
-    inputs: Iterable[str],
-    outputs: Iterable[str],
-    digests: Mapping[str, str],
-) -> None:
-    """Write the manifest. An input's digest comes from ``digests`` if the
-    reader that read it took one, else from reading the file again."""
-    manifest = {
-        "tool": "lexaug",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "inputs": {path: digests.get(path) or _sha256(path) for path in inputs},
-        "outputs": {path: _sha256(path) for path in outputs},
-    }
-    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
+    return Lexicon((name, read_entries(path, digests)) for name, path in map(_lexicon_spec, specs))
 
 
 def _input_paths(args) -> list[str]:
@@ -209,21 +177,38 @@ def _check_outputs(args) -> None:
         raise LexAugError(f"--manifest {manifest} is the --out file {args.out}")
 
 
-def _finish_manifest(args, subcommand: str, effective: dict, digests: Mapping[str, str] = {}) -> None:
+def _write_manifest(args, subcommand: str, config: dict, digests: Mapping[str, str]) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set.
-    ``digests`` holds the SHA-256 of inputs that were hashed as they were read."""
+    Each input's and output's digest comes from ``digests``, where its reader
+    or writer put the SHA-256 of the bytes it read or wrote, so no file but
+    the manifest is opened."""
     manifest_path = _manifest_path(args)
-    if manifest_path:
-        outputs = [args.out] if args.out else []
-        _write_manifest(manifest_path, subcommand, effective, _input_paths(args), outputs, digests)
+    if not manifest_path:
+        return
+    manifest = {
+        "tool": "lexaug",
+        "version": __version__,
+        "subcommand": subcommand,
+        "config": config,
+        "inputs": {path: digests[path] for path in _input_paths(args)},
+        "outputs": {args.out: digests[args.out]} if args.out else {},
+    }
+    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
 
 
-def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, binary: bool = False) -> None:
+def _emit_lines(
+    lines: Iterable[str] | Iterable[bytes],
+    out_path: str | None,
+    digests: dict[str, str] | None = None,
+    binary: bool = False,
+) -> None:
     """Write lines, each followed by a newline, to stdout, or to ``out_path``
     only once all are written: they go to a temporary file beside it that
     then replaces it, and a failed run removes the temporary file and leaves
-    no ``out_path``. Lines are ``str``, or ``bytes`` written as they are if
-    ``binary``. They are written joined, one ``write`` per BATCH_SIZE lines."""
+    no ``out_path``. Lines are ``str``, written as UTF-8, or ``bytes`` written
+    as they are if ``binary``. They are written joined, one ``write`` per
+    BATCH_SIZE lines, and hashed as written: ``digests[out_path]``, unless
+    ``digests`` is None, is the SHA-256 of the bytes written."""
     end = b"\n" if binary else "\n"
     lines = iter(lines)
 
@@ -240,19 +225,24 @@ def _emit_lines(lines: Iterable[str] | Iterable[bytes], out_path: str | None, bi
             write(chunk)
         return
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    digest = hashlib.sha256()
     try:
-        with open(tmp_path, "wb" if binary else "w", encoding=None if binary else "utf-8") as handle:
+        with open(tmp_path, "wb") as handle:
             for chunk in chunks():
-                handle.write(chunk)
+                data = chunk if binary else chunk.encode("utf-8")
+                digest.update(data)
+                handle.write(data)
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
         raise
+    if digests is not None:
+        digests[out_path] = digest.hexdigest()
 
 
-def _emit_json(obj, out_path: str | None) -> None:
-    _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)], out_path)
+def _emit_json(obj, out_path: str | None, digests: dict[str, str]) -> None:
+    _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)], out_path, digests)
 
 
 # --- augment -----------------------------------------------------------
@@ -341,14 +331,15 @@ def cmd_augment(args) -> int:
     _require(args, "task", "corpus", "lexicon", "seed")
     task = _TASK_FLAGS[args.task]
     params = SelectionParams(p_tr=args.p_tr, mode=SelectionMode(args.sampling))
-    job = _AugmentJob(task, _load_lexica(args.lexicon), params, args.seed, args.mask_fraction, args.on_error)
+    digests: dict[str, str] = {}
+    job = _AugmentJob(task, _load_lexica(args.lexicon, digests), params, args.seed, args.mask_fraction, args.on_error)
     kind = "mono" if args.task.endswith("-mono") else "parallel"
 
     # Parse errors, then failed records: a pool reads the corpus ahead of its
     # results, so one list of both would interleave them by --jobs.
     skipped: list = []
     failed: list[str] = []
-    records = load_corpus(args.corpus, kind=kind, on_error=skipped.append if args.on_error == "skip" else None)
+    records = load_corpus(args.corpus, kind, skipped.append if args.on_error == "skip" else None, digests)
     selected = (r for r in records if assign_branch(r.id, args.seed, args.fraction) is Branch.AUGMENT)
 
     def lines(results: Iterable[tuple[list[str], list[str]]]) -> Iterator[str]:
@@ -356,25 +347,15 @@ def cmd_augment(args) -> int:
             failed.extend(batch_failed)
             yield from batch_lines
 
-    _emit_lines(lines(_map_batches(job.run, selected, args.jobs)), args.out)
+    _emit_lines(lines(_map_batches(job.run, selected, args.jobs)), args.out, digests)
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
 
-    effective = {
-        "task": task.value,
-        "corpus": args.corpus,
-        "lexicon": args.lexicon,
-        "seed": args.seed,
-        "p_tr": args.p_tr,
-        "fraction": args.fraction,
-        "sampling": args.sampling,
-        "mask_fraction": args.mask_fraction,
-        "jobs": args.jobs,
-        "on_error": args.on_error,
-        "skipped_records": len(skipped) + len(failed),
-    }
-    _finish_manifest(args, "augment", effective)
+    settings = ("corpus", "lexicon", "seed", "p_tr", "fraction", "sampling", "mask_fraction", "jobs", "on_error")
+    effective = {key: getattr(args, key) for key in settings}
+    effective.update(task=task.value, skipped_records=len(skipped) + len(failed))
+    _write_manifest(args, "augment", effective, digests)
     return 0
 
 
@@ -384,13 +365,14 @@ def cmd_token_pairs(args) -> int:
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
     if lang_filter == []:
         raise LexAugError(f"--langs names no language, got {langs!r}")
-    lexicon = _load_lexica(args.lexicon)
+    digests: dict[str, str] = {}
+    lexicon = _load_lexica(args.lexicon, digests)
     lines = (
         json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True)
         for e in token_pair_examples(lexicon, lang_filter)
     )
-    _emit_lines(lines, args.out)
-    _finish_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs})
+    _emit_lines(lines, args.out, digests)
+    _write_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs}, digests)
     return 0
 
 
@@ -399,9 +381,10 @@ def cmd_mix(args) -> int:
         weights = TaskWeights.from_json_obj(_read_json(args.weights))
     else:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
+    digests: dict[str, str] = {}
     if not args.streams:
-        _emit_json(weights.to_json_obj(), args.out)
-        _finish_manifest(args, "mix", {"weights": weights.to_json_obj()})
+        _emit_json(weights.to_json_obj(), args.out, digests)
+        _write_manifest(args, "mix", {"weights": weights.to_json_obj()}, digests)
         return 0
 
     _require(args, "seed", "count")
@@ -417,17 +400,16 @@ def cmd_mix(args) -> int:
             raise ScheduleError(f"--streams: task {task.value!r} given twice ({stream_paths[task]}, {path})")
         stream_paths[task] = path
     with contextlib.ExitStack() as opened:
-        streams = {task: opened.enter_context(StreamFile(path)) for task, path in stream_paths.items()}
+        streams = {task: opened.enter_context(StreamFile(path, digests)) for task, path in stream_paths.items()}
         mixed = itertools.islice(interleave(streams, weights, args.seed), args.count)
-        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, binary=True)
-    digests = {stream.path: stream.digest for stream in streams.values()}
+        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, digests, binary=True)
     effective = {
         "weights": weights.to_json_obj(),
         "streams": args.streams,
         "seed": args.seed,
         "count": args.count,
     }
-    _finish_manifest(args, "mix", effective, digests)
+    _write_manifest(args, "mix", effective, digests)
     return 0
 
 
@@ -439,21 +421,11 @@ def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
     yield from ()
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    """The file's lines, read lazily, without their ``\n`` or ``\r\n``
-    ends; a lone ``\r`` inside a line does not split it."""
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        try:
-            for line in handle:
-                yield line.removesuffix("\n").removesuffix("\r")
-        except UnicodeDecodeError:
-            raise FormatError.not_utf8(path) from None
-
-
 def cmd_score(args) -> int:
     _require(args, "hyp", "ref")
-    hyps = list(_read_lines(args.hyp))
-    refs = list(_read_lines(args.ref))
+    digests: dict[str, str] = {}
+    hyps = list(read_lines(args.hyp, digests))
+    refs = list(read_lines(args.ref, digests))
     if len(hyps) != len(refs):
         raise LexAugError(
             f"hypothesis and reference files differ in length: {len(hyps)} vs {len(refs)}"
@@ -467,8 +439,8 @@ def cmd_score(args) -> int:
     result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
-    _emit_json(result, args.out)
-    _finish_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref})
+    _emit_json(result, args.out, digests)
+    _write_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref}, digests)
     return 0
 
 
@@ -483,11 +455,13 @@ def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]
     return rows
 
 
-def _sum_eval_batches(path: str, run: Callable[[list[metrics.EvalRow]], tuple[int, ...]], jobs: int) -> list[int]:
+def _sum_eval_batches(
+    path: str, run: Callable[[list[metrics.EvalRow]], tuple[int, ...]], jobs: int, digests: dict[str, str]
+) -> list[int]:
     """The sums of ``run``'s counts over every batch of the eval rows in
     ``path``; the JSON is parsed where the batch runs. Blank lines are
     skipped, and a file without a row fails."""
-    numbered = ((n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip())
+    numbered = ((n, line) for n, line in enumerate(read_lines(path, digests), 1) if line.strip())
     counts = list(_map_batches(lambda batch: run(_eval_rows(path, batch)), numbered, jobs))
     if not counts:
         raise FormatError("holds no eval row", path)
@@ -496,18 +470,20 @@ def _sum_eval_batches(path: str, run: Callable[[list[metrics.EvalRow]], tuple[in
 
 def cmd_diagnose(args) -> int:
     _require(args, "rows")
-    counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs)
+    digests: dict[str, str] = {}
+    counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs, digests)
     report = metrics.ErrorReport(*counts)
     print(report.format_table())
     if args.out:
-        _emit_json(report.to_json_obj(), args.out)
-    _finish_manifest(args, "diagnose", {"rows": args.rows})
+        _emit_json(report.to_json_obj(), args.out, digests)
+    _write_manifest(args, "diagnose", {"rows": args.rows}, digests)
     return 0
 
 
 def cmd_hit_rate(args) -> int:
     _require(args, "rows", "tokens")
-    tokens = [line.strip() for line in _read_lines(args.tokens) if line.strip()]
+    digests: dict[str, str] = {}
+    tokens = [line.strip() for line in read_lines(args.tokens, digests) if line.strip()]
     if not tokens:
         raise FormatError("names no token: every line is blank", args.tokens)
 
@@ -515,9 +491,9 @@ def cmd_hit_rate(args) -> int:
         result = metrics.token_hit_rate(rows, tokens)
         return result.rows_with_token, result.hits
 
-    result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs))
-    _emit_json(result.to_json_obj(), args.out)
-    _finish_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens})
+    result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs, digests))
+    _emit_json(result.to_json_obj(), args.out, digests)
+    _write_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens}, digests)
     return 0
 
 
@@ -525,7 +501,8 @@ def cmd_regress(args) -> int:
     from . import analysis  # only regress needs it
 
     _require(args, "table")
-    rows = analysis.load_lang_rows(args.table)
+    digests: dict[str, str] = {}
+    rows = analysis.load_lang_rows(args.table, digests)
     try:
         result = analysis.regress_delta_chrf(rows).to_json_obj()
     except InsufficientDataError as exc:
@@ -535,14 +512,15 @@ def cmd_regress(args) -> int:
     except FitError as exc:
         # The fit failed on the table's values, so name the table.
         raise LexAugError(f"{args.table}: {exc}") from exc
-    _emit_json(result, args.out)
-    _finish_manifest(args, "regress", {"table": args.table})
+    _emit_json(result, args.out, digests)
+    _write_manifest(args, "regress", {"table": args.table}, digests)
     return 0
 
 
 def cmd_lexicon_stats(args) -> int:
     _require(args, "lexicon")
-    lexicon = _load_lexica(args.lexicon)
+    digests: dict[str, str] = {}
+    lexicon = _load_lexica(args.lexicon, digests)
     stats: dict = {
         "entries": len(lexicon),
         "languages": sorted(lexicon.languages()),
@@ -553,8 +531,8 @@ def cmd_lexicon_stats(args) -> int:
     if args.lang:
         stats["per_source"] = dict(sorted(lexicon.entry_counts(args.lang).items()))
         stats["lang"] = args.lang
-    _emit_json(stats, args.out)
-    _finish_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang})
+    _emit_json(stats, args.out, digests)
+    _write_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang}, digests)
     return 0
 
 

@@ -3,7 +3,8 @@
 Corpora are line-delimited JSON. Monolingual lines look like
 ``{"id"?: int, "lang": str, "script": str, "text": str}`` and parallel lines
 like ``{"id"?: int, "src": {...}, "tgt": {...}}``. Records stream lazily, so
-memory stays bounded regardless of corpus size.
+memory stays bounded regardless of corpus size. Every input file is read
+once, by ``read_chunks``, which checks and hashes the bytes as it reads them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Union
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, FormatError
 
 MAX_U64 = 2**64 - 1
 
@@ -222,42 +223,100 @@ def _pair_from_obj(obj: dict, default_id: int, line_no: int, path: str | None) -
         raise CorpusFormatError(str(exc), path, line_no) from exc
 
 
+# Bytes per read of an input file.
+BLOCK = 1 << 16
+
+
+def read_chunks(
+    path: str, read: Callable[[int], bytes], digests: dict[str, str] | None
+) -> Iterator[tuple[bytearray, str]]:
+    """The file at ``path``, read by ``read(BLOCK)`` until it gives no bytes,
+    in chunks with their UTF-8 text. Each chunk ends at a ``\\n`` (the last
+    may not), so no UTF-8 sequence is split between two decodes. A byte that
+    does not decode raises FormatError naming its line and offset. After the
+    last chunk, ``digests[path]`` (if given) is the SHA-256 of the bytes read."""
+    digest = hashlib.sha256()
+    lines = 0  # the lines of the chunks before this one
+    head = bytearray()  # the start of a line that earlier blocks cut
+    while True:
+        block = read(BLOCK)
+        digest.update(block)
+        cut = block.rfind(b"\n") + 1
+        if block and not cut:
+            head += block
+            continue
+        # At the end of the file (an empty block), the chunk is the rest: a
+        # last line that no "\n" ends, or nothing.
+        chunk, head = head + block[:cut], bytearray(block[cut:])
+        if chunk:
+            try:
+                text = chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                offset = exc.start - chunk.rfind(b"\n", 0, exc.start) - 1
+                raise FormatError(f"not valid UTF-8: byte {chunk[exc.start]:#04x} at offset {offset} ({exc.reason})",
+                                  path, lines + chunk.count(b"\n", 0, exc.start) + 1) from None
+            yield chunk, text
+            lines += chunk.count(b"\n")
+        if not block:
+            break
+    if digests is not None:
+        digests[path] = digest.hexdigest()
+
+
+def read_lines(path: str, digests: dict[str, str] | None = None) -> Iterator[str]:
+    """The lines of the file at ``path``, read once by ``read_chunks``: split
+    at ``\\n``, each without one trailing ``\\r``, so a lone ``\\r`` stays in
+    its line."""
+    with open(path, "rb", buffering=0) as file:
+        for _, text in read_chunks(path, file.read, digests):
+            if "\r" in text:  # rare, and cheaper to test for than to replace
+                text = text.replace("\r\n", "\n")
+            lines = text.split("\n")
+            last = lines.pop()  # empty unless no "\n" ends the file
+            yield from lines
+            if last:
+                yield last.removesuffix("\r")
+
+
+def read_text(path: str, digests: dict[str, str] | None = None) -> str:
+    """The text of the file at ``path``, read once by ``read_chunks``."""
+    with open(path, "rb", buffering=0) as file:
+        return "".join(text for _, text in read_chunks(path, file.read, digests))
+
+
 def load_corpus(
     path: str,
     kind: str = "mono",
     on_error: Callable[[CorpusFormatError], None] | None = None,
+    digests: dict[str, str] | None = None,
 ) -> Iterator[Union[Record, SentencePair]]:
-    """Stream records from a JSONL corpus file in file order.
+    """Stream records from a JSONL corpus file in file order, its lines read
+    by ``read_lines`` (which puts the file's SHA-256 in ``digests``).
 
     Ids come from an explicit ``id`` field when present, otherwise from the
     0-based line index. A malformed line raises CorpusFormatError naming the
     (1-based) line; when ``on_error`` is given, it is called with that error
-    instead and the line is skipped.
+    instead and the line is skipped. A byte that is not UTF-8 raises
+    FormatError, which ``on_error`` does not see.
     """
     if kind not in ("mono", "parallel"):
         raise ValueError(f"kind must be 'mono' or 'parallel', got {kind!r}")
-    # Lines end at "\n" only, so a lone "\r" cannot shift the line numbers
-    # and default ids; json.loads skips the "\r" of a "\r\n" end.
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    for index, line in enumerate(read_lines(path, digests)):
+        if not line.strip():
+            continue
+        line_no = index + 1
         try:
-            for index, line in enumerate(handle):
-                if not line.strip():
-                    continue
-                line_no = index + 1
-                try:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise CorpusFormatError(f"invalid JSON: {exc.msg}", path, line_no) from exc
-                    if not isinstance(obj, dict):
-                        raise CorpusFormatError("line is not a JSON object", path, line_no)
-                    if kind == "mono":
-                        yield _record_from_obj(obj, index, line_no, path)
-                    else:
-                        yield _pair_from_obj(obj, index, line_no, path)
-                except CorpusFormatError as exc:
-                    if on_error is None:
-                        raise
-                    on_error(exc)
-        except UnicodeDecodeError:
-            raise CorpusFormatError.not_utf8(path) from None
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"invalid JSON: {exc.msg}", path, line_no) from exc
+            if not isinstance(obj, dict):
+                raise CorpusFormatError("line is not a JSON object", path, line_no)
+            if kind == "mono":
+                yield _record_from_obj(obj, index, line_no, path)
+            else:
+                yield _pair_from_obj(obj, index, line_no, path)
+        except CorpusFormatError as exc:
+            if on_error is None:
+                raise
+            on_error(exc)

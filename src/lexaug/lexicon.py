@@ -27,7 +27,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import _COLLISION_RE, _WORD_TABLE, check_tag_value
+from .corpus import _COLLISION_RE, _WORD_TABLE, check_tag_value, read_lines
 from .errors import LexiconFormatError
 
 
@@ -190,10 +190,10 @@ class Lexicon:
         return {e.src_lang for e in self} | {e.tgt_lang for e in self}
 
 
-def read_entries(path: str) -> Iterator[LexEntry]:
-    """The entries of a lexicon TSV file, in file order, duplicates included."""
-    # Lines end at "\n" (a "\r" before it is dropped), so a lone "\r" stays
-    # in its line, where LexEntry rejects it.
+def read_entries(path: str, digests: dict[str, str] | None = None) -> Iterator[LexEntry]:
+    """The entries of a lexicon TSV file, in file order, duplicates included.
+    Its lines come from ``read_lines``, which puts the file's SHA-256 in
+    ``digests``: a lone ``\\r`` stays in its line, where LexEntry rejects it."""
     intern = sys.intern
     new_entry = tuple.__new__
     # The code triples and source terms of the entries built so far, each
@@ -203,42 +203,35 @@ def read_entries(path: str) -> Iterator[LexEntry]:
     # the file is read.
     checked_codes: dict[tuple[str, str, str], tuple[str, str, str]] = {}
     checked_terms: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    for index, line in enumerate(read_lines(path, digests)):
+        if not line or line.isspace() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise LexiconFormatError(f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1)
+        src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
+        codes = checked_codes.get((src_lang, tgt_lang, tgt_script))
+        shared_term = checked_terms.get(src_term)
+        # Codes and source term have passed LexEntry before, so only the
+        # target term's rules are left. A tab or "\n" cannot be in a field,
+        # and a control token needs a "<".
+        if (
+            codes is not None
+            and shared_term is not None
+            and tgt_term
+            and "<" not in tgt_term
+            and "\r" not in tgt_term
+            and not tgt_term.isspace()
+        ):
+            yield new_entry(LexEntry, (shared_term, tgt_term, *codes))
+            continue
         try:
-            for index, line in enumerate(handle):
-                line = line.removesuffix("\n").removesuffix("\r")
-                if not line or line.isspace() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 5:
-                    raise LexiconFormatError(
-                        f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1
-                    )
-                src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-                codes = checked_codes.get((src_lang, tgt_lang, tgt_script))
-                shared_term = checked_terms.get(src_term)
-                # Codes and source term have passed LexEntry before, so only
-                # the target term's rules are left. A tab or "\n" cannot be
-                # in a field, and a control token needs a "<".
-                if (
-                    codes is not None
-                    and shared_term is not None
-                    and tgt_term
-                    and "<" not in tgt_term
-                    and "\r" not in tgt_term
-                    and not tgt_term.isspace()
-                ):
-                    yield new_entry(LexEntry, (shared_term, tgt_term, *codes))
-                    continue
-                try:
-                    entry = LexEntry(
-                        shared_term or src_term, tgt_term, intern(src_lang), intern(tgt_lang), intern(tgt_script)
-                    )
-                except ValueError as exc:
-                    raise LexiconFormatError(str(exc), path, index + 1) from exc
-                codes = entry[2:]
-                checked_codes[codes] = codes
-                checked_terms[entry[0]] = entry[0]
-                yield entry
-        except UnicodeDecodeError:
-            raise LexiconFormatError.not_utf8(path) from None
+            entry = LexEntry(
+                shared_term or src_term, tgt_term, intern(src_lang), intern(tgt_lang), intern(tgt_script)
+            )
+        except ValueError as exc:
+            raise LexiconFormatError(str(exc), path, index + 1) from exc
+        codes = entry[2:]
+        checked_codes[codes] = codes
+        checked_terms[entry[0]] = entry[0]
+        yield entry

@@ -14,7 +14,6 @@ calls to each task's stream; stream files are read in runs of lines, one
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import stat
@@ -28,6 +27,7 @@ from operator import add, mul, rshift, sub
 from typing import Iterator, Mapping, Sequence
 
 from .augment import Task
+from .corpus import BLOCK, read_chunks
 from .errors import FormatError, ScheduleError
 from .sampling import DRAW_BLOCK, Rng, derive_rng
 
@@ -114,17 +114,17 @@ def build_schedule(
 class StreamFile:
     """The kept lines of a stream file, read from disk by offset.
 
-    One binary scan checks that the file is UTF-8 and indexes each line that
-    is not blank (``str.strip()`` of its text is empty): 16 bytes per line,
-    its start offset and its length. Lines end at ``\n``, and one trailing
-    ``\r`` is dropped; a lone ``\r`` inside a line stays in it. Iteration
-    gives the lines in file order and ``pick`` in any order, as bytes read
-    with ``os.pread``, so the file must be a regular file and must not change
-    while it is open; ``check_unchanged`` tells whether it did. ``digest`` is
-    the SHA-256 of the bytes the scan read.
+    One scan by ``read_chunks`` checks that the file is UTF-8, puts its
+    SHA-256 in ``digests`` if given, and indexes each line that is not blank
+    (``str.strip()`` of its text is empty): 16 bytes per line, its start
+    offset and its length. Lines end at ``\n``, and one trailing ``\r`` is
+    dropped; a lone ``\r`` inside a line stays in it. Iteration gives the
+    lines in file order and ``pick`` in any order, as bytes read with
+    ``os.pread``, so the file must be a regular file and must not change
+    while it is open; ``check_unchanged`` tells whether it did.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, digests: dict[str, str] | None = None):
         self.path = path
         # O_NONBLOCK: opening a FIFO without a writer must not hang.
         self._fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -133,7 +133,7 @@ class StreamFile:
             if not stat.S_ISREG(status.st_mode):
                 raise FormatError("not a regular file; stream lines are read by offset", path)
             self._stamp = (status.st_size, status.st_mtime_ns)
-            self._offsets, self._lengths, self.digest = _index_lines(self._fd, path)
+            self._offsets, self._lengths = _index_lines(self._fd, path, digests)
         except BaseException:
             os.close(self._fd)
             raise
@@ -143,7 +143,7 @@ class StreamFile:
 
     def __iter__(self) -> Iterator[bytes]:
         """The kept lines in file order, read in runs of lines that span at
-        most ``_BLOCK`` bytes (or one longer line): on the perfbench ``mix``
+        most ``BLOCK`` bytes (or one longer line): on the perfbench ``mix``
         workload (2 cores, Python 3.11) a first pass of one ``os.pread`` per
         line cost about 8% more CPU time."""
         return chain.from_iterable(map(self._read_run, self._runs()))
@@ -153,7 +153,7 @@ class StreamFile:
         offsets, lengths = self._offsets, self._lengths
         first = 0
         while first < len(offsets):
-            limit = offsets[first] + _BLOCK
+            limit = offsets[first] + BLOCK
             end = bisect_left(offsets, limit, first + 1)
             if end - 1 > first and offsets[end - 1] + lengths[end - 1] > limit:
                 end -= 1
@@ -191,33 +191,14 @@ class StreamFile:
         self.close()
 
 
-# Bytes per read while indexing a stream file or reading it in order.
-_BLOCK = 1 << 16
-
-
-def _index_lines(fd: int, path: str) -> tuple[array, array, str]:
+def _index_lines(fd: int, path: str, digests: dict[str, str] | None) -> tuple[array, array]:
     """Start offsets and lengths of the file's kept lines (see
-    ``StreamFile``), and the SHA-256 of the file's bytes. Each chunk ends at
-    a ``\n``, so no UTF-8 sequence is split between two decodes."""
+    ``StreamFile``), from the chunks ``read_chunks`` reads from ``fd``."""
     offsets, lengths = array("q"), array("q")
-    digest = hashlib.sha256()
     start = 0  # the file offset of the chunk
-    head = bytearray()  # the start of a line that earlier blocks cut
-    while True:
-        block = os.read(fd, _BLOCK)
-        digest.update(block)
-        end_of_file = not block
-        if end_of_file:
-            block = b"\n"  # ends a last line that has none
-        cut = block.rfind(b"\n") + 1
-        if not cut:
-            head += block
-            continue
-        chunk, head = head + block[:cut], bytearray(block[cut:])
-        try:
-            chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError.not_utf8(path) from None
+    for chunk, _ in read_chunks(path, partial(os.read, fd), digests):
+        if not chunk.endswith(b"\n"):
+            chunk = chunk + b"\n"  # ends a last line that has none
         pos = 0
         while (end := chunk.find(b"\n", pos)) >= 0:
             # A line that starts with a printable ASCII byte is not blank.
@@ -225,9 +206,8 @@ def _index_lines(fd: int, path: str) -> tuple[array, array, str]:
                 offsets.append(start + pos)
                 lengths.append(end - pos - (chunk[end - 1] == 13))  # 13: "\r"
             pos = end + 1
-        if end_of_file:
-            return offsets, lengths, digest.hexdigest()
         start += len(chunk)
+    return offsets, lengths
 
 
 def _cycle(stream: Sequence | StreamFile, rng: Rng) -> Iterator:

@@ -13,7 +13,7 @@ from lexaug.analysis import (
     per_class_deltas,
     regress_delta_chrf,
 )
-from lexaug.errors import FitError, InsufficientDataError, SingularMatrixError
+from lexaug.errors import FitError, FormatError, InsufficientDataError, SingularMatrixError
 from lexaug.metrics import Resourcedness
 
 
@@ -289,3 +289,25 @@ class TestLoadLangRows:
         path.write_text("lang,delta_chrf\nxx,1.0\n")
         with pytest.raises(ValueError, match="missing"):
             load_lang_rows(str(path))
+
+    def test_quoted_field_spans_two_lines(self, tmp_path):
+        # The csv module reads the table: a quoted field keeps its line break,
+        # and a row's line is the physical line it ends on.
+        path = tmp_path / "table.csv"
+        path.write_text(
+            'lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"p\nq",1.5,1,2,3,URL\nr,x,1,2,3,URL\n', newline="")
+        with pytest.raises(FormatError, match=r"table.csv:line 4: could not convert string to float: 'x'"):
+            load_lang_rows(str(path))
+        path.write_text('lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"p\nq",1.5,1,2,3,URL\n', newline="")
+        assert load_lang_rows(str(path)) == [LangRow("p\nq", 1.5, 1, 2, 3, Resourcedness.URL)]
+
+    def test_crlf_table_reads_as_its_lf_twin(self, tmp_path):
+        text = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\ngn,2.8,1200,4000,50000,URL\nsr,8.3,9,0,7,mrl\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_text(text, newline="")
+        crlf.write_text(text.replace("\n", "\r\n"), newline="")
+        assert len(load_lang_rows(str(lf))) == 2
+        assert load_lang_rows(str(crlf)) == load_lang_rows(str(lf))
+        # A quoted field keeps the line break as written.
+        crlf.write_text('lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\r\n"p\r\nq",1.5,1,2,3,hrl\r\n', newline="")
+        assert load_lang_rows(str(crlf)) == [LangRow("p\r\nq", 1.5, 1, 2, 3, Resourcedness.HRL)]

@@ -1455,3 +1455,96 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, suffix, conte
     assert out == ""
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message.format(**files)}"), err
+
+
+class TestInputsReadOnce:
+    """Each input is read once, and the manifest's digests are of the bytes
+    that were read and written: the manifest opens no other file."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(_AUGMENT + ["--corpus", "{pipe}", "--out", "{tmp}/out.jsonl"], id="augment-corpus"),
+        pytest.param(["score", "--hyp", "{pipe}", "--ref", "{mono}", "--out", "{tmp}/out.jsonl"], id="score-hyp"),
+    ])
+    def test_piped_input_digest_is_of_the_bytes_read(self, tmp_path, argv):
+        data = Path(_mono_file(tmp_path)).read_bytes()
+        assert len(data) < 1 << 16  # the write below cannot block
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            files = {"pipe": f"/dev/fd/{read_end}", "mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path),
+                     "tmp": str(tmp_path)}
+            assert main([arg.format(**files) for arg in argv]) == 0
+        finally:
+            os.close(read_end)
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert manifest["inputs"][files["pipe"]] == hashlib.sha256(data).hexdigest()
+        assert manifest["outputs"] == {f"{tmp_path}/out.jsonl": hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()}
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file opened since the last ``clear``, by path, with the file
+        objects ``open`` gave (None for ``os.open``)."""
+        opened: dict[str, list] = {}
+        real_open, real_os_open = open, os.open
+
+        def counting_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            opened.setdefault(str(path), []).append(handle)
+            return handle
+
+        def counting_os_open(path, *args, **kwargs):
+            opened.setdefault(str(path), []).append(None)
+            return real_os_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
+        return opened
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(_AUGMENT + ["--corpus", "{mono}", "--lexicon", "{lex2}"], id="augment"),
+        pytest.param(["token-pairs", "--lexicon", "{lex}"], id="token-pairs"),
+        pytest.param(["lexicon-stats", "--lexicon", "{lex}", "--lexicon", "{lex2}"], id="lexicon-stats"),
+        pytest.param(["mix", "--streams", "translation={mono}", "--streams", "mass={rows}", "--seed", "1",
+                      "--count", "9"], id="mix"),
+        pytest.param(["score", "--hyp", "{mono}", "--ref", "{mono}"], id="score"),
+        pytest.param(["diagnose", "--rows", "{rows}"], id="diagnose"),
+        pytest.param(["hit-rate", "--rows", "{rows}", "--tokens", "{lex}"], id="hit-rate"),
+        pytest.param(["regress", "--table", "{table}"], id="regress"),
+    ])
+    def test_each_file_is_opened_once(self, tmp_path, opened, argv):
+        rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3)
+        table = tmp_path / "table.csv"
+        table.write_text(_TABLE)
+        files = {"mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path), "lex2": _lexicon_file(tmp_path, "b.tsv"),
+                 "rows": rows, "table": str(table)}
+        out = tmp_path / "out"
+        opened.clear()
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        inputs = set(manifest["inputs"])
+        assert inputs and inputs <= set(files.values())
+        tmp = f".{os.getpid()}.tmp"
+        # "score --hyp X --ref X" reads X once per flag.
+        assert {path: len(handles) for path, handles in opened.items()} == {
+            **{path: 1 + (argv[0] == "score") for path in inputs}, f"{out}{tmp}": 1, f"{out}.manifest.json{tmp}": 1}
+        assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+        for path in inputs:
+            assert manifest["inputs"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("argv", [
+        # The first record fails its task with batches of the corpus read ahead.
+        pytest.param(_AUGMENT + ["--corpus", "{long}"], id="augment-task-fails"),
+        pytest.param(_AUGMENT + ["--corpus", "{bad_line}"], id="augment-line-fails"),
+        pytest.param(["score", "--hyp", "{long}", "--ref", "{lex}"], id="score-lengths-differ"),
+    ])
+    def test_an_aborted_run_closes_its_inputs(self, tmp_path, opened, argv):
+        texts = ["a <mask> cat"] + [f"the cat saw dog number {i}" for i in range(3000)]
+        long = write_jsonl(tmp_path / "long.jsonl", [{"lang": "en", "script": "Latn", "text": t} for t in texts])
+        assert os.path.getsize(long) > 1 << 17
+        bad_line = tmp_path / "bad.jsonl"
+        bad_line.write_text(Path(long).read_text().replace("number 1000}", "number 1000", 1))
+        files = {"long": long, "bad_line": str(bad_line), "lex": _lexicon_file(tmp_path)}
+        opened.clear()
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
+        assert opened and all(handle.closed for handles in opened.values() for handle in handles if handle)

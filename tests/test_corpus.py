@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import unicodedata
 
@@ -12,9 +13,11 @@ from lexaug.corpus import (
     SentencePair,
     assign_branch,
     load_corpus,
+    read_lines,
+    read_text,
     tokenize,
 )
-from lexaug.errors import CorpusFormatError
+from lexaug.errors import CorpusFormatError, FormatError
 
 from conftest import write_jsonl
 
@@ -131,6 +134,43 @@ class TestRecordTypes:
         rec = Record(id=0, lang="en", script="Latn", text="hi")
         with pytest.raises(ValueError):
             SentencePair(id=0, src=rec, tgt=rec)
+
+
+class TestReadLines:
+    def test_lines_and_ends(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\r\nb\rc\n\n\r\r\nd\r")
+        assert list(read_lines(str(path))) == ["a", "b\rc", "", "\r", "d"]
+        assert read_text(str(path)) == "a\r\nb\rc\n\n\r\r\nd\r"
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            # A "\n" cuts the sequence, as a per-line decode sees it.
+            (b"ok\nab\xc3\ncd\n", "line 2: not valid UTF-8: byte 0xc3 at offset 2 (invalid continuation byte)"),
+            # The last line has no "\n", so its sequence runs out.
+            (b"ok\nab\xe7\x8c", "line 2: not valid UTF-8: byte 0xe7 at offset 2 (unexpected end of data)"),
+            (b"\xff", "line 1: not valid UTF-8: byte 0xff at offset 0 (invalid start byte)"),
+        ],
+    )
+    def test_bad_byte_names_line_and_offset(self, tmp_path, data, message):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        for read in (lambda: list(read_lines(str(path))), lambda: read_text(str(path))):
+            with pytest.raises(FormatError) as caught:
+                read()
+            assert str(caught.value) == f"{path}:{message}"
+
+    def test_lines_far_past_the_first_block(self, tmp_path):
+        path = tmp_path / "f.txt"
+        lines = [f"line {n} \u732b" * (n % 7) for n in range(30000)]
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\nab\xff")
+        with pytest.raises(FormatError, match=r"f.txt:line 30001: not valid UTF-8: byte 0xff at offset 2 "):
+            list(read_lines(str(path)))
+        digests = {}
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        assert list(read_lines(str(path), digests)) == lines
+        assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 class TestLoadCorpus:

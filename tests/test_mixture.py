@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import os
 from unittest import mock
@@ -6,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lexaug import mixture
+from lexaug import corpus, mixture
 from lexaug.augment import Task
-from lexaug.cli import _read_lines
+from lexaug.corpus import read_lines, read_text
 from lexaug.errors import FormatError, ScheduleError
 from lexaug.mixture import StreamFile, TaskWeights, build_schedule, interleave
 from lexaug.sampling import DRAW_BLOCK
@@ -191,20 +194,76 @@ _line_text = st.text(alphabet=["a", "{", "\u00e9", "\u732b", " ", "\t", "\r", "\
                                "\u3000", "\u0085", "\u2028", "\u00a0"], max_size=8)
 
 
+def _reference_lines(data: bytes) -> list[bytes]:
+    """The lines of ``data`` by the line rules: split at "\n", a final empty
+    piece dropped, and one trailing "\r" dropped from each line."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    return [piece.removesuffix(b"\r") for piece in pieces]
+
+
+def _reference_utf8_error(data: bytes) -> str | None:
+    """The error text for the first line of ``data`` that is not UTF-8, each
+    line decoded on its own; None if every line decodes."""
+    for line_no, line in enumerate(io.BytesIO(data), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"line {line_no}: not valid UTF-8: byte {line[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+    return None
+
+
+@contextlib.contextmanager
+def _blocks_of(size: int):
+    """Reads of ``size`` bytes, so that blocks cut lines and UTF-8
+    sequences, and stream runs of at most ``size`` bytes."""
+    with mock.patch.object(corpus, "BLOCK", size), mock.patch.object(mixture, "BLOCK", size):
+        yield
+
+
 class TestStreamFile:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(_line_text, max_size=10), end=st.sampled_from(["", "\n", "\r\n", "\r"]),
            block=st.integers(1, 24))
     def test_keeps_the_lines_the_text_reader_keeps(self, tmp_path, lines, end, block):
         path = tmp_path / "stream.jsonl"
-        path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
-        expected = [line.encode("utf-8") for line in _read_lines(str(path)) if line.strip()]
-        # Small blocks cut lines and UTF-8 sequences between reads.
-        with mock.patch.object(mixture, "_BLOCK", block), StreamFile(str(path)) as stream:
-            assert len(stream) == len(expected)
-            assert list(stream) == expected
-            assert list(stream.pick(range(len(stream)))) == expected
-            assert list(stream.pick(range(len(stream))[::-1])) == expected[::-1]
+        data = ("\n".join(lines) + end).encode("utf-8")
+        path.write_bytes(data)
+        expected = _reference_lines(data)
+        kept = [line for line in expected if line.decode("utf-8").strip()]
+        digests: dict[str, str] = {}
+        with _blocks_of(block):
+            assert list(read_lines(str(path), digests)) == [line.decode("utf-8") for line in expected]
+            assert digests == {str(path): hashlib.sha256(data).hexdigest()}
+            assert read_text(str(path)) == data.decode("utf-8")
+            digests.clear()
+            with StreamFile(str(path), digests) as stream:
+                assert digests == {str(path): hashlib.sha256(data).hexdigest()}
+                assert len(stream) == len(kept)
+                assert list(stream) == kept
+                assert list(stream.pick(range(len(stream)))) == kept
+                assert list(stream.pick(range(len(stream))[::-1])) == kept[::-1]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_line_text, min_size=1, max_size=10), end=st.sampled_from(["", "\n", "\r\n"]),
+           bad=st.sampled_from([b"\x80", b"\xc3", b"\xe7\x8c", b"\xed\xa0\x80", b"\xff"]),
+           where=st.floats(0, 1), block=st.integers(1, 24))
+    def test_a_bad_byte_is_named_as_a_per_line_decode_names_it(self, tmp_path, lines, end, bad, where, block):
+        good = ("\n".join(lines) + end).encode("utf-8")
+        cut = round(where * len(good))
+        data = good[:cut] + bad + good[cut:]
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        expected = _reference_utf8_error(data)
+        assert expected is not None
+        readers = [lambda: list(read_lines(str(path))), lambda: read_text(str(path)),
+                   lambda: StreamFile(str(path)).close()]
+        with _blocks_of(block):
+            for read in readers:
+                with pytest.raises(FormatError) as caught:
+                    read()
+                assert str(caught.value) == f"{path}:{expected}"
 
     def test_lines_longer_than_a_block(self, tmp_path):
         lines = [b"x" * 5000, b"", "\u732b".encode() * 3000, b"\x1c", b"y" * 70000]
