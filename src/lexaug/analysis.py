@@ -177,14 +177,24 @@ def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:
 
 def load_lang_rows(path: str, digests: dict[str, str] | None = None) -> list[LangRow]:
     """Read the regression table CSV: lang,delta_chrf,n_panlex,n_gatitos,
-    n_mono,class, one row per language. A bad row raises FormatError naming
-    its line. The text comes from ``read_text``, which puts the file's
-    SHA-256 in ``digests``."""
-    rows = []
-    first_line: dict[str, int] = {}
+    n_mono,class, one row per language. A bad row, or text the csv module
+    cannot split (a field over its size limit, say), raises FormatError
+    naming its line. The text comes from ``read_text``, which puts the
+    file's SHA-256 in ``digests``."""
     # newline="": csv sees each line with its own end, as from a file opened
     # so, and a quoted field keeps its line breaks.
     reader = csv.DictReader(io.StringIO(read_text(path, digests), newline=""))
+    try:
+        return _lang_rows(reader, path)
+    except csv.Error as exc:
+        # DictReader.line_num is set only once a row has been read; its
+        # reader's is the line that failed.
+        raise FormatError(str(exc), path, reader.reader.line_num) from None
+
+
+def _lang_rows(reader: csv.DictReader, path: str) -> list[LangRow]:
+    rows = []
+    first_line: dict[str, int] = {}
     required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
     missing = required - set(reader.fieldnames or [])
     if missing:

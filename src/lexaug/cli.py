@@ -5,9 +5,11 @@ lexicon-stats. ``build_parser`` declares each setting once: flag, type, allowed
 values and default. A JSON config file (``--config``; keys are the flags'
 destinations, ``p_tr`` for ``--p-tr``) sets the flags' defaults, each value
 checked and read as its flag's would be, so flags win and a repeatable flag
-replaces the config file's list. Data-producing runs write a manifest (config
-echo plus input/output digests) next to the output so a run can be reproduced
-exactly; neither the output nor the manifest may replace an input. ``augment``,
+replaces the config file's list. ``main`` runs each ``cmd_*(args, digests)``,
+which writes its output and returns what the run adds to the config, then
+writes the manifest (every setting plus input/output digests) next to the
+output so a run can be reproduced exactly; neither the output nor the manifest
+may replace an input. Every output is bytes, written by ``_emit_lines``. ``augment``,
 ``score``, ``diagnose`` and ``hit-rate`` run their records in batches, on
 ``--jobs`` forked workers, and take the results in input order
 (``_map_batches``), so the worker count never changes the bytes.
@@ -177,61 +179,55 @@ def _check_outputs(args) -> None:
         raise LexAugError(f"--manifest {manifest} is the --out file {args.out}")
 
 
-def _write_manifest(args, subcommand: str, config: dict, digests: Mapping[str, str]) -> None:
+def _write_manifest(args, results: Mapping, digests: Mapping[str, str]) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set.
-    Each input's and output's digest comes from ``digests``, where its reader
-    or writer put the SHA-256 of the bytes it read or wrote, so no file but
-    the manifest is opened."""
+    Its config is every setting of ``args.subcommand``, keyed by flag
+    destination, with ``results``, what the run adds, on top. Each input's
+    and output's digest comes from ``digests``, where its reader or writer
+    put the SHA-256 of the bytes it read or wrote, so no file but the
+    manifest is opened."""
     manifest_path = _manifest_path(args)
     if not manifest_path:
         return
+    config = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "config", "out", "manifest")}
     manifest = {
         "tool": "lexaug",
         "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": args.subcommand,
+        "config": {**config, **results},
         "inputs": {path: digests[path] for path in _input_paths(args)},
         "outputs": {args.out: digests[args.out]} if args.out else {},
     }
-    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True)], manifest_path)
+    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True).encode()], manifest_path)
 
 
-def _emit_lines(
-    lines: Iterable[str] | Iterable[bytes],
-    out_path: str | None,
-    digests: dict[str, str] | None = None,
-    binary: bool = False,
-) -> None:
-    """Write lines, each followed by a newline, to stdout, or to ``out_path``
-    only once all are written: they go to a temporary file beside it that
-    then replaces it, and a failed run removes the temporary file and leaves
-    no ``out_path``. Lines are ``str``, written as UTF-8, or ``bytes`` written
-    as they are if ``binary``. They are written joined, one ``write`` per
-    BATCH_SIZE lines, and hashed as written: ``digests[out_path]``, unless
+def _emit_lines(lines: Iterable[bytes], out_path: str | None, digests: dict[str, str] | None = None) -> None:
+    """Write lines of bytes, each followed by ``b"\\n"``, to stdout, or to
+    ``out_path`` only once all are written: they go to a temporary file
+    beside it that then replaces it, and a failed run removes the temporary
+    file and leaves no ``out_path``. They are written joined, one ``write``
+    per BATCH_SIZE lines (to stdout's binary buffer, after a flush of its
+    text layer), and hashed as written: ``digests[out_path]``, unless
     ``digests`` is None, is the SHA-256 of the bytes written."""
-    end = b"\n" if binary else "\n"
     lines = iter(lines)
 
-    def chunks() -> Iterator[str] | Iterator[bytes]:
+    def chunks() -> Iterator[bytes]:
         while batch := list(itertools.islice(lines, BATCH_SIZE)):
-            batch.append(end[:0])  # so that the join ends the last line too
-            yield end.join(batch)
+            batch.append(b"")  # so that the join ends the last line too
+            yield b"\n".join(batch)
 
     if out_path is None:
-        if binary:
-            sys.stdout.flush()
-        write = sys.stdout.buffer.write if binary else sys.stdout.write
+        sys.stdout.flush()
         for chunk in chunks():
-            write(chunk)
+            sys.stdout.buffer.write(chunk)
         return
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     digest = hashlib.sha256()
     try:
         with open(tmp_path, "wb") as handle:
             for chunk in chunks():
-                data = chunk if binary else chunk.encode("utf-8")
-                digest.update(data)
-                handle.write(data)
+                digest.update(chunk)
+                handle.write(chunk)
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -242,7 +238,7 @@ def _emit_lines(
 
 
 def _emit_json(obj, out_path: str | None, digests: dict[str, str]) -> None:
-    _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)], out_path, digests)
+    _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2).encode()], out_path, digests)
 
 
 # --- augment -----------------------------------------------------------
@@ -259,8 +255,8 @@ class _AugmentJob:
     mask_fraction: float
     on_error: str
 
-    def run(self, batch: list) -> tuple[list[str], list[str]]:
-        """The batch's output lines, and one message per record whose
+    def run(self, batch: list) -> tuple[list[bytes], list[str]]:
+        """The batch's output lines, as UTF-8, and one message per record whose
         augmentation failed. A failed record aborts the run unless
         ``on_error`` is ``"skip"``, which drops it."""
         out, failed = [], []
@@ -274,7 +270,7 @@ class _AugmentJob:
                     raise LexAugError(message) from exc
                 failed.append(message)
                 continue
-            out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True))
+            out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True).encode())
         return out, failed
 
 
@@ -327,11 +323,10 @@ def _map_batches(run: Callable[[list], object], items: Iterable, jobs: int) -> I
         yield from pool.imap(_run_in_worker, batches)
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args, digests: dict[str, str]) -> dict:
     _require(args, "task", "corpus", "lexicon", "seed")
     task = _TASK_FLAGS[args.task]
     params = SelectionParams(p_tr=args.p_tr, mode=SelectionMode(args.sampling))
-    digests: dict[str, str] = {}
     job = _AugmentJob(task, _load_lexica(args.lexicon, digests), params, args.seed, args.mask_fraction, args.on_error)
     kind = "mono" if args.task.endswith("-mono") else "parallel"
 
@@ -342,7 +337,7 @@ def cmd_augment(args) -> int:
     records = load_corpus(args.corpus, kind, skipped.append if args.on_error == "skip" else None, digests)
     selected = (r for r in records if assign_branch(r.id, args.seed, args.fraction) is Branch.AUGMENT)
 
-    def lines(results: Iterable[tuple[list[str], list[str]]]) -> Iterator[str]:
+    def lines(results: Iterable[tuple[list[bytes], list[str]]]) -> Iterator[bytes]:
         for batch_lines, batch_failed in results:
             failed.extend(batch_failed)
             yield from batch_lines
@@ -351,41 +346,33 @@ def cmd_augment(args) -> int:
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
-
-    settings = ("corpus", "lexicon", "seed", "p_tr", "fraction", "sampling", "mask_fraction", "jobs", "on_error")
-    effective = {key: getattr(args, key) for key in settings}
-    effective.update(task=task.value, skipped_records=len(skipped) + len(failed))
-    _write_manifest(args, "augment", effective, digests)
-    return 0
+    return {"task": task.value, "skipped_records": len(skipped) + len(failed)}
 
 
-def cmd_token_pairs(args) -> int:
+def cmd_token_pairs(args, digests: dict[str, str]) -> dict:
     _require(args, "lexicon")
     langs = ",".join(args.langs) if args.langs else None
     lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
     if lang_filter == []:
         raise LexAugError(f"--langs names no language, got {langs!r}")
-    digests: dict[str, str] = {}
     lexicon = _load_lexica(args.lexicon, digests)
     lines = (
-        json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True)
+        json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True).encode()
         for e in token_pair_examples(lexicon, lang_filter)
     )
     _emit_lines(lines, args.out, digests)
-    _write_manifest(args, "token-pairs", {"lexicon": args.lexicon, "langs": langs}, digests)
-    return 0
+    return {"langs": langs}
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args, digests: dict[str, str]) -> dict:
     if args.weights:
         weights = TaskWeights.from_json_obj(_read_json(args.weights))
     else:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
-    digests: dict[str, str] = {}
+    results = {"weights": weights.to_json_obj()}
     if not args.streams:
-        _emit_json(weights.to_json_obj(), args.out, digests)
-        _write_manifest(args, "mix", {"weights": weights.to_json_obj()}, digests)
-        return 0
+        _emit_json(results["weights"], args.out, digests)
+        return results
 
     _require(args, "seed", "count")
     if not hasattr(os, "pread"):
@@ -402,15 +389,8 @@ def cmd_mix(args) -> int:
     with contextlib.ExitStack() as opened:
         streams = {task: opened.enter_context(StreamFile(path, digests)) for task, path in stream_paths.items()}
         mixed = itertools.islice(interleave(streams, weights, args.seed), args.count)
-        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, digests, binary=True)
-    effective = {
-        "weights": weights.to_json_obj(),
-        "streams": args.streams,
-        "seed": args.seed,
-        "count": args.count,
-    }
-    _write_manifest(args, "mix", effective, digests)
-    return 0
+        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, digests)
+    return results
 
 
 def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
@@ -421,9 +401,8 @@ def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
     yield from ()
 
 
-def cmd_score(args) -> int:
+def cmd_score(args, digests: dict[str, str]) -> dict:
     _require(args, "hyp", "ref")
-    digests: dict[str, str] = {}
     hyps = list(read_lines(args.hyp, digests))
     refs = list(read_lines(args.ref, digests))
     if len(hyps) != len(refs):
@@ -440,8 +419,7 @@ def cmd_score(args) -> int:
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out, digests)
-    _write_manifest(args, "score", {"hyp": args.hyp, "ref": args.ref}, digests)
-    return 0
+    return {}
 
 
 def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]:
@@ -468,21 +446,18 @@ def _sum_eval_batches(
     return [sum(column) for column in zip(*counts)]
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args, digests: dict[str, str]) -> dict:
     _require(args, "rows")
-    digests: dict[str, str] = {}
     counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs, digests)
     report = metrics.ErrorReport(*counts)
     print(report.format_table())
     if args.out:
         _emit_json(report.to_json_obj(), args.out, digests)
-    _write_manifest(args, "diagnose", {"rows": args.rows}, digests)
-    return 0
+    return {}
 
 
-def cmd_hit_rate(args) -> int:
+def cmd_hit_rate(args, digests: dict[str, str]) -> dict:
     _require(args, "rows", "tokens")
-    digests: dict[str, str] = {}
     tokens = [line.strip() for line in read_lines(args.tokens, digests) if line.strip()]
     if not tokens:
         raise FormatError("names no token: every line is blank", args.tokens)
@@ -493,15 +468,13 @@ def cmd_hit_rate(args) -> int:
 
     result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs, digests))
     _emit_json(result.to_json_obj(), args.out, digests)
-    _write_manifest(args, "hit-rate", {"rows": args.rows, "tokens": args.tokens}, digests)
-    return 0
+    return {}
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args, digests: dict[str, str]) -> dict:
     from . import analysis  # only regress needs it
 
     _require(args, "table")
-    digests: dict[str, str] = {}
     rows = analysis.load_lang_rows(args.table, digests)
     try:
         result = analysis.regress_delta_chrf(rows).to_json_obj()
@@ -513,13 +486,11 @@ def cmd_regress(args) -> int:
         # The fit failed on the table's values, so name the table.
         raise LexAugError(f"{args.table}: {exc}") from exc
     _emit_json(result, args.out, digests)
-    _write_manifest(args, "regress", {"table": args.table}, digests)
-    return 0
+    return {}
 
 
-def cmd_lexicon_stats(args) -> int:
+def cmd_lexicon_stats(args, digests: dict[str, str]) -> dict:
     _require(args, "lexicon")
-    digests: dict[str, str] = {}
     lexicon = _load_lexica(args.lexicon, digests)
     stats: dict = {
         "entries": len(lexicon),
@@ -532,8 +503,7 @@ def cmd_lexicon_stats(args) -> int:
         stats["per_source"] = dict(sorted(lexicon.entry_counts(args.lang).items()))
         stats["lang"] = args.lang
     _emit_json(stats, args.out, digests)
-    _write_manifest(args, "lexicon-stats", {"lexicon": args.lexicon, "lang": args.lang}, digests)
-    return 0
+    return {}
 
 
 def _usable_cores() -> int:
@@ -647,7 +617,10 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) > 1 and not _FORK:
             raise LexAugError(f"--jobs {args.jobs} forks worker processes, which this platform cannot")
         _check_outputs(args)
-        return args.func(args)
+        digests: dict[str, str] = {}
+        results = args.func(args, digests)
+        _write_manifest(args, results, digests)
+        return 0
     except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

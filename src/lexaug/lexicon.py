@@ -11,11 +11,11 @@ language, from match key to bucket: a tuple of entries, sorted once at build
 time and handed out as it is. A Lexicon is immutable once built and safe to
 share across workers.
 
-``LexEntry`` is the one place the field rules are written. A file holds few
-distinct language codes and repeats each source term once per translation,
-so ``read_entries`` checks only the target term of a line whose code triple
-and source term have both passed on earlier lines, and the index computes
-each source term's match key once.
+The field rules are written once, in ``_check_term`` and ``_check_codes``,
+which both ``LexEntry`` and ``read_entries`` call. A file holds few distinct
+language codes and repeats each source term once per translation, so
+``read_entries`` checks each code triple and each source term the first time
+a line holds it, and the index computes each source term's match key once.
 """
 
 from __future__ import annotations
@@ -46,21 +46,31 @@ class LexEntry(_LexFields):
     __slots__ = ()
 
     def __new__(cls, src_term: str, tgt_term: str, src_lang: str, tgt_lang: str, tgt_script: str):
-        if not src_term or src_term.isspace() or not tgt_term or tgt_term.isspace():
-            raise ValueError("lexicon terms must be non-empty after trim")
-        if src_lang == tgt_lang:
-            raise ValueError(f"src_lang and tgt_lang are both {src_lang!r}")
-        for term in (src_term, tgt_term):
-            if "\t" in term or "\n" in term or "\r" in term:
-                raise ValueError("lexicon terms must not contain tabs or newlines")
-            # Terms are spliced into examples as written, so they obey the
-            # corpus text rule. Few terms hold a "<", so test that first.
-            if "<" in term and (hit := _COLLISION_RE.search(term)):
-                raise ValueError(f"lexicon term {term!r} contains reserved control token {hit.group()!r}")
-        check_tag_value("src_lang", src_lang)
-        check_tag_value("tgt_lang", tgt_lang)
-        check_tag_value("tgt_script", tgt_script)
+        _check_term(src_term)
+        _check_term(tgt_term)
+        _check_codes(src_lang, tgt_lang, tgt_script)
         return tuple.__new__(cls, (src_term, tgt_term, src_lang, tgt_lang, tgt_script))
+
+
+def _check_term(term: str) -> None:
+    """Raise ValueError unless ``term`` may be a lexicon term."""
+    if not term or term.isspace():
+        raise ValueError("lexicon terms must be non-empty after trim")
+    if "\t" in term or "\n" in term or "\r" in term:
+        raise ValueError("lexicon terms must not contain tabs or newlines")
+    # Terms are spliced into examples as written, so they obey the corpus
+    # text rule. Few terms hold a "<", so test that first.
+    if "<" in term and (hit := _COLLISION_RE.search(term)):
+        raise ValueError(f"lexicon term {term!r} contains reserved control token {hit.group()!r}")
+
+
+def _check_codes(src_lang: str, tgt_lang: str, tgt_script: str) -> None:
+    """Raise ValueError unless the three codes may be an entry's."""
+    if src_lang == tgt_lang:
+        raise ValueError(f"src_lang and tgt_lang are both {src_lang!r}")
+    check_tag_value("src_lang", src_lang)
+    check_tag_value("tgt_lang", tgt_lang)
+    check_tag_value("tgt_script", tgt_script)
 
 
 def match_key(text: str) -> str:
@@ -193,11 +203,10 @@ class Lexicon:
 def read_entries(path: str, digests: dict[str, str] | None = None) -> Iterator[LexEntry]:
     """The entries of a lexicon TSV file, in file order, duplicates included.
     Its lines come from ``read_lines``, which puts the file's SHA-256 in
-    ``digests``: a lone ``\\r`` stays in its line, where LexEntry rejects it."""
-    intern = sys.intern
+    ``digests``: a lone ``\\r`` stays in its line, where the term rules reject it."""
     new_entry = tuple.__new__
-    # The code triples and source terms of the entries built so far, each
-    # mapped to the shared strings those entries hold: a large lexicon holds
+    # The code triples and source terms that have passed their checks, each
+    # mapped to the shared strings the entries hold: a large lexicon holds
     # few codes, and each term once per translation. Both tables are the
     # file's own, cheaper than sys.intern for that many terms and freed once
     # the file is read.
@@ -210,28 +219,19 @@ def read_entries(path: str, digests: dict[str, str] | None = None) -> Iterator[L
         if len(fields) != 5:
             raise LexiconFormatError(f"expected 5 tab-separated fields, got {len(fields)}", path, index + 1)
         src_lang, tgt_lang, tgt_script, src_term, tgt_term = fields
-        codes = checked_codes.get((src_lang, tgt_lang, tgt_script))
-        shared_term = checked_terms.get(src_term)
-        # Codes and source term have passed LexEntry before, so only the
-        # target term's rules are left. A tab or "\n" cannot be in a field,
-        # and a control token needs a "<".
-        if (
-            codes is not None
-            and shared_term is not None
-            and tgt_term
-            and "<" not in tgt_term
-            and "\r" not in tgt_term
-            and not tgt_term.isspace()
-        ):
-            yield new_entry(LexEntry, (shared_term, tgt_term, *codes))
-            continue
+        # LexEntry's order (source term, target term, codes), so a bad line
+        # fails with LexEntry's error.
         try:
-            entry = LexEntry(
-                shared_term or src_term, tgt_term, intern(src_lang), intern(tgt_lang), intern(tgt_script)
-            )
+            shared_term = checked_terms.get(src_term)
+            if shared_term is None:
+                _check_term(src_term)
+                shared_term = checked_terms[src_term] = src_term
+            _check_term(tgt_term)
+            triple = (src_lang, tgt_lang, tgt_script)
+            codes = checked_codes.get(triple)
+            if codes is None:
+                _check_codes(*triple)
+                codes = checked_codes[triple] = tuple(map(sys.intern, triple))
         except ValueError as exc:
             raise LexiconFormatError(str(exc), path, index + 1) from exc
-        codes = entry[2:]
-        checked_codes[codes] = codes
-        checked_terms[entry[0]] = entry[0]
-        yield entry
+        yield new_entry(LexEntry, (shared_term, tgt_term, *codes))

@@ -667,6 +667,15 @@ class TestRegressCommand:
         assert main(["regress", "--table", str(table)]) == 1
         assert capsys.readouterr().err == "error: broken fit\n"
 
+    @pytest.mark.parametrize("head,line", [(True, 1), (False, 3)], ids=["header", "row"])
+    def test_field_over_the_csv_limit_is_one_error_line(self, tmp_path, capsys, head, line):
+        # A quoted field longer than csv.field_size_limit(), 131,072 by default.
+        field = '"' + "x" * 200_000 + '"'
+        table = tmp_path / "table.csv"
+        table.write_text(f"{field},delta_chrf\n" if head else _TABLE + f"u1,1,1,1,1,URL\n{field},1,1,1,1,URL\n")
+        assert main(["regress", "--table", str(table)]) == 1
+        assert capsys.readouterr().err == f"error: {table}:line {line}: field larger than field limit (131072)\n"
+
 
 _NUMPY_PROBE = """
 import sys
@@ -859,9 +868,10 @@ class TestEmitLines:
     def test_one_write_per_batch(self, monkeypatch, n):
         monkeypatch.setattr(cli, "BATCH_SIZE", 3)
         writes = []
-        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
-        cli._emit_lines((f"line {i}" for i in range(n)), None)
-        assert writes == ["".join(f"line {i}\n" for i in range(k, min(k + 3, n))) for k in range(0, n, 3)]
+        stdout = types.SimpleNamespace(flush=lambda: None, buffer=types.SimpleNamespace(write=writes.append))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._emit_lines((f"line {i}".encode() for i in range(n)), None)
+        assert writes == [b"".join(b"line %d\n" % i for i in range(k, min(k + 3, n))) for k in range(0, n, 3)]
 
 
 class TestOutputIsNotARegularFile:
@@ -1548,3 +1558,44 @@ class TestInputsReadOnce:
         opened.clear()
         assert main([arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
         assert opened and all(handle.closed for handles in opened.values() for handle in handles if handle)
+
+
+# One run of each subcommand, by name; the test below fails for a
+# subcommand missing here.
+_RUNS = {
+    "augment": _AUGMENT + ["--corpus", "{mono}"],
+    "token-pairs": ["token-pairs", "--lexicon", "{lex}"],
+    "mix": ["mix", "--mono-aug", "codeswitch"],
+    "score": ["score", "--hyp", "{mono}", "--ref", "{mono}"],
+    "diagnose": ["diagnose", "--rows", "{rows}"],
+    "hit-rate": ["hit-rate", "--rows", "{rows}", "--tokens", "{lex}"],
+    "regress": ["regress", "--table", "{table}"],
+    "lexicon-stats": ["lexicon-stats", "--lexicon", "{lex}"],
+}
+
+
+class TestManifestSettings:
+    """A manifest's config holds every setting of its subcommand, so two runs
+    with different settings never share one."""
+
+    def _config(self, tmp_path, argv: list[str]) -> dict:
+        table = tmp_path / "table.csv"
+        table.write_text(_TABLE)
+        files = {"mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path),
+                 "rows": write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3), "table": str(table)}
+        out = tmp_path / "out"
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        return manifest["config"]
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.build_parser()._subparsers._group_actions[0].choices))
+    def test_config_names_every_flag(self, tmp_path, capsys, subcommand):
+        parser = cli.build_parser()._subparsers._group_actions[0].choices[subcommand]
+        settings = {a.dest for a in parser._actions} - {"help", "config", "out", "manifest"}
+        assert settings <= set(self._config(tmp_path, _RUNS[subcommand]))
+
+    def test_sentence_and_no_sentence_differ(self, tmp_path, capsys):
+        score = _RUNS["score"]
+        configs = [self._config(tmp_path, score + [flag]) for flag in ("--sentence", "--no-sentence")]
+        assert [c["sentence"] for c in configs] == [True, False]
