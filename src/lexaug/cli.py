@@ -25,7 +25,7 @@ import json
 import os
 import stat
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -72,10 +72,10 @@ def _number(kind: type, low: int | None = None, high: int | None = None):
     return parse
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+def _read_config(path: str, parser: argparse.ArgumentParser, digests: dict[str, str]) -> dict:
     """The settings in the config file at ``path``, as the subcommand
     ``parser``'s flags would set them. Its keys are the flag destinations."""
-    config = _read_json(path)
+    config = _read_json(path, digests)
     if not isinstance(config, dict):
         raise LexAugError(f"{path}: config must be a JSON object")
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
@@ -85,10 +85,11 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     return {key: _config_value(path, key, value, actions[key]) for key, value in config.items()}
 
 
-def _read_json(path: str):
-    """The JSON value in the file at ``path``; a syntax error names the file."""
+def _read_json(path: str, digests: dict[str, str]):
+    """The JSON value in the file at ``path``, read as ``read_text`` reads it
+    (which puts its SHA-256 in ``digests``); a syntax error names the file."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(read_text(path, digests))
     except json.JSONDecodeError as exc:
         raise LexAugError(f"{path}: invalid JSON: {exc}") from None
 
@@ -142,11 +143,11 @@ def _load_lexica(specs: list[str], digests: dict[str, str] | None = None) -> Lex
 
 
 def _input_paths(args) -> list[str]:
-    """The input files a manifest digests, in flag order: the corpus, the
-    lexica, the streams, then each single-file flag."""
+    """The files a run reads, which its outputs may not replace: the corpus,
+    the lexica, the streams, then each single-file flag."""
     lexica = [_lexicon_spec(spec)[1] for spec in getattr(args, "lexicon", None) or []]
     streams = [spec.partition("=")[2] for spec in getattr(args, "streams", None) or []]
-    singles = [getattr(args, key, None) for key in ("hyp", "ref", "rows", "tokens", "table")]
+    singles = [getattr(args, key, None) for key in ("hyp", "ref", "rows", "tokens", "table", "weights", "config")]
     return [path for path in [getattr(args, "corpus", None), *lexica, *streams, *singles] if path]
 
 
@@ -164,11 +165,13 @@ def _same_file(a: str, b: str) -> bool:
 
 def _check_outputs(args) -> None:
     """Fail if ``--out`` or the manifest would replace a file the run reads
-    or a path that is not a regular file (a FIFO or a device), or the
-    manifest would replace ``--out``."""
+    or a path that is not a regular file (a FIFO or a device), would go in a
+    directory that does not exist, or the manifest would replace ``--out``."""
     manifest = _manifest_path(args)
-    reads = _input_paths(args) + [p for p in (getattr(args, "weights", None), args.config) if p]
+    reads = _input_paths(args)
     for flag, out in (("--out", args.out), ("--manifest", manifest)):
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise LexAugError(f"{flag} {out}: no directory {os.path.dirname(out)}")
         if out and os.path.exists(out) and not stat.S_ISREG(os.stat(out).st_mode):
             raise LexAugError(f"{flag} {out} is not a regular file, and an output would replace it; "
                               "write to stdout to stream")
@@ -182,10 +185,10 @@ def _check_outputs(args) -> None:
 def _write_manifest(args, results: Mapping, digests: Mapping[str, str]) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set.
     Its config is every setting of ``args.subcommand``, keyed by flag
-    destination, with ``results``, what the run adds, on top. Each input's
-    and output's digest comes from ``digests``, where its reader or writer
-    put the SHA-256 of the bytes it read or wrote, so no file but the
-    manifest is opened."""
+    destination, with ``results``, what the run adds, on top. Its inputs and
+    output are the entries of ``digests``, where each reader or writer put
+    the SHA-256 of the bytes it read or wrote, so no file but the manifest
+    is opened."""
     manifest_path = _manifest_path(args)
     if not manifest_path:
         return
@@ -195,7 +198,7 @@ def _write_manifest(args, results: Mapping, digests: Mapping[str, str]) -> None:
         "version": __version__,
         "subcommand": args.subcommand,
         "config": {**config, **results},
-        "inputs": {path: digests[path] for path in _input_paths(args)},
+        "inputs": {path: digest for path, digest in digests.items() if path != args.out},
         "outputs": {args.out: digests[args.out]} if args.out else {},
     }
     _emit_lines([json.dumps(manifest, indent=2, sort_keys=True).encode()], manifest_path)
@@ -244,45 +247,15 @@ def _emit_json(obj, out_path: str | None, digests: dict[str, str]) -> None:
 # --- augment -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AugmentJob:
-    """Everything needed to turn a batch of records into output lines."""
-
-    task: Task
-    lexicon: Lexicon
-    params: SelectionParams
-    seed: int
-    mask_fraction: float
-    on_error: str
-
-    def run(self, batch: list) -> tuple[list[bytes], list[str]]:
-        """The batch's output lines, as UTF-8, and one message per record whose
-        augmentation failed. A failed record aborts the run unless
-        ``on_error`` is ``"skip"``, which drops it."""
-        out, failed = [], []
-        for item in batch:
-            rng = derive_rng(self.seed, item.id)
-            try:
-                example = augment_example(item, self.task, self.lexicon, self.params, rng, self.mask_fraction)
-            except LexAugError as exc:
-                message = f"record {item.id}: {type(exc).__name__}: {exc}"
-                if self.on_error == "abort":
-                    raise LexAugError(message) from exc
-                failed.append(message)
-                continue
-            out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True).encode())
-        return out, failed
-
-
 # Items per batch that _map_batches hands to its ``run``.
 BATCH_SIZE = 256
 # Whether this platform can fork pool workers; --jobs N > 1 needs it.
 # multiprocessing is imported only when a pool starts.
 _FORK = hasattr(os, "fork")
 # A pool worker's ``run``, set once by the pool initializer so that it (and
-# the lexicon an augment job holds) is not pickled with every batch. Forked
-# workers inherit the initializer's arguments unpickled, so ``run`` may be a
-# closure.
+# the lexicon augment's ``run`` closes over) is not pickled with every batch.
+# Forked workers inherit the initializer's arguments unpickled, so ``run``
+# may be a closure.
 _worker_run: Callable[[list], object] | None = None
 
 
@@ -327,8 +300,26 @@ def cmd_augment(args, digests: dict[str, str]) -> dict:
     _require(args, "task", "corpus", "lexicon", "seed")
     task = _TASK_FLAGS[args.task]
     params = SelectionParams(p_tr=args.p_tr, mode=SelectionMode(args.sampling))
-    job = _AugmentJob(task, _load_lexica(args.lexicon, digests), params, args.seed, args.mask_fraction, args.on_error)
+    lexicon = _load_lexica(args.lexicon, digests)
     kind = "mono" if args.task.endswith("-mono") else "parallel"
+
+    def run(batch: list) -> tuple[list[bytes], list[str]]:
+        """The batch's output lines, as UTF-8, and one message per record whose
+        augmentation failed. A failed record aborts the run unless
+        ``--on-error skip``, which drops it."""
+        out, messages = [], []
+        for item in batch:
+            rng = derive_rng(args.seed, item.id)
+            try:
+                example = augment_example(item, task, lexicon, params, rng, args.mask_fraction)
+            except LexAugError as exc:
+                message = f"record {item.id}: {type(exc).__name__}: {exc}"
+                if args.on_error == "abort":
+                    raise LexAugError(message) from exc
+                messages.append(message)
+                continue
+            out.append(json.dumps(example.to_json_obj(), ensure_ascii=False, sort_keys=True).encode())
+        return out, messages
 
     # Parse errors, then failed records: a pool reads the corpus ahead of its
     # results, so one list of both would interleave them by --jobs.
@@ -342,7 +333,7 @@ def cmd_augment(args, digests: dict[str, str]) -> dict:
             failed.extend(batch_failed)
             yield from batch_lines
 
-    _emit_lines(lines(_map_batches(job.run, selected, args.jobs)), args.out, digests)
+    _emit_lines(lines(_map_batches(run, selected, args.jobs)), args.out, digests)
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
@@ -366,7 +357,10 @@ def cmd_token_pairs(args, digests: dict[str, str]) -> dict:
 
 def cmd_mix(args, digests: dict[str, str]) -> dict:
     if args.weights:
-        weights = TaskWeights.from_json_obj(_read_json(args.weights))
+        if (args.mono_aug, args.parallel_aug, args.token_pairs) != ("none", "none", False):
+            raise LexAugError("--weights gives every weight, so --mono-aug, --parallel-aug and --token-pairs "
+                              "must keep their defaults (none, none, --no-token-pairs)")
+        weights = TaskWeights.from_json_obj(_read_json(args.weights, digests))
     else:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
     results = {"weights": weights.to_json_obj()}
@@ -607,19 +601,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digests: dict[str, str] = {}
     try:
         if args.config is not None:
             # The config file's values become the subcommand's defaults, so a
             # second parse applies them below the flags.
             subparser = parser._subparsers._group_actions[0].choices[args.subcommand]
-            subparser.set_defaults(**_read_config(args.config, subparser))
+            subparser.set_defaults(**_read_config(args.config, subparser, digests))
             args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) > 1 and not _FORK:
             raise LexAugError(f"--jobs {args.jobs} forks worker processes, which this platform cannot")
         _check_outputs(args)
-        digests: dict[str, str] = {}
         results = args.func(args, digests)
-        _write_manifest(args, results, digests)
+        try:
+            _write_manifest(args, results, digests)
+        except BaseException:
+            # A failed run leaves no --out, so remove the one this run wrote.
+            if args.out in digests:
+                os.remove(args.out)
+            raise
         return 0
     except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ records can be processed by any number of workers in any order and still
 produce byte-identical output. The generator is splitmix64: a counter-based
 64-bit mixer with a fixed, documented output stream on every platform.
 Because draw k is a pure function of the state plus k steps, ``Rng.block``
-computes many draws at once on the lanes of one Python int, and a long
+computes many draws at once on the lanes of one Python int, and
 ``Rng.shuffle`` (like ``mixture.interleave``) takes its draws from blocks:
 the same draws, in the same order, as one call per draw.
 """
@@ -25,12 +25,10 @@ from .errors import NoCandidateError
 _MASK64 = 2**64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Draws per block for long shuffles and for ``mixture.interleave``: past
-# this size a draw costs no less, and the ints grow.
+# Most draws per block, for shuffles and ``mixture.interleave``: past this
+# size a draw costs no less, and the ints grow. A shuffle of n items asks for
+# blocks of about n draws, so a sentence's few spans take short blocks.
 DRAW_BLOCK = 1024
-# Shorter sequences shuffle draw by draw, where a block costs more than the
-# draws it replaces (one sentence's spans in ``select_uniform_count``).
-_SHUFFLE_BLOCKS_FROM = 16
 
 T = TypeVar("T")
 
@@ -80,18 +78,12 @@ class Rng:
 
     def shuffle(self, items: MutableSequence) -> None:
         """In-place Fisher-Yates shuffle: for i from the last index down to
-        1, swap item i with item ``randrange(i + 1)``. A long sequence takes
-        its draws from blocks, with randrange's rejection rule, and leaves
-        the state after the last draw it used, as the draw-by-draw loop
-        does."""
+        1, swap item i with item ``randrange(i + 1)``. The draws come from
+        blocks, with randrange's rejection rule, and the state is left after
+        the last draw used, as one ``randrange`` per index leaves it."""
         i = len(items) - 1
-        if i < _SHUFFLE_BLOCKS_FROM - 1:
-            for i in range(i, 0, -1):
-                j = self.randrange(i + 1)
-                items[i], items[j] = items[j], items[i]
-            return
         start, used = self._state, 0
-        while i:
+        while i > 0:
             # No block much longer than the draws still needed (about i).
             for z in _block((start + used * _GOLDEN) & _MASK64, min(1 << i.bit_length(), DRAW_BLOCK)):
                 used += 1

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -330,6 +331,32 @@ class TestControlTokenInLexicon:
 
 
 class TestMixCommand:
+    @pytest.mark.parametrize("setting", [
+        pytest.param(["--mono-aug", "codeswitch"], id="mono-aug"),
+        pytest.param(["--parallel-aug", "glowup"], id="parallel-aug"),
+        pytest.param(["--token-pairs"], id="token-pairs"),
+        pytest.param({"token_pairs": True}, id="config-token-pairs"),
+        pytest.param({"mono_aug": "glowup"}, id="config-mono-aug"),
+    ])
+    def test_weights_refuse_a_schedule_setting(self, tmp_path, capsys, setting):
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}', encoding="utf-8")
+        if isinstance(setting, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(setting), encoding="utf-8")
+            setting = ["--config", str(config)]
+        assert main(["mix", "--weights", str(weights), *setting, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --weights gives every weight, so --mono-aug, --parallel-aug and --token-pairs "
+            "must keep their defaults (none, none, --no-token-pairs)"]
+        assert not (tmp_path / "o.json").exists()
+
+    def test_weights_take_the_schedule_defaults(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}', encoding="utf-8")
+        assert main(["mix", "--weights", str(weights), "--mono-aug", "none", "--no-token-pairs"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"translation": 1.0}
+
     def test_schedule_printed(self, capsys):
         code = main(["mix", "--mono-aug", "codeswitch", "--token-pairs"])
         assert code == 0
@@ -861,6 +888,30 @@ class TestAtomicOutput:
         assert code == 1
         assert "<mask>" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl", "panlex.tsv"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_output_in_a_missing_directory_fails_before_the_run(self, tmp_path, capsys, flag):
+        mono = _mono_file(tmp_path)
+        missing = tmp_path / "missing" / "o.json"
+        outputs = ["--out", str(missing)] if flag == "--out" else ["--out", str(tmp_path / "o.json"), flag, str(missing)]
+        assert main(["score", "--hyp", mono, "--ref", mono, *outputs]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} {missing}: no directory {missing.parent}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl"]
+
+    def test_failed_manifest_write_removes_the_out_it_wrote(self, tmp_path, capsys, monkeypatch):
+        emit_lines = cli._emit_lines
+
+        def full_disk(lines, path, digests=None):
+            if path.endswith(".manifest.json"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            emit_lines(lines, path, digests)
+
+        monkeypatch.setattr(cli, "_emit_lines", full_disk)
+        mono = _mono_file(tmp_path)
+        (tmp_path / "o.json").write_text("an earlier run's output\n")
+        assert main(["score", "--hyp", mono, "--ref", mono, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl"]
 
 
 class TestEmitLines:
@@ -1407,8 +1458,9 @@ _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
         pytest.param(["mix", "--streams", "mass={bad}", "--streams", "mass={mono}", "--streams", "translation={bad}",
                       "--seed", "1", "--count", "6"], ".jsonl", "{}\n",
                      "--streams: task 'mass' given twice ({bad}, {mono})", id="streams-task-twice"),
-        pytest.param(["augment", "--config", "{bad}"], ".json", '{"seed": 1,}',
-                     "{bad}: invalid JSON: Expecting property name enclosed in double quotes", id="config-invalid-json"),
+        # A missing comma: Python 3.13 words a trailing comma's error anew.
+        pytest.param(["augment", "--config", "{bad}"], ".json", '{"seed": 1 "task": 2}',
+                     "{bad}: invalid JSON: Expecting ',' delimiter: line 1 column 12 (char 11)", id="config-invalid-json"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": 1', "{bad}: invalid JSON: Expecting", id="weights-invalid-json"),
         pytest.param(["regress", "--table", "{bad}"], ".csv", _TABLE + "u1,1.0\n",
                      "{bad}:line 2: row has fewer than 6 fields", id="short-row"),
@@ -1521,19 +1573,28 @@ class TestInputsReadOnce:
         pytest.param(["diagnose", "--rows", "{rows}"], id="diagnose"),
         pytest.param(["hit-rate", "--rows", "{rows}", "--tokens", "{lex}"], id="hit-rate"),
         pytest.param(["regress", "--table", "{table}"], id="regress"),
+        pytest.param(["mix", "--weights", "{weights}"], id="mix-weights"),
+        pytest.param(["diagnose", "--config", "{config}"], id="config"),
     ])
     def test_each_file_is_opened_once(self, tmp_path, opened, argv):
         rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3)
         table = tmp_path / "table.csv"
         table.write_text(_TABLE)
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 1}')
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rows": rows}))
         files = {"mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path), "lex2": _lexicon_file(tmp_path, "b.tsv"),
-                 "rows": rows, "table": str(table)}
+                 "rows": rows, "table": str(table), "weights": str(weights), "config": str(config)}
         out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv]
         opened.clear()
-        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         inputs = set(manifest["inputs"])
-        assert inputs and inputs <= set(files.values())
+        # Every file the command line names is an input, a config file's too.
+        assert {path for path in files.values() if any(arg.endswith(path) for arg in argv)} <= inputs
+        assert inputs <= set(files.values())
         tmp = f".{os.getpid()}.tmp"
         # "score --hyp X --ref X" reads X once per flag.
         assert {path: len(handles) for path, handles in opened.items()} == {

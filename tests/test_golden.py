@@ -239,7 +239,7 @@ def test_mix_long_streams_digest(tmp_path):
     # 16,000 draws cross many blocks of task draws. The translation stream
     # (weight 0.38, 2,500 lines) is reshuffled twice, each shuffle taking its
     # draws from blocks and hitting the rejection rule; the 20-line stream
-    # shuffles draw by draw, and the 1-line stream is reshuffled on every draw.
+    # takes short blocks, and the 1-line stream is reshuffled on every draw.
     flags = []
     for task, n in (("translation", 2500), ("mass", 300), ("codeswitch_mono", 20), ("token_pair", 1)):
         path = tmp_path / f"{task}.jsonl"

@@ -180,7 +180,7 @@ class TestInterleaveProperties:
     @given(_mix_inputs(max_items=40))
     def test_draws_as_the_draw_by_draw_reference(self, inputs):
         # More draws than one block; streams of up to 40 items reshuffle
-        # both draw by draw and from blocks.
+        # from short blocks.
         weights, seed, streams = inputs
         n = 3 * DRAW_BLOCK
         mixed = interleave(streams, weights, seed)

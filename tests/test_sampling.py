@@ -65,9 +65,9 @@ class TestRng:
 
 
 _KEYS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
-# Lengths on both sides of the switch from draw-by-draw to block shuffles,
-# and long enough to cross DRAW_BLOCK-draw blocks.
-_LENGTHS = st.one_of(st.integers(0, 2 * sampling._SHUFFLE_BLOCKS_FROM), st.integers(0, 3000))
+# Short lengths, as of one sentence's spans, and lengths long enough to cross
+# DRAW_BLOCK-draw blocks.
+_LENGTHS = st.one_of(st.integers(0, 64), st.integers(0, 3000))
 
 
 class TestBlocks:
@@ -89,8 +89,8 @@ class TestBlocks:
 
     @settings(max_examples=150, deadline=None)
     @given(key=_KEYS, n=_LENGTHS, kind=st.sampled_from([list, partial(array, "q")]))
-    @example(key=0, n=sampling._SHUFFLE_BLOCKS_FROM - 1, kind=list)
-    @example(key=2**64 - 1, n=sampling._SHUFFLE_BLOCKS_FROM, kind=list)
+    @example(key=0, n=0, kind=list)
+    @example(key=2**64 - 1, n=2, kind=list)
     @example(key=0, n=3000, kind=partial(array, "q"))
     def test_shuffle_takes_the_draw_by_draw_swaps(self, key, n, kind):
         items, expected = kind(range(n)), kind(range(n))
@@ -99,6 +99,17 @@ class TestBlocks:
         reference_shuffle(reference, expected)
         assert items == expected
         assert rng.next_uint64() == reference.next_uint64()
+
+    def test_short_shuffles_take_the_draw_by_draw_swaps(self):
+        # Every length from 0 (no draw) to 64, over 41 keys across the 64-bit range.
+        for n in range(65):
+            for key in range(0, 2**64, 2**64 // 40):
+                items, expected = list(range(n)), list(range(n))
+                rng, reference = Rng(key), Rng(key)
+                rng.shuffle(items)
+                reference_shuffle(reference, expected)
+                assert items == expected, (n, key)
+                assert rng.next_uint64() == reference.next_uint64(), (n, key)
 
 
 class TestSelectionParams:
