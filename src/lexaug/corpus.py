@@ -228,15 +228,16 @@ BLOCK = 1 << 16
 
 
 def read_chunks(
-    path: str, read: Callable[[int], bytes], digests: dict[str, str] | None
+    path: str, read: Callable[[int], bytes], digests: dict[str, str] | None, lines: Callable[[], int]
 ) -> Iterator[tuple[bytearray, str]]:
     """The file at ``path``, read by ``read(BLOCK)`` until it gives no bytes,
     in chunks with their UTF-8 text. Each chunk ends at a ``\\n`` (the last
     may not), so no UTF-8 sequence is split between two decodes. A byte that
-    does not decode raises FormatError naming its line and offset. After the
-    last chunk, ``digests[path]`` (if given) is the SHA-256 of the bytes read."""
+    does not decode raises FormatError naming its line and offset; ``lines()``
+    gives the lines of the chunks already yielded, which the caller counts as
+    it splits them. After the last chunk, ``digests[path]`` (if given) is the
+    SHA-256 of the bytes read."""
     digest = hashlib.sha256()
-    lines = 0  # the lines of the chunks before this one
     head = bytearray()  # the start of a line that earlier blocks cut
     while True:
         block = read(BLOCK)
@@ -254,9 +255,8 @@ def read_chunks(
             except UnicodeDecodeError as exc:
                 offset = exc.start - chunk.rfind(b"\n", 0, exc.start) - 1
                 raise FormatError(f"not valid UTF-8: byte {chunk[exc.start]:#04x} at offset {offset} ({exc.reason})",
-                                  path, lines + chunk.count(b"\n", 0, exc.start) + 1) from None
+                                  path, lines() + chunk.count(b"\n", 0, exc.start) + 1) from None
             yield chunk, text
-            lines += chunk.count(b"\n")
         if not block:
             break
     if digests is not None:
@@ -267,12 +267,14 @@ def read_lines(path: str, digests: dict[str, str] | None = None) -> Iterator[str
     """The lines of the file at ``path``, read once by ``read_chunks``: split
     at ``\\n``, each without one trailing ``\\r``, so a lone ``\\r`` stays in
     its line."""
+    done = 0  # the lines of the chunks read so far
     with open(path, "rb", buffering=0) as file:
-        for _, text in read_chunks(path, file.read, digests):
+        for _, text in read_chunks(path, file.read, digests, lambda: done):
             if "\r" in text:  # rare, and cheaper to test for than to replace
                 text = text.replace("\r\n", "\n")
             lines = text.split("\n")
             last = lines.pop()  # empty unless no "\n" ends the file
+            done += len(lines)
             yield from lines
             if last:
                 yield last.removesuffix("\r")
@@ -280,8 +282,11 @@ def read_lines(path: str, digests: dict[str, str] | None = None) -> Iterator[str
 
 def read_text(path: str, digests: dict[str, str] | None = None) -> str:
     """The text of the file at ``path``, read once by ``read_chunks``."""
+    texts: list[str] = []
     with open(path, "rb", buffering=0) as file:
-        return "".join(text for _, text in read_chunks(path, file.read, digests))
+        for _, text in read_chunks(path, file.read, digests, lambda: sum(t.count("\n") for t in texts)):
+            texts.append(text)
+    return "".join(texts)
 
 
 def load_corpus(

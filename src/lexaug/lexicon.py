@@ -11,6 +11,12 @@ language, from match key to bucket: a tuple of entries, sorted once at build
 time and handed out as it is. A Lexicon is immutable once built and safe to
 share across workers.
 
+The index and one list of entries in first-seen order are a Lexicon's only
+per-entry structures. Equal entries share a source language and term, so
+they land in one bucket: once every source is read, each bucket keeps the
+first copy of each entry, and the list drops the later ones. The entries a
+source gave first are one run of the list, so source names are kept per run.
+
 The field rules are written once, in ``_check_term`` and ``_check_codes``,
 which both ``LexEntry`` and ``read_entries`` call. A file holds few distinct
 language codes and repeats each source term once per translation, so
@@ -104,20 +110,20 @@ class Lexicon:
     """Indexed, deduplicated collection of LexEntry, built from named sources.
 
     ``sources`` holds ``(source_name, entries)`` pairs, consumed in order. An
-    entry that an earlier source already gave keeps that source's name.
+    entry that an earlier source already gave keeps that source's name:
+    ``_sources`` holds one ``(name, end)`` pair per source, whose run of
+    ``_entries`` ends before ``end``.
     """
 
     def __init__(self, sources: Iterable[tuple[str, Iterable[LexEntry]]] = ()):
-        # Each entry, mapped to the name of the first source that gave it;
-        # insertion order is the entry order.
-        self._entries: dict[LexEntry, str] = {}
+        entries: list[LexEntry] = []
+        runs: list[tuple[str, int]] = []
         # src_lang -> match key -> bucket; each bucket is a list until it is
-        # sorted into a tuple below.
-        self._index: dict[str, dict[str, tuple[LexEntry, ...]]] = {}
-        self._max_term_tokens: dict[str, int] = {}
-        seen, index, max_tokens = self._entries, self._index, self._max_term_tokens
-        # Each distinct source term's (match key, length), for this build only.
-        key_of: dict[str, tuple[str, int]] = {}
+        # cut and sorted into a tuple below.
+        index: dict[str, dict[str, tuple[LexEntry, ...]]] = {}
+        max_tokens: dict[str, int] = {}
+        # Each distinct source term's match key, for this build only.
+        key_of: dict[str, str] = {}
         # The index holds only tuples, lists and dicts of strings, so a
         # collection during the build frees nothing and rescans every entry
         # built so far. Pause the cyclic collector while the sources, and
@@ -125,29 +131,49 @@ class Lexicon:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for name, entries in sources:
-                for entry in entries:
-                    if entry in seen:
-                        continue
-                    seen[entry] = name
+            for name, source in sources:
+                for entry in source:
                     lang, term = entry[2], entry[0]
-                    key_and_length = key_of.get(term)
-                    if key_and_length is None:
-                        key_and_length = key_of[term] = _key_and_length(term)
-                    key, length = key_and_length
-                    if length > max_tokens.get(lang, 0):
-                        max_tokens[lang] = length
+                    length = 0  # measured for a new term, or one that opens a bucket
+                    key = key_of.get(term)
+                    if key is None:
+                        key, length = _key_and_length(term)
+                        # A key equal to its term is the term's own string.
+                        key = key_of[term] = term if key == term else key
                     keys = index.get(lang)
                     if keys is None:
                         keys = index[lang] = {}
-                    keys.setdefault(key, []).append(entry)
+                    bucket = keys.get(key)
+                    if bucket is None:
+                        bucket = keys[key] = []
+                        # All terms of a key have one length (casefold adds no
+                        # space and turns no word character into punctuation
+                        # or back), so each bucket's first term is measured.
+                        length = length or _key_and_length(term)[1]
+                        if length > max_tokens.get(lang, 0):
+                            max_tokens[lang] = length
+                    bucket.append(entry)
+                    entries.append(entry)
+                runs.append((name, len(entries)))
         finally:
             if gc_was_enabled:
                 gc.enable()
+        # The entries a bucket holds more than once, compared by value: two
+        # files give equal copies, and Lexicon(s + s) the same objects twice.
+        repeated: set[LexEntry] = set()
         by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
         for keys in index.values():
             for key, bucket in keys.items():
-                keys[key] = tuple(sorted(bucket, key=by_target))
+                if len(bucket) > 1:
+                    unique = dict.fromkeys(bucket)
+                    if len(unique) < len(bucket):
+                        repeated.update(unique)
+                    bucket = sorted(unique, key=by_target)
+                keys[key] = tuple(bucket)
+        if repeated:
+            entries, runs = _first_copies(entries, runs, repeated)
+        self._entries, self._sources = entries, runs
+        self._index, self._max_term_tokens = index, max_tokens
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -192,12 +218,33 @@ class Lexicon:
 
     def entry_counts(self, lang: str) -> Counter:
         """Per-source-name counts of entries touching ``lang`` on either side."""
-        return Counter(
-            name for e, name in self._entries.items() if lang in (e.src_lang, e.tgt_lang)
-        )
+        counts: Counter = Counter()
+        start = 0
+        for name, end in self._sources:
+            touching = sum(lang in (e.src_lang, e.tgt_lang) for e in self._entries[start:end])
+            if touching:
+                counts[name] += touching
+            start = end
+        return counts
 
     def languages(self) -> set[str]:
         return {e.src_lang for e in self} | {e.tgt_lang for e in self}
+
+
+def _first_copies(entries: list[LexEntry], runs: list[tuple[str, int]], repeated: set[LexEntry]) -> tuple[list, list]:
+    """``entries`` without the later copies of each entry in ``repeated``,
+    and ``runs`` with each end moved to match."""
+    kept, kept_runs, seen, start = [], [], set(), 0
+    for name, end in runs:
+        for entry in entries[start:end]:
+            if entry in repeated:
+                if entry in seen:
+                    continue
+                seen.add(entry)
+            kept.append(entry)
+        kept_runs.append((name, len(kept)))
+        start = end
+    return kept, kept_runs
 
 
 def read_entries(path: str, digests: dict[str, str] | None = None) -> Iterator[LexEntry]:

@@ -195,8 +195,9 @@ def _index_lines(fd: int, path: str, digests: dict[str, str] | None) -> tuple[ar
     """Start offsets and lengths of the file's kept lines (see
     ``StreamFile``), from the chunks ``read_chunks`` reads from ``fd``."""
     offsets, lengths = array("q"), array("q")
+    blank = 0  # the lines read so far that are not kept
     start = 0  # the file offset of the chunk
-    for chunk, _ in read_chunks(path, partial(os.read, fd), digests):
+    for chunk, _ in read_chunks(path, partial(os.read, fd), digests, lambda: len(offsets) + blank):
         if not chunk.endswith(b"\n"):
             chunk = chunk + b"\n"  # ends a last line that has none
         pos = 0
@@ -205,6 +206,8 @@ def _index_lines(fd: int, path: str, digests: dict[str, str] | None) -> tuple[ar
             if 32 < chunk[pos] < 127 or chunk[pos:end].decode("utf-8").strip():
                 offsets.append(start + pos)
                 lengths.append(end - pos - (chunk[end - 1] == 13))  # 13: "\r"
+            else:
+                blank += 1
             pos = end + 1
         start += len(chunk)
     return offsets, lengths
