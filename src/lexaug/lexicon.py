@@ -13,8 +13,9 @@ share across workers.
 
 The index and one list of entries in first-seen order are a Lexicon's only
 per-entry structures. Equal entries share a source language and term, so
-they land in one bucket: once every source is read, each bucket keeps the
-first copy of each entry, and the list drops the later ones. The entries a
+they land in one bucket, and a copy is dropped as it arrives: a bucket is
+searched while it is a short list, probed once it is wide and held as a dict.
+So a load holds no copy, however much its files overlap. The entries a
 source gave first are one run of the list, so source names are kept per run.
 
 The field rules are written once, in ``_check_term`` and ``_check_codes``,
@@ -105,12 +106,17 @@ def _key_and_length(text: str) -> tuple[str, int]:
 # The index of a language with no entries; never written.
 _NO_TERMS: dict[str, tuple[LexEntry, ...]] = {}
 
+# The most entries a bucket holds as a list during the build: each new entry
+# is compared with those already there. A wider bucket is a dict.
+_LIST_BUCKET = 8
+
 
 class Lexicon:
     """Indexed, deduplicated collection of LexEntry, built from named sources.
 
-    ``sources`` holds ``(source_name, entries)`` pairs, consumed in order. An
-    entry that an earlier source already gave keeps that source's name:
+    ``sources`` holds ``(source_name, entries)`` pairs, consumed in order. A
+    copy of an entry already given is dropped as it arrives, so the entry
+    keeps the name of the source that gave it first:
     ``_sources`` holds one ``(name, end)`` pair per source, whose run of
     ``_entries`` ends before ``end``.
     """
@@ -118,8 +124,8 @@ class Lexicon:
     def __init__(self, sources: Iterable[tuple[str, Iterable[LexEntry]]] = ()):
         entries: list[LexEntry] = []
         runs: list[tuple[str, int]] = []
-        # src_lang -> match key -> bucket; each bucket is a list until it is
-        # cut and sorted into a tuple below.
+        # src_lang -> match key -> bucket; each bucket is a list, or a dict
+        # once wide, until it is sorted into a tuple below.
         index: dict[str, dict[str, tuple[LexEntry, ...]]] = {}
         max_tokens: dict[str, int] = {}
         # Each distinct source term's match key, for this build only.
@@ -152,26 +158,26 @@ class Lexicon:
                         length = length or _key_and_length(term)[1]
                         if length > max_tokens.get(lang, 0):
                             max_tokens[lang] = length
-                    bucket.append(entry)
+                    elif entry in bucket:
+                        continue  # a later copy, compared by value
+                    if len(bucket) < _LIST_BUCKET:
+                        bucket.append(entry)
+                    elif type(bucket) is dict:
+                        bucket[entry] = None
+                    else:
+                        # A wide bucket becomes a dict, so the copy test above
+                        # stays one probe.
+                        bucket = keys[key] = dict.fromkeys(bucket)
+                        bucket[entry] = None
                     entries.append(entry)
                 runs.append((name, len(entries)))
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # The entries a bucket holds more than once, compared by value: two
-        # files give equal copies, and Lexicon(s + s) the same objects twice.
-        repeated: set[LexEntry] = set()
         by_target = operator.itemgetter(3, 1)  # (tgt_lang, tgt_term)
         for keys in index.values():
             for key, bucket in keys.items():
-                if len(bucket) > 1:
-                    unique = dict.fromkeys(bucket)
-                    if len(unique) < len(bucket):
-                        repeated.update(unique)
-                    bucket = sorted(unique, key=by_target)
-                keys[key] = tuple(bucket)
-        if repeated:
-            entries, runs = _first_copies(entries, runs, repeated)
+                keys[key] = tuple(sorted(bucket, key=by_target) if len(bucket) > 1 else bucket)
         self._entries, self._sources = entries, runs
         self._index, self._max_term_tokens = index, max_tokens
 
@@ -229,22 +235,6 @@ class Lexicon:
 
     def languages(self) -> set[str]:
         return {e.src_lang for e in self} | {e.tgt_lang for e in self}
-
-
-def _first_copies(entries: list[LexEntry], runs: list[tuple[str, int]], repeated: set[LexEntry]) -> tuple[list, list]:
-    """``entries`` without the later copies of each entry in ``repeated``,
-    and ``runs`` with each end moved to match."""
-    kept, kept_runs, seen, start = [], [], set(), 0
-    for name, end in runs:
-        for entry in entries[start:end]:
-            if entry in repeated:
-                if entry in seen:
-                    continue
-                seen.add(entry)
-            kept.append(entry)
-        kept_runs.append((name, len(kept)))
-        start = end
-    return kept, kept_runs
 
 
 def read_entries(path: str, digests: dict[str, str] | None = None) -> Iterator[LexEntry]:

@@ -479,29 +479,67 @@ class TestBuild:
 
     def test_bytes_per_entry(self, tmp_path):
         """A loaded entry costs its tuple, its target term and its share of
-        the index; no table per entry beside them. 24,000 lines, each source
-        term with three targets, traced after the build and at its peak."""
-        rng = random.Random(3)
-
-        def word():
-            return "".join(rng.choice("bdfgklmnprstvz") + rng.choice("aeiou") for _ in range(rng.randint(2, 4)))
-
-        terms = [f"{word()}{n}" for n in range(8000)]
-        lines = [f"en\t{tgt_lang}\tLatn\t{term}\t{word()}" for term in terms for tgt_lang in ("es", "fr", "sw")]
-        path = _write(tmp_path / "lex.tsv", lines)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            lex = _load_lexica([path])
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(lex) == len(lines)
-        # Per entry, after and at the peak: 191-205 and 227-250 bytes on
+        the index; no table per entry beside them."""
+        entries, after, peak = _traced_load(tmp_path, copies=1)
+        # Per entry, after and at the peak: 190-205 and 227-250 bytes on
         # Python 3.10-3.13, against 259-276 and 318-343 with a table keyed by
         # entry and a (key, length) pair per source term.
-        assert after / len(lines) < 230
-        assert peak / len(lines) < 285
+        assert after / entries < 230
+        assert peak / entries < 285
+
+    def test_overlapping_sources_hold_no_copy(self, tmp_path):
+        """The same file given twice: each copy is dropped as it arrives, so
+        the second source adds its reader's tables to the peak, not its
+        entries."""
+        entries, after, peak = _traced_load(tmp_path, copies=2)
+        # Per distinct entry at the peak: 253-279 bytes on Python 3.10-3.13,
+        # against 335-363 with a table keyed by entry and 528-557 when copies
+        # are held until every source is read.
+        assert after / entries < 230
+        assert peak / entries < 310
+
+    def test_a_wide_bucket_finds_copies_by_probing(self):
+        """One source term with 2,000 targets, given twice: a wide bucket is
+        probed for a copy, not scanned, so each entry is compared a few
+        times rather than once per entry already held."""
+        compares = 0
+
+        class Counted(LexEntry):
+            __slots__ = ()
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, other):
+                nonlocal compares
+                compares += 1
+                return tuple.__eq__(self, other)
+
+        entries = [Counted("cat", f"gato{n}", "en", "es", "Latn") for n in range(2000)]
+        lex = Lexicon([("a", entries), ("b", [Counted(*e) for e in entries])])
+        assert list(lex) == entries
+        assert compares < 10 * 2 * len(entries)
+
+
+def _traced_load(tmp_path, copies):
+    """Load a generated 24,000-line lexicon (8,000 source terms, three targets
+    each) ``copies`` times as separate sources under ``tracemalloc``: the
+    entry count, and the traced bytes after the load and at its peak."""
+    rng = random.Random(3)
+
+    def word():
+        return "".join(rng.choice("bdfgklmnprstvz") + rng.choice("aeiou") for _ in range(rng.randint(2, 4)))
+
+    terms = [f"{word()}{n}" for n in range(8000)]
+    lines = [f"en\t{tgt_lang}\tLatn\t{term}\t{word()}" for term in terms for tgt_lang in ("es", "fr", "sw")]
+    path = _write(tmp_path / "lex.tsv", lines)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lex = _load_lexica([path] * copies)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lex) == len(lines)
+    return len(lines), after, peak
 
 
 # Values that a line of the reader property below may hold, by field, as
