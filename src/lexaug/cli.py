@@ -6,10 +6,10 @@ values and default. A JSON config file (``--config``; keys are the flags'
 destinations, ``p_tr`` for ``--p-tr``) sets the flags' defaults, each value
 checked and read as its flag's would be, so flags win and a repeatable flag
 replaces the config file's list. ``main`` runs each ``cmd_*(args, digests)``,
-which writes its output and returns what the run adds to the config, then
-writes the manifest (every setting plus input/output digests) next to the
-output so a run can be reproduced exactly; neither the output nor the manifest
-may replace an input. Every output is bytes, written by ``_emit_lines``. ``augment``,
+which writes its output and returns what the run adds, then writes the
+manifest next to the output (every setting, as a config file for the same run,
+the run's results and input/output digests) so a run can be reproduced
+exactly; neither the output nor the manifest may replace an input. Every output is bytes, written by ``_emit_lines``. ``augment``,
 ``score``, ``diagnose`` and ``hit-rate`` run their records in batches, on
 ``--jobs`` forked workers, and take the results in input order
 (``_map_batches``), so the worker count never changes the bytes.
@@ -97,10 +97,12 @@ def _read_json(path: str, digests: dict[str, str]):
 def _config_value(path: str, key: str, value, action: argparse.Action):
     """A config value as its flag would set it: a boolean for a flag without a
     value, else a string read as the flag's text, a list of strings if it
-    repeats, or a JSON number if it is numeric."""
+    repeats, a JSON number if it is numeric, or None for null if it has no default."""
     def bad(expected: str) -> LexAugError:
         return LexAugError(f"{path}: {key} must be {expected}, got {value!r}")
 
+    if value is None and action.default is None:
+        return None
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise bad("true or false")
@@ -185,33 +187,35 @@ def _check_outputs(args) -> None:
 def _write_manifest(args, results: Mapping, digests: Mapping[str, str]) -> None:
     """Write the manifest to ``--manifest``, else beside ``--out`` if set.
     Its config is every setting of ``args.subcommand``, keyed by flag
-    destination, with ``results``, what the run adds, on top. Its inputs and
-    output are the entries of ``digests``, where each reader or writer put
-    the SHA-256 of the bytes it read or wrote, so no file but the manifest
-    is opened."""
-    manifest_path = _manifest_path(args)
-    if not manifest_path:
-        return
-    config = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "config", "out", "manifest")}
-    manifest = {
-        "tool": "lexaug",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "config": {**config, **results},
-        "inputs": {path: digest for path, digest in digests.items() if path != args.out},
-        "outputs": {args.out: digests[args.out]} if args.out else {},
-    }
-    _emit_lines([json.dumps(manifest, indent=2, sort_keys=True).encode()], manifest_path)
+    destination, so it is a config file for the same run, and its results
+    are ``results``, what the run adds. Its inputs and output are the entries
+    of ``digests``, where each reader or writer put the SHA-256 of the bytes
+    it read or wrote, so no file but the manifest is opened."""
+    if manifest_path := _manifest_path(args):
+        _emit_json({
+            "tool": "lexaug",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "config", "out", "manifest")},
+            "results": results,
+            "inputs": {path: digest for path, digest in digests.items() if path != args.out},
+            "outputs": {args.out: digests[args.out]} if args.out else {},
+        }, manifest_path)
+
+
+def _staged(path: str) -> str:
+    """The temporary file beside ``path`` that an output is written to."""
+    return f"{path}.{os.getpid()}.tmp"
 
 
 def _emit_lines(lines: Iterable[bytes], out_path: str | None, digests: dict[str, str] | None = None) -> None:
     """Write lines of bytes, each followed by ``b"\\n"``, to stdout, or to
-    ``out_path`` only once all are written: they go to a temporary file
-    beside it that then replaces it, and a failed run removes the temporary
-    file and leaves no ``out_path``. They are written joined, one ``write``
-    per BATCH_SIZE lines (to stdout's binary buffer, after a flush of its
-    text layer), and hashed as written: ``digests[out_path]``, unless
-    ``digests`` is None, is the SHA-256 of the bytes written."""
+    ``out_path`` by way of the file ``_staged(out_path)``, which a failed
+    write removes. They are written joined, one ``write`` per BATCH_SIZE lines
+    (to stdout's binary buffer, after a flush of its text layer), and hashed
+    as written. Given ``digests``, the file is a run's output: its SHA-256
+    goes in ``digests[out_path]``, and ``main`` moves it to ``out_path`` once
+    the run has finished. Otherwise it replaces ``out_path`` at once."""
     lines = iter(lines)
 
     def chunks() -> Iterator[bytes]:
@@ -224,23 +228,24 @@ def _emit_lines(lines: Iterable[bytes], out_path: str | None, digests: dict[str,
         for chunk in chunks():
             sys.stdout.buffer.write(chunk)
         return
-    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    tmp_path = _staged(out_path)
     digest = hashlib.sha256()
     try:
         with open(tmp_path, "wb") as handle:
             for chunk in chunks():
                 digest.update(chunk)
                 handle.write(chunk)
-        os.replace(tmp_path, out_path)
+        if digests is None:
+            os.replace(tmp_path, out_path)
+        else:
+            digests[out_path] = digest.hexdigest()
     except BaseException:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
         raise
-    if digests is not None:
-        digests[out_path] = digest.hexdigest()
 
 
-def _emit_json(obj, out_path: str | None, digests: dict[str, str]) -> None:
+def _emit_json(obj, out_path: str | None, digests: dict[str, str] | None = None) -> None:
     _emit_lines([json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2).encode()], out_path, digests)
 
 
@@ -337,22 +342,20 @@ def cmd_augment(args, digests: dict[str, str]) -> dict:
 
     for message in [str(exc) for exc in skipped] + failed:
         print(f"warning: skipped {message}", file=sys.stderr)
-    return {"task": task.value, "skipped_records": len(skipped) + len(failed)}
+    return {"skipped_records": len(skipped) + len(failed)}
 
 
-def cmd_token_pairs(args, digests: dict[str, str]) -> dict:
+def cmd_token_pairs(args, digests: dict[str, str]) -> None:
     _require(args, "lexicon")
-    langs = ",".join(args.langs) if args.langs else None
-    lang_filter = [l.strip() for l in langs.split(",") if l.strip()] if langs else None
-    if lang_filter == []:
-        raise LexAugError(f"--langs names no language, got {langs!r}")
+    lang_filter = [lang.strip() for langs in args.langs or [] for lang in langs.split(",") if lang.strip()]
+    if not lang_filter and args.langs not in (None, [], [""]):  # one empty --langs is no filter
+        raise LexAugError(f"--langs names no language, got {','.join(args.langs)!r}")
     lexicon = _load_lexica(args.lexicon, digests)
     lines = (
         json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True).encode()
-        for e in token_pair_examples(lexicon, lang_filter)
+        for e in token_pair_examples(lexicon, lang_filter or None)
     )
     _emit_lines(lines, args.out, digests)
-    return {"langs": langs}
 
 
 def cmd_mix(args, digests: dict[str, str]) -> dict:
@@ -395,7 +398,7 @@ def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
     yield from ()
 
 
-def cmd_score(args, digests: dict[str, str]) -> dict:
+def cmd_score(args, digests: dict[str, str]) -> None:
     _require(args, "hyp", "ref")
     hyps = list(read_lines(args.hyp, digests))
     refs = list(read_lines(args.ref, digests))
@@ -413,7 +416,6 @@ def cmd_score(args, digests: dict[str, str]) -> dict:
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out, digests)
-    return {}
 
 
 def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]:
@@ -440,17 +442,16 @@ def _sum_eval_batches(
     return [sum(column) for column in zip(*counts)]
 
 
-def cmd_diagnose(args, digests: dict[str, str]) -> dict:
+def cmd_diagnose(args, digests: dict[str, str]) -> None:
     _require(args, "rows")
     counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs, digests)
     report = metrics.ErrorReport(*counts)
     print(report.format_table())
     if args.out:
         _emit_json(report.to_json_obj(), args.out, digests)
-    return {}
 
 
-def cmd_hit_rate(args, digests: dict[str, str]) -> dict:
+def cmd_hit_rate(args, digests: dict[str, str]) -> None:
     _require(args, "rows", "tokens")
     tokens = [line.strip() for line in read_lines(args.tokens, digests) if line.strip()]
     if not tokens:
@@ -462,10 +463,9 @@ def cmd_hit_rate(args, digests: dict[str, str]) -> dict:
 
     result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs, digests))
     _emit_json(result.to_json_obj(), args.out, digests)
-    return {}
 
 
-def cmd_regress(args, digests: dict[str, str]) -> dict:
+def cmd_regress(args, digests: dict[str, str]) -> None:
     from . import analysis  # only regress needs it
 
     _require(args, "table")
@@ -480,10 +480,9 @@ def cmd_regress(args, digests: dict[str, str]) -> dict:
         # The fit failed on the table's values, so name the table.
         raise LexAugError(f"{args.table}: {exc}") from exc
     _emit_json(result, args.out, digests)
-    return {}
 
 
-def cmd_lexicon_stats(args, digests: dict[str, str]) -> dict:
+def cmd_lexicon_stats(args, digests: dict[str, str]) -> None:
     _require(args, "lexicon")
     lexicon = _load_lexica(args.lexicon, digests)
     stats: dict = {
@@ -497,7 +496,6 @@ def cmd_lexicon_stats(args, digests: dict[str, str]) -> dict:
         stats["per_source"] = dict(sorted(lexicon.entry_counts(args.lang).items()))
         stats["lang"] = args.lang
     _emit_json(stats, args.out, digests)
-    return {}
 
 
 def _usable_cores() -> int:
@@ -526,10 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_number(int, low=1), default=default,
                        help=f"worker processes (default: {default})")
 
-    def common(p):
+    def common(p, func: Callable):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("augment", help="render augmented training examples from a corpus")
     p.add_argument("--task", choices=sorted(_TASK_FLAGS))
@@ -542,14 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-fraction", dest="mask_fraction", type=share, default=0.5)
     jobs(p, 1)
     p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"], default="abort")
-    common(p)
-    p.set_defaults(func=cmd_augment)
+    common(p, cmd_augment)
 
     p = sub.add_parser("token-pairs", help="render lexicon entries as tiny translation examples")
     p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
     p.add_argument("--langs", action=_Repeatable, help="comma-separated language filter")
-    common(p)
-    p.set_defaults(func=cmd_token_pairs)
+    common(p, cmd_token_pairs)
 
     p = sub.add_parser("mix", help="build a task weight schedule and optionally interleave streams")
     p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES, default="none")
@@ -559,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", action=_Repeatable, metavar="TASK=PATH")
     p.add_argument("--seed", type=seed)
     p.add_argument("--count", type=_number(int, low=0), help="number of mixed examples to emit")
-    common(p)
-    p.set_defaults(func=cmd_mix)
+    common(p, cmd_mix)
 
     p = sub.add_parser("score", help="chrf over line-aligned hypothesis/reference files")
     p.add_argument("--hyp")
@@ -568,32 +564,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sentence", action=argparse.BooleanOptionalAction, default=False,
                    help="include per-sentence scores")
     jobs(p, cores)
-    common(p)
-    p.set_defaults(func=cmd_score)
+    common(p, cmd_score)
 
     p = sub.add_parser("diagnose", help="null/copy/repetition error report over eval rows")
     p.add_argument("--rows", help="JSONL eval rows")
     jobs(p, cores)
-    common(p)
-    p.set_defaults(func=cmd_diagnose)
+    common(p, cmd_diagnose)
 
     p = sub.add_parser("hit-rate", help="watched-token hit rate over eval rows")
     p.add_argument("--rows", help="JSONL eval rows")
     p.add_argument("--tokens", help="watched tokens, one per line")
     jobs(p, cores)
-    common(p)
-    p.set_defaults(func=cmd_hit_rate)
+    common(p, cmd_hit_rate)
 
     p = sub.add_parser("regress", help="fit score deltas on lexicon entry counts (URL rows); mean delta per class")
     p.add_argument("--table", help="CSV: lang,delta_chrf,n_panlex,n_gatitos,n_mono,class")
-    common(p)
-    p.set_defaults(func=cmd_regress)
+    common(p, cmd_regress)
 
     p = sub.add_parser("lexicon-stats", help="entry counts per language pair and source")
     p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
     p.add_argument("--lang", help="also report per-source counts for this language")
-    common(p)
-    p.set_defaults(func=cmd_lexicon_stats)
+    common(p, cmd_lexicon_stats)
 
     return parser
 
@@ -612,15 +603,24 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) > 1 and not _FORK:
             raise LexAugError(f"--jobs {args.jobs} forks worker processes, which this platform cannot")
         _check_outputs(args)
-        results = args.func(args, digests)
         try:
+            results = args.func(args, digests) or {}
+            sys.stdout.flush()  # so that a closed stdout fails the run before its manifest
+            if args.out in digests:  # no manifest outlives the bytes it describes, even if the run is killed
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(_manifest_path(args))
+                os.replace(_staged(args.out), args.out)
             _write_manifest(args, results, digests)
         except BaseException:
-            # A failed run leaves no --out, so remove the one this run wrote.
+            # A failed run leaves no --out: remove the one it wrote, in place or not.
             if args.out in digests:
-                os.remove(args.out)
+                os.remove(_staged(args.out) if os.path.exists(_staged(args.out)) else args.out)
             raise
         return 0
+    except BrokenPipeError:
+        # stdout was closed early (`lexaug mix … | head`): exit as SIGPIPE would (128 + 13), silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit's flush cannot fail
+        return 141
     except (LexAugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

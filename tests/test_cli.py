@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -252,7 +253,7 @@ class TestAugmentCommand:
         assert main(args + ["--on-error", "skip"]) == 0
         assert [json.loads(line)["origin_id"] for line in out.read_text().splitlines()] == [0, 3]
         assert capsys.readouterr().err.count("pair id must be an integer") == 2
-        assert json.loads((tmp_path / "p.out.jsonl.manifest.json").read_text())["config"]["skipped_records"] == 2
+        assert json.loads((tmp_path / "p.out.jsonl.manifest.json").read_text())["results"]["skipped_records"] == 2
         assert main(args + ["--on-error", "abort"]) == 1
         assert "line 2: pair id must be an integer, got float" in capsys.readouterr().err
 
@@ -266,7 +267,7 @@ class TestAugmentCommand:
         assert f"error: {corpus}:line 2: lang must be non-empty with no whitespace" in capsys.readouterr().err
         assert main(args + ["--on-error", "skip"]) == 0
         assert [json.loads(line)["origin_id"] for line in out.read_text().splitlines()] == [0, 2]
-        assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["config"]["skipped_records"] == 1
+        assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["results"]["skipped_records"] == 1
 
     def test_parallel_task_reads_pairs(self, tmp_path, parallel_corpus_file):
         lexicon = _lexicon_file(tmp_path)
@@ -461,12 +462,10 @@ class TestMixCommand:
     def test_stdin_stream_is_one_error_line(self, tmp_path):
         weights = tmp_path / "weights.json"
         weights.write_text('{"translation": 1}', encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "lexaug.cli", "mix", "--weights", str(weights),
              "--streams", "translation=/dev/stdin", "--seed", "1", "--count", "2"],
-            input=b'{"n": 0}\n', capture_output=True, env=env, timeout=60,
+            input=b'{"n": 0}\n', capture_output=True, env=_checkout_env(), timeout=60,
         )
         assert proc.returncode == 1
         assert proc.stdout == b""
@@ -727,11 +726,15 @@ print("numpy imported:", "numpy" in sys.modules)
 """
 
 
+def _checkout_env() -> dict[str, str]:
+    """The environment with the checkout's src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(*args: str) -> str:
     """The stdout of ``python *args`` with the checkout's src on the path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_checkout_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -913,6 +916,35 @@ class TestAtomicOutput:
         assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.jsonl"]
 
+    def test_killed_run_leaves_no_manifest_of_other_bytes(self, tmp_path):
+        mono = _mono_file(tmp_path)
+        out = tmp_path / "o.json"
+        manifest = tmp_path / "o.json.manifest.json"
+        assert main(["score", "--hyp", mono, "--ref", mono, "--out", str(out)]) == 0
+        earlier = out.read_bytes()
+        # A kill that Python cannot catch, between the new --out and its manifest.
+        kill = ("import os, signal, sys; from lexaug import cli; "
+                "cli._write_manifest = lambda *args: os.kill(os.getpid(), signal.SIGKILL); cli.main(sys.argv[1:])")
+        argv = [sys.executable, "-c", kill, "score", "--hyp", mono, "--ref", mono, "--sentence", "--out", str(out)]
+        assert subprocess.run(argv, env=_checkout_env(), timeout=120).returncode == -signal.SIGKILL
+        assert out.read_bytes() != earlier
+        if manifest.exists():
+            outputs = json.loads(manifest.read_text())["outputs"]
+            assert outputs == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+    def test_closed_stdout_exits_as_sigpipe_with_no_manifest(self, tmp_path):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n{"n": 1}\n')
+        manifest = tmp_path / "run.manifest.json"
+        argv = [sys.executable, "-m", "lexaug.cli", "mix", "--streams", f"translation={stream}", "--streams",
+                f"mass={stream}", "--seed", "1", "--count", "200000", "--manifest", str(manifest)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env()) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+            assert proc.stderr.read() == b""
+        assert not manifest.exists()
+
 
 class TestEmitLines:
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
@@ -1028,7 +1060,7 @@ class TestSurrogateText:
         assert len(err) == 1
         assert err[0].startswith(f"warning: skipped {corpus}:line 2: text holds the lone surrogate U+D")
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-        assert manifest["config"]["skipped_records"] == 1
+        assert manifest["results"]["skipped_records"] == 1
 
     def test_abort_names_the_line(self, tmp_path, capsys):
         corpus = self._corpus(tmp_path, "codeswitch-mono")
@@ -1200,7 +1232,7 @@ class TestRecordErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"warning: skipped record 400: {error}: ")
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-        assert manifest["config"]["skipped_records"] == 1
+        assert manifest["results"]["skipped_records"] == 1
 
     @pytest.mark.parametrize("task,bad_text,error", CASES)
     def test_skip_output_and_warnings_do_not_depend_on_jobs(self, tmp_path, capsys, task, bad_text, error):
@@ -1278,6 +1310,12 @@ class TestConfigKeys:
         assert json.loads(manifest.read_text())["subcommand"] == "lexicon-stats"
         assert not (tmp_path / "stats.json.manifest.json").exists()
 
+    def test_null_leaves_a_required_setting_unset(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": None, "lexicon": [_lexicon_file(tmp_path)], "seed": None}))
+        assert main(["augment", "--task", "codeswitch-mono", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: --corpus is required (flag or config file)\n"
+
 
 _CONFIG_CASES = [
     pytest.param("augment", {"p_tr": [1]}, "p_tr must be a number in [0, 1], got [1]", id="p_tr-list"),
@@ -1305,6 +1343,11 @@ _CONFIG_CASES = [
     pytest.param("augment", {"fraction": 3}, "fraction must be a number in [0, 1], got 3", id="fraction-above-one"),
     pytest.param("augment", {"mask_fraction": 9}, "mask_fraction must be a number in [0, 1], got 9",
                  id="mask_fraction-above-one"),
+    # null unsets only a setting whose flag has no default.
+    pytest.param("augment", {"p_tr": None}, "p_tr must be a number in [0, 1], got None", id="p_tr-null"),
+    pytest.param("score", {"jobs": None}, "jobs must be an integer >= 1, got None", id="jobs-null"),
+    pytest.param("augment", {"sampling": None}, "sampling must be a string, got None", id="sampling-null"),
+    pytest.param("score", {"sentence": None}, "sentence must be true or false, got None", id="sentence-null"),
 ]
 
 
@@ -1636,27 +1679,47 @@ _RUNS = {
 
 
 class TestManifestSettings:
-    """A manifest's config holds every setting of its subcommand, so two runs
-    with different settings never share one."""
+    """A manifest's config holds every setting of its subcommand and nothing
+    else, so two runs with different settings never share one, and it is a
+    config file that runs the same run again."""
 
-    def _config(self, tmp_path, argv: list[str]) -> dict:
+    def _manifest(self, tmp_path, argv: list[str], out: str = "out") -> dict:
         table = tmp_path / "table.csv"
         table.write_text(_TABLE)
-        files = {"mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path),
-                 "rows": write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3), "table": str(table)}
-        out = tmp_path / "out"
-        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 0.25, "mass": 0.75}')
+        mono = _mono_file(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(Path(mono).read_text().replace('number 3"}', 'number 3"', 1))  # line 4 does not parse
+        files = {"mono": mono, "lex": _lexicon_file(tmp_path), "rows": write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3),
+                 "table": str(table), "weights": str(weights), "bad": str(bad)}
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(tmp_path / out)]) == 0
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
         assert manifest["subcommand"] == argv[0]
-        return manifest["config"]
+        return manifest
 
     @pytest.mark.parametrize("subcommand", sorted(cli.build_parser()._subparsers._group_actions[0].choices))
     def test_config_names_every_flag(self, tmp_path, capsys, subcommand):
         parser = cli.build_parser()._subparsers._group_actions[0].choices[subcommand]
         settings = {a.dest for a in parser._actions} - {"help", "config", "out", "manifest"}
-        assert settings <= set(self._config(tmp_path, _RUNS[subcommand]))
+        assert settings == set(self._manifest(tmp_path, _RUNS[subcommand])["config"])
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(argv, id=name) for name, argv in _RUNS.items()),
+        pytest.param(["mix", "--weights", "{weights}", "--streams", "translation={mono}", "--streams", "mass={rows}",
+                      "--seed", "1", "--count", "9"], id="mix-weights-streams"),
+        pytest.param(_AUGMENT + ["--corpus", "{bad}", "--on-error", "skip"], id="augment-skip"),
+        pytest.param(["token-pairs", "--lexicon", "{lex}", "--langs", "es,fr"], id="token-pairs-langs"),
+    ])
+    def test_config_runs_the_same_run(self, tmp_path, capsys, argv):
+        first = self._manifest(tmp_path, argv)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(first["config"]))
+        again = self._manifest(tmp_path, [argv[0], "--config", str(config)], "again")
+        assert (tmp_path / "again").read_bytes() == (tmp_path / "out").read_bytes()
+        assert again["config"] == first["config"]
 
     def test_sentence_and_no_sentence_differ(self, tmp_path, capsys):
         score = _RUNS["score"]
-        configs = [self._config(tmp_path, score + [flag]) for flag in ("--sentence", "--no-sentence")]
+        configs = [self._manifest(tmp_path, score + [flag])["config"] for flag in ("--sentence", "--no-sentence")]
         assert [c["sentence"] for c in configs] == [True, False]
