@@ -7,18 +7,17 @@ error detectors, lexicon-effect regression). The submodules hold the rest of
 the API.
 """
 
-from .augment import codeswitch_mono
-from .corpus import Record
-from .lexicon import LexEntry, Lexicon
-from .sampling import SelectionParams, derive_rng
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LexEntry",
-    "Lexicon",
-    "Record",
-    "SelectionParams",
-    "codeswitch_mono",
-    "derive_rng",
-]
+# Each exported name and its submodule, which loads on first use (PEP 562).
+_EXPORTS = {"LexEntry": "lexicon", "Lexicon": "lexicon", "Record": "corpus", "SelectionParams": "sampling",
+            "codeswitch_mono": "augment", "derive_rng": "sampling"}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

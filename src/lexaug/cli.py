@@ -27,18 +27,17 @@ import stat
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from . import __version__, metrics
-from .augment import Task, augment_example, token_pair_examples
+from . import __version__
 from .corpus import Branch, assign_branch, load_corpus, read_lines, read_text
 from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
-from .lexicon import Lexicon, read_entries
-from .mixture import AUG_CHOICES, StreamFile, TaskWeights, build_schedule, interleave, task_named
-from .sampling import SelectionMode, SelectionParams, derive_rng
 
-# --task values name the augmentation tasks, e.g. "glowup-mono" for Task.GLOWUP_MONO.
-_TASK_FLAGS = {t.value.replace("_", "-"): t for t in Task if t.value.endswith(("_mono", "_parallel"))}
+# The parser's choices, spelled out so that no command imports the modules that name them
+# (a test pins them): Task values as flags, mixture.AUG_CHOICES, SelectionMode values.
+_TASKS = ("codeswitch-mono", "codeswitch-parallel", "glowup-mono", "glowup-parallel")
+_AUG_CHOICES = ("none", "codeswitch", "glowup")
+_SAMPLING = ("binomial", "uniform")
 
 
 class _Repeatable(argparse._AppendAction):
@@ -138,9 +137,10 @@ def _lexicon_spec(spec: str) -> tuple[str, str]:
     return (name, path) if eq else (Path(spec).stem, spec)
 
 
-def _load_lexica(specs: list[str], digests: dict[str, str] | None = None) -> Lexicon:
+def _load_lexica(specs: list[str], digests: dict[str, str] | None = None):
     """One Lexicon over every file's entries, in spec order: on a duplicate
     entry the first file's name is kept."""
+    from .lexicon import Lexicon, read_entries
     return Lexicon((name, read_entries(path, digests)) for name, path in map(_lexicon_spec, specs))
 
 
@@ -255,55 +255,125 @@ def _emit_json(obj, out_path: str | None, digests: dict[str, str] | None = None)
 # Items per batch that _map_batches hands to its ``run``.
 BATCH_SIZE = 256
 # Whether this platform can fork pool workers; --jobs N > 1 needs it.
-# multiprocessing is imported only when a pool starts.
 _FORK = hasattr(os, "fork")
-# A pool worker's ``run``, set once by the pool initializer so that it (and
-# the lexicon augment's ``run`` closes over) is not pickled with every batch.
-# Forked workers inherit the initializer's arguments unpickled, so ``run``
-# may be a closure.
-_worker_run: Callable[[list], object] | None = None
-
-
-def _start_worker(run: Callable[[list], object]) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _run_in_worker(batch: list):
-    return _worker_run(batch)
 
 
 def _map_batches(run: Callable[[list], object], items: Iterable, jobs: int) -> Iterator:
     """``run(batch)`` for each batch of up to BATCH_SIZE items, in batch
-    order. A pool of ``jobs`` forked workers runs the batches when ``jobs`` >
-    1 and the items make more than one batch; otherwise they run here. Either
-    way an error in a batch, or in reading its items, is raised after the
-    results of every batch before it."""
+    order. ``_pool`` runs the batches when ``jobs`` > 1 and the items make
+    more than one batch; otherwise they run here. Either way an error in a
+    batch, or in reading its items, is raised after the results of every
+    batch before it."""
     items = iter(items)
     batches = iter(lambda: list(itertools.islice(items, BATCH_SIZE)), [])
-    head: list[list] = []
-    try:
-        head.extend(itertools.islice(batches, 2))
-    except Exception:
-        yield from map(run, head)
-        raise
+    failed: list[Exception] = []  # an error in reading the items
+
+    def read() -> list | None:
+        try:
+            return None if failed else next(batches, None)
+        except Exception as exc:
+            failed.append(exc)
+
+    head = [batch for batch in (read(), read()) if batch is not None]
     pooled = jobs > 1 and len(head) == 2
     # Through an iterator over ``head``, so the batches read ahead are freed
     # once they have run rather than at the end of the run.
-    batches = itertools.chain(iter(head), batches)
+    batches_read = itertools.chain(iter(head), iter(read, None))
     del head
-    if not pooled:
-        yield from map(run, batches)
-        return
-    import multiprocessing
+    yield from _pool(run, batches_read, jobs) if pooled else map(run, batches_read)
+    if failed:
+        raise failed[0]
 
-    with multiprocessing.get_context("fork").Pool(processes=jobs, initializer=_start_worker, initargs=(run,)) as pool:
-        yield from pool.imap(_run_in_worker, batches)
+
+def _pool(run: Callable[[list], object], batches: Iterator[list], jobs: int) -> Iterator:
+    """``run(batch)`` for each batch, in batch order, on up to ``jobs``
+    workers forked as batches arrive. Batch k goes to worker k mod ``jobs``,
+    which holds at most that one batch, so no pipe fills both ways, and the
+    next batch is read while the workers run. A dead worker fails the run at
+    its batch, and no worker outlives the generator."""
+    import pickle
+
+    workers: list[tuple[int, BinaryIO, BinaryIO]] = []  # pid, batches to it, replies from it
+    busy: list = []  # the workers that hold a batch, in batch order
+
+    def send(worker: tuple[int, BinaryIO, BinaryIO], batch: list) -> None:
+        with contextlib.suppress(BrokenPipeError):  # a dead worker fails the run at its reply
+            pickle.dump(batch, worker[1])
+            worker[1].flush()
+        busy.append(worker)
+
+    try:
+        for batch in itertools.islice(batches, jobs):
+            workers.append(_fork_worker(run, workers))
+            send(workers[-1], batch)
+        batch = next(batches, None)
+        while busy:
+            pid, _, replies = worker = busy.pop(0)
+            try:
+                ok, result = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise LexAugError(f"a --jobs worker {how} before it returned its batch") from None
+            if not ok:
+                raise result
+            if batch is not None:
+                send(worker, batch)
+                batch = next(batches, None)
+            yield result
+    finally:
+        for pid, requests, replies in workers:
+            with contextlib.suppress(BrokenPipeError):  # the batch a dead worker never read
+                requests.close()
+            replies.close()
+            with contextlib.suppress(ChildProcessError):  # reaped when its death was reported
+                os.waitpid(pid, 0)
+
+
+def _fork_worker(run: Callable[[list], object], workers: list) -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork a worker that inherits ``run`` (and the lexicon it holds) and
+    answers each batch it reads with ``(True, run(batch))`` or ``(False,
+    exception)``; return its pid and the parent's ends of its two pipes."""
+    import pickle
+
+    (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        raise
+    if pid:
+        os.close(down_r)
+        os.close(up_w)
+        # os.fdopen, not open: the benchmark's tracer replaces this module's open.
+        return pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")
+    # The worker closes the earlier workers' pipes, and leaves by os._exit, so no
+    # atexit handler, finalizer or stdio buffer inherited from the parent runs twice.
+    try:
+        for fd in (down_w, up_r, *(f.fileno() for _, *files in workers for f in files)):
+            os.close(fd)
+        requests, replies = os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb")
+        while True:
+            try:
+                batch = pickle.load(requests)
+            except EOFError:
+                os._exit(0)
+            try:
+                result = (True, run(batch))
+            except Exception as exc:
+                result = (False, exc)
+            pickle.dump(result, replies)
+            replies.flush()
+    finally:
+        os._exit(1)
 
 
 def cmd_augment(args, digests: dict[str, str]) -> dict:
+    from .augment import Task, augment_example
+    from .sampling import SelectionMode, SelectionParams, derive_rng
     _require(args, "task", "corpus", "lexicon", "seed")
-    task = _TASK_FLAGS[args.task]
+    task = Task(args.task.replace("-", "_"))
     params = SelectionParams(p_tr=args.p_tr, mode=SelectionMode(args.sampling))
     lexicon = _load_lexica(args.lexicon, digests)
     kind = "mono" if args.task.endswith("-mono") else "parallel"
@@ -346,9 +416,10 @@ def cmd_augment(args, digests: dict[str, str]) -> dict:
 
 
 def cmd_token_pairs(args, digests: dict[str, str]) -> None:
+    from .augment import token_pair_examples
     _require(args, "lexicon")
     lang_filter = [lang.strip() for langs in args.langs or [] for lang in langs.split(",") if lang.strip()]
-    if not lang_filter and args.langs not in (None, [], [""]):  # one empty --langs is no filter
+    if not lang_filter and any(args.langs or ()):  # --langs "" (given any number of times) is no filter
         raise LexAugError(f"--langs names no language, got {','.join(args.langs)!r}")
     lexicon = _load_lexica(args.lexicon, digests)
     lines = (
@@ -359,6 +430,7 @@ def cmd_token_pairs(args, digests: dict[str, str]) -> None:
 
 
 def cmd_mix(args, digests: dict[str, str]) -> dict:
+    from .mixture import StreamFile, TaskWeights, build_schedule, interleave, task_named
     if args.weights:
         if (args.mono_aug, args.parallel_aug, args.token_pairs) != ("none", "none", False):
             raise LexAugError("--weights gives every weight, so --mono-aug, --parallel-aug and --token-pairs "
@@ -374,7 +446,7 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
     _require(args, "seed", "count")
     if not hasattr(os, "pread"):
         raise LexAugError("mix --streams reads stream lines with os.pread, which this platform lacks")
-    stream_paths: dict[Task, str] = {}
+    stream_paths: dict = {}  # Task -> path
     for spec_str in args.streams:
         name, eq, path = spec_str.partition("=")
         if not eq:
@@ -390,7 +462,7 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
     return results
 
 
-def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
+def _unchanged(streams: Iterable) -> Iterator[bytes]:
     """No lines: chained after the mixed lines, it fails the run before its
     output is kept if a stream changed while they were read."""
     for stream in streams:
@@ -399,6 +471,7 @@ def _unchanged(streams: Iterable[StreamFile]) -> Iterator[bytes]:
 
 
 def cmd_score(args, digests: dict[str, str]) -> None:
+    from . import metrics
     _require(args, "hyp", "ref")
     hyps = list(read_lines(args.hyp, digests))
     refs = list(read_lines(args.ref, digests))
@@ -420,6 +493,7 @@ def cmd_score(args, digests: dict[str, str]) -> None:
 
 def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]:
     """The eval rows of a batch of numbered JSONL lines from ``path``."""
+    from . import metrics
     rows = []
     for line_no, line in batch:
         try:
@@ -443,6 +517,7 @@ def _sum_eval_batches(
 
 
 def cmd_diagnose(args, digests: dict[str, str]) -> None:
+    from . import metrics
     _require(args, "rows")
     counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs, digests)
     report = metrics.ErrorReport(*counts)
@@ -452,6 +527,7 @@ def cmd_diagnose(args, digests: dict[str, str]) -> None:
 
 
 def cmd_hit_rate(args, digests: dict[str, str]) -> None:
+    from . import metrics
     _require(args, "rows", "tokens")
     tokens = [line.strip() for line in read_lines(args.tokens, digests) if line.strip()]
     if not tokens:
@@ -531,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("augment", help="render augmented training examples from a corpus")
-    p.add_argument("--task", choices=sorted(_TASK_FLAGS))
+    p.add_argument("--task", choices=_TASKS)
     p.add_argument("--corpus")
     p.add_argument("--lexicon", action=_Repeatable, metavar="[NAME=]PATH")
     p.add_argument("--seed", type=seed)
     p.add_argument("--p-tr", dest="p_tr", type=share, default=0.4)
     p.add_argument("--fraction", type=share, default=0.5, help="share of records routed to augmentation")
-    p.add_argument("--sampling", choices=[m.value for m in SelectionMode], default="binomial")
+    p.add_argument("--sampling", choices=_SAMPLING, default="binomial")
     p.add_argument("--mask-fraction", dest="mask_fraction", type=share, default=0.5)
     jobs(p, 1)
     p.add_argument("--on-error", dest="on_error", choices=["abort", "skip"], default="abort")
@@ -549,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_token_pairs)
 
     p = sub.add_parser("mix", help="build a task weight schedule and optionally interleave streams")
-    p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES, default="none")
-    p.add_argument("--parallel-aug", dest="parallel_aug", choices=AUG_CHOICES, default="none")
+    p.add_argument("--mono-aug", dest="mono_aug", choices=_AUG_CHOICES, default="none")
+    p.add_argument("--parallel-aug", dest="parallel_aug", choices=_AUG_CHOICES, default="none")
     p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--weights", help="JSON file mapping task name to weight")
     p.add_argument("--streams", action=_Repeatable, metavar="TASK=PATH")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import lexaug
-from lexaug import analysis, cli
+from lexaug import analysis, cli, mixture
 from lexaug.cli import main
 from lexaug.errors import LexAugError
 from lexaug.mixture import StreamFile, interleave
@@ -482,7 +482,7 @@ class TestMixCommand:
                 handle.write(b'{"n": 2}\n')
             yield from mixed
 
-        monkeypatch.setattr(cli, "interleave", appending)
+        monkeypatch.setattr(mixture, "interleave", appending)
         out = tmp_path / "mixed.jsonl"
         assert self._one_stream_mix(tmp_path, stream, "--count", "5", "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {stream}: changed while it was read\n"
@@ -754,17 +754,23 @@ def test_no_command_imports_numpy(tmp_path):
 
 # Modules only some runs need: each must load when that run starts, not when
 # the CLI is imported.
-_DEFERRED = {"importlib.metadata", "multiprocessing", "lexaug.analysis"}
+_DEFERRED = {"importlib.metadata", "lexaug.analysis", "lexaug.augment", "lexaug.lexicon", "lexaug.metrics",
+             "lexaug.mixture", "lexaug.sampling"}
 
 _IMPORT_PROBE = """
 import json, sys
 from lexaug import cli
 at_import = sorted(sys.modules)
-table, hyp, out = sys.argv[1:]
+table, hyp, rows, lexicon, mono, out = sys.argv[1:]
 cli.BATCH_SIZE = 1  # two lines make two batches, so --jobs 2 starts a pool
 assert cli.main(["regress", "--table", table, "--out", out + "/regress.json"]) == 0
 assert cli.main(["score", "--hyp", hyp, "--ref", hyp, "--jobs", "2", "--out", out + "/score.json"]) == 0
-print(json.dumps({"at_import": at_import, "after_runs": sorted(sys.modules)}))
+assert cli.main(["diagnose", "--rows", rows, "--jobs", "2", "--out", out + "/diagnose.json"]) == 0
+assert cli.main(["hit-rate", "--rows", rows, "--tokens", hyp, "--jobs", "2", "--out", out + "/hit-rate.json"]) == 0
+after_scoring = sorted(sys.modules)
+assert cli.main(["augment", "--task", "codeswitch-mono", "--corpus", mono, "--lexicon", lexicon, "--seed", "1",
+                 "--fraction", "1", "--jobs", "2", "--out", out + "/augment.jsonl"]) == 0
+print(json.dumps({"at_import": at_import, "after_scoring": after_scoring, "after_runs": sorted(sys.modules)}))
 """
 
 
@@ -773,17 +779,33 @@ def test_cli_import_defers_what_only_some_runs_use(tmp_path):
     table.write_text(_TABLE + "".join(f"u{i},{i * 0.5 + i % 3},{100 * i},{7 * i * i},{7 * i % 13},URL\n" for i in range(8)))
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("the cat sat\na dog\n")
+    rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW, {**_ROW, "hypothesis": "b"}])
     # Site .pth files may import modules of their own, so compare with an
     # interpreter that imports nothing.
     bare = set(_python("-c", "import sys; print(*sys.modules, sep='\\n')").split())
-    probe = json.loads(_python("-c", _IMPORT_PROBE, str(table), str(hyp), str(tmp_path)))
+    args = [table, hyp, rows, _lexicon_file(tmp_path), _mono_file(tmp_path), tmp_path]
+    probe = json.loads(_python("-c", _IMPORT_PROBE, *map(str, args)).splitlines()[-1])  # after diagnose's table
     at_import = set(probe["at_import"]) - bare
     assert "lexaug.cli" in at_import
     assert _DEFERRED & at_import == set()
-    # regress and a pooled score still find what they import.
-    assert {"lexaug.analysis", "multiprocessing"} <= set(probe["after_runs"])
+    # Scoring runs, pooled or not, load nothing of the augmentation chain.
+    assert _DEFERRED & set(probe["after_scoring"]) == {"lexaug.analysis", "lexaug.metrics"}
+    # The pools are forked workers: no run loads multiprocessing.
+    assert "lexaug.augment" in probe["after_runs"]
+    assert "multiprocessing" not in set(probe["after_runs"]) - bare
     assert json.loads((tmp_path / "regress.json").read_text())["n_rows"] == 8
     assert json.loads((tmp_path / "score.json").read_text())["pairs"] == 2
+    assert len((tmp_path / "augment.jsonl").read_text().splitlines()) == 20
+
+
+def test_parser_choices_are_the_library_values():
+    from lexaug.augment import Task
+    from lexaug.mixture import AUG_CHOICES
+    from lexaug.sampling import SelectionMode
+
+    assert cli._TASKS == tuple(t.value.replace("_", "-") for t in Task if t.value.endswith(("_mono", "_parallel")))
+    assert cli._AUG_CHOICES == AUG_CHOICES
+    assert cli._SAMPLING == tuple(m.value for m in SelectionMode)
 
 
 def _pyproject_version() -> str:
@@ -1199,6 +1221,88 @@ class TestMapBatches:
             list(cli._map_batches(run, items(), jobs))
 
 
+# score, run one pair per batch, with a chrf statistics function that
+# SIGKILLs the worker given the pair whose hypothesis is "kill".
+_KILLED_WORKER = """
+import os, signal, sys
+from lexaug import cli, metrics
+cli.BATCH_SIZE = 1
+statistics = metrics.chrf_statistics
+
+def killing(batch):
+    if batch[0][0] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return statistics(batch)
+
+metrics.chrf_statistics = killing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# Runs the command, then fails with exit 99 if a child of the run is left.
+_REAPED = """
+import os, sys
+from lexaug.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    code = 99
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestPoolWorkers:
+    def test_dead_worker_fails_the_run(self, tmp_path):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a cat\nthe dog\nkill\nthe cat\nthe end\n")
+        ref.write_text("the cat\nthe dog\nthe cat\nthe cat\nthe end\n")
+        out = tmp_path / "score.json"
+        argv = [sys.executable, "-c", _KILLED_WORKER, "score", "--hyp", str(hyp), "--ref", str(ref),
+                "--jobs", "2", "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_checkout_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: a --jobs worker was killed by signal {signal.SIGKILL.value} before it returned its batch"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hyp.txt", "ref.txt"]
+
+    def test_no_worker_outlives_an_aborted_augment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_SIZE", 5)
+        texts = [f"the cat saw dog number {i}" for i in range(20)]
+        texts[7] = "the cat saw a <mask> here"  # batch 2 of 4
+        corpus = write_jsonl(tmp_path / "mono.jsonl", [{"lang": "en", "script": "Latn", "text": t} for t in texts])
+        argv = [a.format(lex=_lexicon_file(tmp_path)) for a in _AUGMENT]
+        assert main([*argv, "--corpus", corpus, "--jobs", "2", "--out", str(tmp_path / "out.jsonl")]) == 1
+        assert "record 7" in capsys.readouterr().err
+        assert _no_child_left()
+
+    def test_no_worker_outlives_a_score(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_SIZE", 2)
+        mono = _mono_file(tmp_path)
+        assert main(["score", "--hyp", mono, "--ref", mono, "--jobs", "3", "--out", str(tmp_path / "s.json")]) == 0
+        assert json.loads((tmp_path / "s.json").read_text())["score"] == 100.0
+        assert _no_child_left()
+
+    def test_no_worker_outlives_a_closed_stdout(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "mono.jsonl", [{"lang": "en", "script": "Latn", "text": f"the cat {i}"}
+                                                       for i in range(3000)])
+        argv = [sys.executable, "-c", _REAPED, *(a.format(lex=_lexicon_file(tmp_path)) for a in _AUGMENT),
+                "--corpus", corpus, "--jobs", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env()) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+            assert proc.stderr.read() == b""
+
+
 class TestRecordErrors:
     """A record that its task cannot augment is skipped and counted under
     --on-error skip, and names its id when it aborts the run."""
@@ -1443,6 +1547,15 @@ class TestConfigValues:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert [json.loads(line)["target"] for line in outputs[0].splitlines()] == ["jakuma", "gato"]
+
+    def test_empty_langs_are_no_filter_however_often_given(self, tmp_path, capsys):
+        lexicon = _lexicon_file(tmp_path)
+        outputs = []
+        for langs in ([], ["--langs", ""], ["--langs", "", "--langs", ""]):
+            assert main(["token-pairs", "--lexicon", lexicon, *langs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 4
 
 
 class TestUsageErrors:

@@ -10,7 +10,7 @@ update the digest in the same commit and say why.
 
 import hashlib
 import json
-import multiprocessing
+import os
 
 import pytest
 
@@ -335,19 +335,19 @@ def test_hit_rate_digest(eval_inputs):
 @pytest.fixture
 def pool_spy(monkeypatch):
     """Four eval rows per batch, so the 16 golden rows cross a pool in four
-    batches; the list records each pool the run starts."""
+    batches; the list records the pid of each worker the run forks."""
     monkeypatch.setattr(cli, "BATCH_SIZE", 4)
-    pools = []
-    real_get_context = multiprocessing.get_context
+    forked = []
+    real_fork = os.fork
 
-    def get_context(method):
-        pools.append(method)
-        return real_get_context(method)
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    # cli imports multiprocessing when it starts a pool, and takes the
-    # context from the module.
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    return pools
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
 
 _SCORING_RUNS = {
@@ -365,7 +365,7 @@ def test_scoring_digests_through_the_pool(eval_inputs, pool_spy, capsys, command
     argv = [arg.format(**eval_inputs) for arg in argv]
     assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
     assert _sha256(out) == digest
-    assert pool_spy == ([] if jobs == "1" else ["fork"])
+    assert len(pool_spy) == (0 if jobs == "1" else 2)
 
 
 # Per-language rows for `regress`: eight URL rows to fit, and every other
