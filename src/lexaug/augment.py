@@ -9,20 +9,21 @@ records can be processed in any order by any number of workers.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 # LITERALS lives in corpus so that lexicon, which this module imports, can
-# check terms against it; it is re-exported here.
+# check terms against it, and Task so that mixture need not import this
+# module; both are re-exported here.
 from .corpus import (
     _COLLISION_RE,
     _LITERAL_PATTERN,
     LITERALS,
     Record,
     SentencePair,
+    Task,
     Token,
     TokenizedSentence,
     tokenize,
@@ -37,16 +38,6 @@ from .sampling import (
     select_binomial_adjusted,
     select_uniform_count,
 )
-
-
-class Task(enum.Enum):
-    TRANSLATION = "translation"
-    MASS = "mass"
-    CODESWITCH_MONO = "codeswitch_mono"
-    CODESWITCH_PARALLEL = "codeswitch_parallel"
-    GLOWUP_MONO = "glowup_mono"
-    GLOWUP_PARALLEL = "glowup_parallel"
-    TOKEN_PAIR = "token_pair"
 
 
 # The task tokens are the first six control tokens, in Task order; token

@@ -17,7 +17,7 @@ import re
 import struct
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import CorpusFormatError, FormatError
 
@@ -35,6 +35,21 @@ LITERALS = (
     "<2translation>", "<2mass>", "<2codeswitch>", "<2codeswitch_parallel>", "<2glowup_mono>", "<2glowup>",
     "<mask>", "<hint>", "<is>", "<endhints>",
 )
+
+
+class Task(enum.Enum):
+    """The training tasks: the first six in the order of their task tokens in
+    ``LITERALS``; token pairs reuse the first token."""
+
+    TRANSLATION = "translation"
+    MASS = "mass"
+    CODESWITCH_MONO = "codeswitch_mono"
+    CODESWITCH_PARALLEL = "codeswitch_parallel"
+    GLOWUP_MONO = "glowup_mono"
+    GLOWUP_PARALLEL = "glowup_parallel"
+    TOKEN_PAIR = "token_pair"
+
+
 _LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, reverse=True))
 # What corpus text and lexicon terms may not hold: a control token, or a
 # language or script tag, an open family ("<2en>", "<2Latn>", ...).
@@ -137,6 +152,13 @@ class _WordTable(dict):
 _WORD_TABLE = _WordTable()
 
 
+def words(text: str) -> list[str]:
+    """The surfaces of ``tokenize(text)``, without the tokens: word characters
+    translate to themselves and no word character is whitespace, so the
+    translated text split at whitespace is the words."""
+    return text.translate(_WORD_TABLE).split()
+
+
 def tokenize(text: str) -> TokenizedSentence:
     """Split text into maximal runs of Unicode letters/marks/digits.
 
@@ -227,38 +249,41 @@ def _pair_from_obj(obj: dict, default_id: int, line_no: int, path: str | None) -
 BLOCK = 1 << 16
 
 
-def read_chunks(
-    path: str, read: Callable[[int], bytes], digests: dict[str, str] | None, lines: Callable[[], int]
-) -> Iterator[tuple[bytearray, str]]:
-    """The file at ``path``, read by ``read(BLOCK)`` until it gives no bytes,
-    in chunks with their UTF-8 text. Each chunk ends at a ``\\n`` (the last
-    may not), so no UTF-8 sequence is split between two decodes. A byte that
-    does not decode raises FormatError naming its line and offset; ``lines()``
-    gives the lines of the chunks already yielded, which the caller counts as
-    it splits them. After the last chunk, ``digests[path]`` (if given) is the
-    SHA-256 of the bytes read."""
-    digest = hashlib.sha256()
+def line_chunks(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of ``blocks`` in chunks that each end at a ``\\n`` (the
+    last may not)."""
     head = bytearray()  # the start of a line that earlier blocks cut
-    while True:
-        block = read(BLOCK)
-        digest.update(block)
+    for block in blocks:
         cut = block.rfind(b"\n") + 1
-        if block and not cut:
+        if not cut:
             head += block
             continue
-        # At the end of the file (an empty block), the chunk is the rest: a
-        # last line that no "\n" ends, or nothing.
-        chunk, head = head + block[:cut], bytearray(block[cut:])
-        if chunk:
-            try:
-                text = chunk.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                offset = exc.start - chunk.rfind(b"\n", 0, exc.start) - 1
-                raise FormatError(f"not valid UTF-8: byte {chunk[exc.start]:#04x} at offset {offset} ({exc.reason})",
-                                  path, lines() + chunk.count(b"\n", 0, exc.start) + 1) from None
-            yield chunk, text
-        if not block:
-            break
+        view = memoryview(block)  # saves a copy of each part
+        chunk, head = b"".join((head, view[:cut])), bytearray(view[cut:])
+        yield chunk
+    if head:
+        yield bytes(head)  # a last line that no "\n" ends
+
+
+def read_chunks(
+    path: str, blocks: Iterable[bytes], digests: dict[str, str] | None, lines: Callable[[], int]
+) -> Iterator[tuple[bytes, str]]:
+    """The chunks of the file at ``path`` that ``line_chunks(blocks)`` gives,
+    with their UTF-8 text; no UTF-8 sequence is split between two decodes. A
+    byte that does not decode raises FormatError naming its line and offset;
+    ``lines()`` gives the number of lines in the chunks already yielded.
+    After the last chunk, ``digests[path]`` (if given) is the SHA-256 of the
+    bytes read."""
+    digest = hashlib.sha256()
+    for chunk in line_chunks(blocks):
+        digest.update(chunk)
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            offset = exc.start - chunk.rfind(b"\n", 0, exc.start) - 1
+            raise FormatError(f"not valid UTF-8: byte {chunk[exc.start]:#04x} at offset {offset} ({exc.reason})",
+                              path, lines() + chunk.count(b"\n", 0, exc.start) + 1) from None
+        yield chunk, text
     if digests is not None:
         digests[path] = digest.hexdigest()
 
@@ -269,7 +294,8 @@ def read_lines(path: str, digests: dict[str, str] | None = None) -> Iterator[str
     its line."""
     done = 0  # the lines of the chunks read so far
     with open(path, "rb", buffering=0) as file:
-        for _, text in read_chunks(path, file.read, digests, lambda: done):
+        blocks = iter(functools.partial(file.read, BLOCK), b"")
+        for _, text in read_chunks(path, blocks, digests, lambda: done):
             if "\r" in text:  # rare, and cheaper to test for than to replace
                 text = text.replace("\r\n", "\n")
             lines = text.split("\n")
@@ -284,7 +310,8 @@ def read_text(path: str, digests: dict[str, str] | None = None) -> str:
     """The text of the file at ``path``, read once by ``read_chunks``."""
     texts: list[str] = []
     with open(path, "rb", buffering=0) as file:
-        for _, text in read_chunks(path, file.read, digests, lambda: sum(t.count("\n") for t in texts)):
+        blocks = iter(functools.partial(file.read, BLOCK), b"")
+        for _, text in read_chunks(path, blocks, digests, lambda: sum(t.count("\n") for t in texts)):
             texts.append(text)
     return "".join(texts)
 

@@ -34,7 +34,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import _COLLISION_RE, _WORD_TABLE, check_tag_value, read_lines
+from .corpus import _COLLISION_RE, check_tag_value, read_lines, words as _words
 from .errors import LexiconFormatError
 
 
@@ -91,13 +91,8 @@ def match_key(text: str) -> str:
 
 
 def _key_and_length(text: str) -> tuple[str, int]:
-    """The match key of ``text`` and its length in word tokens (at least 1).
-
-    The words are ``tokenize``'s surfaces: word characters translate to
-    themselves and no word character is whitespace, so splitting the
-    translated text on whitespace yields each token.
-    """
-    words = text.translate(_WORD_TABLE).split()
+    """The match key of ``text`` and its length in word tokens (at least 1)."""
+    words = _words(text)
     if not words:
         return text.strip().casefold(), 1
     return " ".join(words).casefold(), len(words)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import tokenize
+from .corpus import words
 
 _WS_RE = re.compile(r"\s+")
 
@@ -180,7 +180,8 @@ class HitRate:
 
 
 def _contains_watched(text: str, watched: frozenset[str]) -> bool:
-    return any(s.casefold() in watched for s in tokenize(text).surfaces())
+    """Whether a case-folded word of ``text`` is in ``watched``."""
+    return not watched.isdisjoint(map(str.casefold, words(text)))
 
 
 def token_hit_rate(rows: Iterable, tokens: Iterable[str]) -> HitRate:
@@ -232,11 +233,12 @@ def is_copy(source: str, hypothesis: str) -> bool:
 
 
 def detect_repetition(hypothesis: str) -> bool:
-    """True when total tokens / unique tokens strictly exceeds 3."""
-    surfaces = tokenize(hypothesis).surfaces()
-    if not surfaces:
+    """True when total tokens / unique tokens strictly exceeds 3 (the tokens
+    are ``corpus.words``)."""
+    tokens = words(hypothesis)
+    if not tokens:
         return False
-    return len(surfaces) / len(set(surfaces)) > REPETITION_RATIO_THRESHOLD
+    return len(tokens) / len(set(tokens)) > REPETITION_RATIO_THRESHOLD
 
 
 class Resourcedness(enum.Enum):

@@ -8,8 +8,9 @@ shrinks everything else by the factor 0.95.
 
 ``interleave`` mixes task streams without a Python step per line: the task
 draws come in blocks from ``Rng.block`` and pass through a chain of ``map``
-calls to each task's stream; stream files are read in runs of lines, one
-``os.pread`` per run.
+calls to each task's stream. A stream file's first pass is read a chunk at a
+time; only a stream that wraps is indexed, and its later passes read one
+line per ``os.pread``.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ import math
 import os
 import stat
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
-from itertools import chain, repeat
-from operator import add, mul, rshift, sub
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, repeat
+from operator import add, mul, rshift
 from typing import Iterator, Mapping, Sequence
 
-from .augment import Task
-from .corpus import BLOCK, read_chunks
+from .corpus import BLOCK, Task, line_chunks, read_chunks
 from .errors import FormatError, ScheduleError
 from .sampling import DRAW_BLOCK, Rng, derive_rng
 
@@ -89,37 +88,39 @@ def build_schedule(
 ) -> TaskWeights:
     """Derive the task weights for a training configuration.
 
-    Exact rational arithmetic internally, so e.g. enabling token pairs on a
+    Exact integer arithmetic in units of 1/200 internally, and one correctly
+    rounded division per weight, so e.g. enabling token pairs on a
     codeswitch-mono schedule yields exactly {0.05, 0.38, 0.285, 0.285}.
     """
     for name, value in (("mono_aug", mono_aug), ("parallel_aug", parallel_aug)):
         if value not in AUG_CHOICES:
             raise ScheduleError(f"{name} must be one of {AUG_CHOICES}, got {value!r}")
-    weights: dict[Task, Fraction] = {
-        Task.TRANSLATION: Fraction(2, 5),
-        Task.MASS: Fraction(3, 5),
-    }
+    weights = {Task.TRANSLATION: 80, Task.MASS: 120}  # in units of 1/200
     if mono_aug != "none":
-        weights[Task.MASS] = Fraction(3, 10)
-        weights[Task(f"{mono_aug}_mono")] = Fraction(3, 10)
+        weights[Task.MASS] = 60
+        weights[Task(f"{mono_aug}_mono")] = 60
     if parallel_aug != "none":
-        weights[Task.TRANSLATION] = Fraction(1, 5)
-        weights[Task(f"{parallel_aug}_parallel")] = Fraction(1, 5)
+        weights[Task.TRANSLATION] = 40
+        weights[Task(f"{parallel_aug}_parallel")] = 40
     if token_pairs:
-        weights = {task: value * Fraction(19, 20) for task, value in weights.items()}
-        weights[Task.TOKEN_PAIR] = Fraction(1, 20)
-    return TaskWeights({task: float(value) for task, value in weights.items()})
+        weights = {task: value * 19 // 20 for task, value in weights.items()}
+        weights[Task.TOKEN_PAIR] = 10
+    return TaskWeights({task: value / 200 for task, value in weights.items()})
 
 
 class StreamFile:
-    """The kept lines of a stream file, read from disk by offset.
+    """The kept lines of a stream file, read from disk.
 
-    One scan by ``read_chunks`` checks that the file is UTF-8, puts its
-    SHA-256 in ``digests`` if given, and indexes each line that is not blank
-    (``str.strip()`` of its text is empty): 16 bytes per line, its start
-    offset and its length. Lines end at ``\n``, and one trailing ``\r`` is
-    dropped; a lone ``\r`` inside a line stays in it. Iteration gives the
-    lines in file order and ``pick`` in any order, as bytes read with
+    A line is kept unless it is blank (``str.strip()`` of its text is
+    empty). Lines end at ``\n``, and one trailing ``\r`` is dropped; a lone
+    ``\r`` inside a line stays in it. Opening the file scans it once with
+    ``read_chunks``: the scan checks that the file is UTF-8, puts its
+    SHA-256 in ``digests`` if given and finds whether the file keeps a line
+    (``bool(stream)``), but indexes nothing. Iteration reads the kept lines
+    again in file order, a chunk at a time. ``pick`` (the kept lines in any
+    order) and ``len`` need each kept line's offset and length, 16 bytes per
+    line; the first of them to run builds that index by one more scan, so a
+    stream that a mix never wraps is never indexed. Every read is an
     ``os.pread``, so the file must be a regular file and must not change
     while it is open; ``check_unchanged`` tells whether it did.
     """
@@ -133,50 +134,69 @@ class StreamFile:
             if not stat.S_ISREG(status.st_mode):
                 raise FormatError("not a regular file; stream lines are read by offset", path)
             self._stamp = (status.st_size, status.st_mtime_ns)
-            self._offsets, self._lengths = _index_lines(self._fd, path, digests)
+            start = 0  # the offset of the chunk
+            self._keeps = False
+            for chunk, _ in read_chunks(path, self._blocks(), digests, lambda: self._lines_before(start)):
+                self._keeps = self._keeps or any(_kept_lines(chunk))
+                start += len(chunk)
         except BaseException:
             os.close(self._fd)
             raise
 
+    def __bool__(self) -> bool:
+        return self._keeps
+
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._index[0])
 
     def __iter__(self) -> Iterator[bytes]:
-        """The kept lines in file order, read in runs of lines that span at
-        most ``BLOCK`` bytes (or one longer line): on the perfbench ``mix``
-        workload (2 cores, Python 3.11) a first pass of one ``os.pread`` per
-        line cost about 8% more CPU time."""
-        return chain.from_iterable(map(self._read_run, self._runs()))
-
-    def _runs(self) -> Iterator[tuple[int, int]]:
-        """(first, end) index ranges of the runs that ``__iter__`` reads."""
-        offsets, lengths = self._offsets, self._lengths
-        first = 0
-        while first < len(offsets):
-            limit = offsets[first] + BLOCK
-            end = bisect_left(offsets, limit, first + 1)
-            if end - 1 > first and offsets[end - 1] + lengths[end - 1] > limit:
-                end -= 1
-            yield first, end
-            first = end
-
-    def _read_run(self, run: tuple[int, int]) -> Iterator[bytes]:
-        """The lines of one run, cut from one read."""
-        first, end = run
-        offsets, lengths = self._offsets[first:end], self._lengths[first:end]
-        base = offsets[0]
-        block = os.pread(self._fd, offsets[-1] + lengths[-1] - base, base)
-        starts = array("q", map(sub, offsets, repeat(base)))
-        return map(block.__getitem__, map(slice, starts, map(add, starts, lengths)))
+        """The kept lines in file order."""
+        return chain.from_iterable(map(_kept_lines, line_chunks(self._blocks())))
 
     def pick(self, order: Sequence[int]) -> Iterator[bytes]:
         """The kept lines with the indices in ``order``, in that order."""
-        return map(os.pread, repeat(self._fd), map(self._lengths.__getitem__, order),
-                   map(self._offsets.__getitem__, order))
+        offsets, lengths = self._index
+        return map(os.pread, repeat(self._fd), map(lengths.__getitem__, order), map(offsets.__getitem__, order))
+
+    @cached_property
+    def _index(self) -> tuple[array, array]:
+        """The start offset and the length of each kept line."""
+        offsets, lengths = array("q"), array("q")
+        start = 0  # the offset of the chunk
+        for chunk in line_chunks(self._blocks()):
+            kept_offsets, kept_lengths = _kept_lines(chunk, start)
+            offsets.extend(kept_offsets)
+            lengths.extend(kept_lengths)
+            start += len(chunk)
+        # A change is found when the mix ends (check_unchanged), but one that
+        # leaves no kept line must be found now: an empty pass never ends.
+        if bool(offsets) != self._keeps:
+            raise FormatError("changed while it was read", self.path)
+        return offsets, lengths
+
+    def _blocks(self) -> Iterator[bytes]:
+        """The file from its start in blocks, read by ``os.pread``, so that
+        two passes can read at once. A short read is not taken for the end."""
+        at = 0
+        while block := os.pread(self._fd, BLOCK, at):
+            yield block
+            at += len(block)
+
+    def _lines_before(self, end: int) -> int:
+        """The lines that end before offset ``end``. Only an error's line
+        number needs them: counting every line in the open scan would cost
+        about as much as hashing it."""
+        lines = 0
+        for block in self._blocks():
+            if end <= 0:
+                break
+            lines += block.count(b"\n", 0, end)
+            end -= len(block)
+        return lines
 
     def check_unchanged(self) -> None:
         """Fail unless the file has the size and modification time it had
-        when it was indexed."""
+        when it was opened."""
         status = os.fstat(self._fd)
         if (status.st_size, status.st_mtime_ns) != self._stamp:
             raise FormatError("changed while it was read", self.path)
@@ -191,35 +211,36 @@ class StreamFile:
         self.close()
 
 
-def _index_lines(fd: int, path: str, digests: dict[str, str] | None) -> tuple[array, array]:
-    """Start offsets and lengths of the file's kept lines (see
-    ``StreamFile``), from the chunks ``read_chunks`` reads from ``fd``."""
-    offsets, lengths = array("q"), array("q")
-    blank = 0  # the lines read so far that are not kept
-    start = 0  # the file offset of the chunk
-    for chunk, _ in read_chunks(path, partial(os.read, fd), digests, lambda: len(offsets) + blank):
-        if not chunk.endswith(b"\n"):
-            chunk = chunk + b"\n"  # ends a last line that has none
-        pos = 0
-        while (end := chunk.find(b"\n", pos)) >= 0:
-            # A line that starts with a printable ASCII byte is not blank.
-            if 32 < chunk[pos] < 127 or chunk[pos:end].decode("utf-8").strip():
-                offsets.append(start + pos)
-                lengths.append(end - pos - (chunk[end - 1] == 13))  # 13: "\r"
-            else:
-                blank += 1
-            pos = end + 1
-        start += len(chunk)
-    return offsets, lengths
+# The ASCII characters that str.strip() removes.
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
+def _kept_lines(chunk: bytes, start: int | None = None) -> Iterator[bytes] | tuple[Iterator[int], Iterator[int]]:
+    """The kept lines (see ``StreamFile``) of a chunk from ``line_chunks``;
+    given the chunk's file offset ``start``, their offsets and lengths."""
+    lines = chunk.split(b"\n")
+    offsets = None if start is None else accumulate(map(add, map(len, lines), repeat(1)), initial=start)
+    if b"\r" in chunk:
+        lines = list(map(bytes.removesuffix, lines, repeat(b"\r")))
+    # A line is blank if nothing is left of it past ASCII spaces, and kept if
+    # what is left starts with an ASCII byte. Only a chunk with a line that
+    # is neither is decoded, line by line; the open scan checked its UTF-8.
+    keep = list(map(bytes.lstrip, lines, repeat(_ASCII_SPACE)))
+    if max(keep) >= b"\x80":
+        keep = [line.decode("utf-8", "surrogateescape").strip() for line in lines]
+    if offsets is None:
+        return compress(lines, keep)
+    return compress(offsets, keep), compress(map(len, lines), keep)
 
 
 def _cycle(stream: Sequence | StreamFile, rng: Rng) -> Iterator:
     """A stream's items without end: the first pass in order, then each
-    pass in a fresh shuffle of the indices."""
+    pass in a fresh shuffle of the indices. The stream's length is taken
+    only when the first pass has ended."""
     pick = stream.pick if isinstance(stream, StreamFile) else partial(map, stream.__getitem__)
-    n = len(stream)
 
     def orders() -> Iterator[Sequence[int]]:
+        n = len(stream)
         while True:
             order = array("q", range(n))
             rng.shuffle(order)
@@ -241,7 +262,7 @@ def interleave(streams: Mapping[Task, Sequence | StreamFile], weights: TaskWeigh
     if missing:
         raise ScheduleError(f"weighted tasks without a stream: {', '.join(missing)}")
     for task in active:
-        if len(streams[task]) == 0:
+        if not streams[task]:
             raise ScheduleError(f"stream for task {task.value!r} is empty")
     # The cumulative weights, and each task's endless stream, in task order.
     # A draw picks the first task whose cumulative weight exceeds it; one at

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -16,10 +17,12 @@ import pytest
 import lexaug
 from lexaug import analysis, cli, mixture
 from lexaug.cli import main
+from lexaug.corpus import Task
 from lexaug.errors import LexAugError
-from lexaug.mixture import StreamFile, interleave
+from lexaug.mixture import StreamFile, TaskWeights, interleave
 
 from conftest import write_jsonl
+from reference_mix import reference_interleave
 
 
 def _lexicon_file(tmp_path, name="panlex.tsv"):
@@ -538,6 +541,77 @@ class TestMixCommand:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_a_shorter_count_gives_the_first_lines_of_a_longer(self, tmp_path):
+        # Blank, "\r\n" and lone-"\r" lines; U+3000 is a blank line that only
+        # a decode shows. A stream's first pass is read in file order and
+        # later passes by offset, so each N at a first pass's end is covered.
+        contents = {
+            "translation": b'{"t": 0}\r\n\n{"t": 1,\r "x": 1}\n \t\r\n{"t": 2}\r\n{"t": 3}',
+            "mass": '\n{"m": 0}\n{"m": 1}\r\n\u3000\n\u732b{"m": 2}\n'.encode(),
+            "token_pair": b'{"p": 0}\r\r\n\r\n',
+        }
+        kept = {
+            "translation": [b'{"t": 0}', b'{"t": 1,\r "x": 1}', b'{"t": 2}', b'{"t": 3}'],
+            "mass": [b'{"m": 0}', b'{"m": 1}', '\u732b{"m": 2}'.encode()],
+            "token_pair": [b'{"p": 0}\r'],
+        }
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"translation": 0.5, "mass": 0.3, "token_pair": 0.2}', encoding="utf-8")
+        streams = []
+        for task, data in contents.items():
+            (tmp_path / task).write_bytes(data)
+            streams += ["--streams", f"{task}={tmp_path / task}"]
+
+        def mixed(count: int) -> list[bytes]:
+            out = tmp_path / "mixed.jsonl"
+            assert main(["mix", "--weights", str(weights), *streams, "--seed", "5", "--count", str(count),
+                         "--out", str(out)]) == 0
+            return out.read_bytes().split(b"\n")[:-1]
+
+        longest = mixed(60)
+        reference = reference_interleave({Task(task): lines for task, lines in kept.items()},
+                                          TaskWeights.from_json_obj(json.loads(weights.read_text())), 5)
+        assert longest == list(itertools.islice(reference, 60))
+        counts = set()
+        for lines in kept.values():
+            # The count that draws the stream's last kept line the first time.
+            first_pass_end = [n for n, line in enumerate(longest, 1) if line in lines][len(lines) - 1]
+            counts.update({len(lines) - 1, len(lines), len(lines) + 1,
+                           first_pass_end - 1, first_pass_end, first_pass_end + 1})
+        for count in sorted(counts):
+            assert mixed(count) == longest[:count], count
+
+    def test_a_bad_last_line_fails_a_one_line_run(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n' * 10_000 + b'{"n": "\xff"}\n')  # past the first read block
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stream}:line 10001: not valid UTF-8: byte 0xff at offset 7 (invalid start byte)\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t.jsonl", "weights.json"]
+
+    def test_a_blank_stream_fails_a_one_line_run_before_any_output(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes("\n \r\n\t\u3000\n".encode() * 20_000)  # blank lines past the first read block
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: stream for task 'translation' is empty\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t.jsonl", "weights.json"]
+
+    def test_only_a_stream_that_wraps_is_indexed(self, tmp_path, monkeypatch):
+        def unbuilt(stream):
+            raise AssertionError(f"{stream.path} was indexed")
+
+        monkeypatch.setattr(StreamFile, "_index", property(unbuilt))
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n\n{"n": 1}\r\n{"n": 2}')
+        out = tmp_path / "mixed.jsonl"
+        for count in (1, 3):
+            assert self._one_stream_mix(tmp_path, stream, "--count", str(count), "--out", str(out)) == 0
+            assert out.read_bytes() == b'{"n": 0}\n{"n": 1}\n{"n": 2}\n'[:9 * count]
+        with pytest.raises(AssertionError, match="t.jsonl was indexed"):
+            self._one_stream_mix(tmp_path, stream, "--count", "4", "--out", str(out))
+
 
 class TestScoreCommand:
     def test_identical_files_score_100(self, tmp_path, capsys):
@@ -773,6 +847,16 @@ assert cli.main(["augment", "--task", "codeswitch-mono", "--corpus", mono, "--le
 print(json.dumps({"at_import": at_import, "after_scoring": after_scoring, "after_runs": sorted(sys.modules)}))
 """
 
+_MIX_PROBE = """
+import json, sys
+from lexaug import cli
+hyp, out = sys.argv[1:]
+# Three streams of hyp's two lines: nine lines make at least one wrap.
+assert cli.main(["mix", "--mono-aug", "codeswitch", "--streams", "translation=" + hyp, "--streams", "mass=" + hyp,
+                 "--streams", "codeswitch_mono=" + hyp, "--seed", "1", "--count", "9", "--out", out]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
 
 def test_cli_import_defers_what_only_some_runs_use(tmp_path):
     table = tmp_path / "table.csv"
@@ -796,6 +880,12 @@ def test_cli_import_defers_what_only_some_runs_use(tmp_path):
     assert json.loads((tmp_path / "regress.json").read_text())["n_rows"] == 8
     assert json.loads((tmp_path / "score.json").read_text())["pairs"] == 2
     assert len((tmp_path / "augment.jsonl").read_text().splitlines()) == 20
+    # Mixing streams, in a process of its own, loads neither the augmentation
+    # chain, nor the metrics, nor exact fractions.
+    after_mix = set(json.loads(_python("-c", _MIX_PROBE, str(hyp), str(tmp_path / "mix.jsonl")).splitlines()[-1]))
+    assert "lexaug.mixture" in after_mix - bare
+    assert {"lexaug.augment", "lexaug.lexicon", "lexaug.metrics", "fractions"} & (after_mix - bare) == set()
+    assert len((tmp_path / "mix.jsonl").read_text().splitlines()) == 9
 
 
 def test_parser_choices_are_the_library_values():

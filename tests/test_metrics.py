@@ -1,15 +1,19 @@
 import random
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexaug.corpus import tokenize, words
 from lexaug.metrics import (
     CHRF_CHAR_ORDER,
     _WS_RE,
     Direction,
     EvalRow,
+    _contains_watched,
     _f_score,
     _pair_statistics,
     chrf,
@@ -267,6 +271,31 @@ class TestDetectRepetition:
     def test_empty(self):
         assert detect_repetition("") is False
         assert detect_repetition("...") is False
+
+
+class TestWords:
+    """``_contains_watched`` and ``detect_repetition`` take the words from
+    ``corpus.words``; they must be the tokenizer's surfaces."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(st.characters(exclude_categories=("Cs",))), extra=st.lists(st.text(max_size=3), max_size=3),
+           data=st.data())
+    def test_the_words_are_the_tokenizer_surfaces(self, text, extra, data):
+        surfaces = tokenize(text).surfaces()
+        assert words(text) == surfaces
+        folded = [s.casefold() for s in surfaces]
+        watched = frozenset(extra) | frozenset(data.draw(st.lists(st.sampled_from(folded), max_size=2)) if folded else ())
+        assert _contains_watched(text, watched) == any(f in watched for f in folded)
+        assert detect_repetition(text) == (bool(surfaces) and len(surfaces) / len(set(surfaces)) > 3)
+
+    def test_no_word_character_is_or_folds_to_whitespace(self):
+        word_chars = [c for c in map(chr, range(sys.maxunicode + 1)) if unicodedata.category(c)[0] in "LMN"]
+        assert [c for c in word_chars if c.isspace() or any(f.isspace() for f in c.casefold())] == []
+
+    def test_case_folding_that_changes_the_length(self):
+        # "\u00df" folds to "ss", and "\u0130" to "i" and a combining dot.
+        assert token_hit_rate([("STRASSE \u0130stanbul", "Stra\u00dfe")], {"strasse"}).rate == 1.0
+        assert token_hit_rate([("Stra\u00dfe", "\u0130stanbul")], {"i\u0307stanbul"}).rate == 0.0
 
 
 def _diagnose_fixture():

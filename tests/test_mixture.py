@@ -272,6 +272,32 @@ class TestStreamFile:
         with StreamFile(str(path)) as stream:
             assert list(stream) == [lines[0], lines[2], lines[4]]
 
+    def test_a_short_read_is_not_the_end(self, tmp_path):
+        data = "".join(f'{{"n": {i}, "t": "猫"}}\r\n\n' for i in range(200)).encode()
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        pread = os.pread
+        sizes = itertools.cycle([1, 7, 64, 3])  # each read returns at most this many bytes
+
+        def short_pread(fd, size, offset):
+            return pread(fd, min(size, next(sizes)), offset)
+
+        digests: dict[str, str] = {}
+        kept = [line for line in _reference_lines(data) if line]
+        # The open scan, the first pass and the index read in blocks; pick
+        # reads each line with one os.pread.
+        with mock.patch.object(os, "pread", short_pread):
+            stream = StreamFile(str(path), digests)
+            assert digests == {str(path): hashlib.sha256(data).hexdigest()}
+            assert list(stream) == kept
+            assert len(stream) == len(kept)
+        with stream:
+            assert list(stream.pick(range(len(stream)))) == kept
+        path.write_bytes(data + b'{"n": "\xff"}\n')
+        with mock.patch.object(os, "pread", short_pread), pytest.raises(FormatError) as caught:
+            StreamFile(str(path))
+        assert str(caught.value) == f"{path}:line 401: not valid UTF-8: byte 0xff at offset 7 (invalid start byte)"
+
     def test_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         path.write_bytes(b'{"n": 0}\n{"n": "\xff"}\n')
