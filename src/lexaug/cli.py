@@ -471,21 +471,33 @@ def _unchanged(streams: Iterable) -> Iterator[bytes]:
 
 
 def cmd_score(args, digests: dict[str, str]) -> None:
+    """Corpus chrf, and with ``--sentence`` each pair's, of the ``--hyp`` and
+    ``--ref`` lines. The pairs go to ``_map_batches`` as the two files are
+    read, so the run holds the batches in flight and one score per pair, not
+    the files. The first empty reference fails the run; so does a file that
+    ends before the other, once the rest of the other is counted."""
     from . import metrics
     _require(args, "hyp", "ref")
-    hyps = list(read_lines(args.hyp, digests))
-    refs = list(read_lines(args.ref, digests))
-    if len(hyps) != len(refs):
-        raise LexAugError(
-            f"hypothesis and reference files differ in length: {len(hyps)} vs {len(refs)}"
-        )
-    if not hyps:
-        raise LexAugError("input files are empty")
-    if "" in refs:
-        raise FormatError("reference is empty", args.ref, refs.index("") + 1)
-    batches = _map_batches(lambda batch: list(metrics.chrf_statistics(batch)), zip(hyps, refs), args.jobs)
+
+    def pairs() -> Iterator[tuple[str, str]]:
+        hyps, refs = read_lines(args.hyp, digests), read_lines(args.ref, digests)
+        with contextlib.closing(hyps), contextlib.closing(refs):
+            lines = itertools.zip_longest(hyps, refs)
+            n = 0
+            for n, (hyp, ref) in enumerate(lines, 1):
+                if hyp is None or ref is None:
+                    longer = n + sum(1 for _ in lines)
+                    raise LexAugError("hypothesis and reference files differ in length: "
+                                      f"{n - 1 if hyp is None else longer} vs {n - 1 if ref is None else longer}")
+                if not ref:
+                    raise FormatError("reference is empty", args.ref, n)
+                yield hyp, ref
+            if not n:
+                raise LexAugError("input files are empty")
+
+    batches = _map_batches(lambda batch: list(metrics.chrf_statistics(batch)), pairs(), args.jobs)
     score, sentence_scores = metrics.chrf_from_statistics(itertools.chain.from_iterable(batches))
-    result = {"metric": "chrf", "score": round(score, 4), "pairs": len(hyps)}
+    result = {"metric": "chrf", "score": round(score, 4), "pairs": len(sentence_scores)}
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out, digests)

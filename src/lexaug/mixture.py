@@ -10,7 +10,7 @@ shrinks everything else by the factor 0.95.
 draws come in blocks from ``Rng.block`` and pass through a chain of ``map``
 calls to each task's stream. A stream file's first pass is read a chunk at a
 time; only a stream that wraps is indexed, and its later passes read one
-line per ``os.pread``.
+line per ``os.pread``, a batch of lines at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +118,12 @@ class StreamFile:
     SHA-256 in ``digests`` if given and finds whether the file keeps a line
     (``bool(stream)``), but indexes nothing. Iteration reads the kept lines
     again in file order, a chunk at a time. ``pick`` (the kept lines in any
-    order) and ``len`` need each kept line's offset and length, 16 bytes per
-    line; the first of them to run builds that index by one more scan, so a
-    stream that a mix never wraps is never indexed. Every read is an
-    ``os.pread``, so the file must be a regular file and must not change
-    while it is open; ``check_unchanged`` tells whether it did.
+    order) and ``len`` need each kept line's offset and length: 8 bytes per
+    line if the size stamped at open is under 4 GiB, else 16. The first of
+    them to run builds that index by one more scan, so a stream that a mix
+    never wraps is never indexed. Every read is an ``os.pread``, so the file
+    must be a regular file and must not change while it is open;
+    ``check_unchanged`` tells whether it did.
     """
 
     def __init__(self, path: str, digests: dict[str, str] | None = None):
@@ -155,22 +156,44 @@ class StreamFile:
 
     def pick(self, order: Sequence[int]) -> Iterator[bytes]:
         """The kept lines with the indices in ``order``, in that order."""
+        batches = (order[at:at + _PICK_BATCH] for at in range(0, len(order), _PICK_BATCH))
+        return chain.from_iterable(map(self._read, batches))
+
+    def _read(self, order: Sequence[int]) -> list[bytes]:
+        """The kept lines with the indices in ``order``, one ``os.pread``
+        each. Only a batch with a short read reads its lines again, whole."""
         offsets, lengths = self._index
-        return map(os.pread, repeat(self._fd), map(lengths.__getitem__, order), map(offsets.__getitem__, order))
+        starts, sizes = list(map(offsets.__getitem__, order)), list(map(lengths.__getitem__, order))
+        lines = list(map(os.pread, repeat(self._fd), sizes, starts))
+        if sum(map(len, lines)) < sum(sizes):
+            lines = list(map(self._read_whole, sizes, starts))
+        return lines
+
+    def _read_whole(self, size: int, start: int) -> bytes:
+        """The ``size`` bytes at offset ``start``, over as many reads as it takes."""
+        data = b""
+        while len(data) < size:
+            if not (part := os.pread(self._fd, size - len(data), start + len(data))):
+                raise FormatError("changed while it was read", self.path)  # cut short
+            data += part
+        return data
 
     @cached_property
     def _index(self) -> tuple[array, array]:
         """The start offset and the length of each kept line."""
-        offsets, lengths = array("q"), array("q")
+        size = self._stamp[0]
+        offsets, lengths = array(_cells(size)), array(_cells(size))
         start = 0  # the offset of the chunk
         for chunk in line_chunks(self._blocks()):
             kept_offsets, kept_lengths = _kept_lines(chunk, start)
+            start += len(chunk)
+            if start > size:  # grown past its stamp, so maybe past what a cell holds
+                break
             offsets.extend(kept_offsets)
             lengths.extend(kept_lengths)
-            start += len(chunk)
         # A change is found when the mix ends (check_unchanged), but one that
         # leaves no kept line must be found now: an empty pass never ends.
-        if bool(offsets) != self._keeps:
+        if start > size or bool(offsets) != self._keeps:
             raise FormatError("changed while it was read", self.path)
         return offsets, lengths
 
@@ -211,6 +234,16 @@ class StreamFile:
         self.close()
 
 
+# The lines that StreamFile.pick reads before it yields the first of them.
+_PICK_BATCH = 64
+
+
+def _cells(bound: int) -> str:
+    """The array typecode for values no larger than ``bound``: 4-byte cells
+    ("I"; CPython's C int has 32 bits) below 2^32, else 8-byte cells."""
+    return "I" if bound < 1 << 32 else "q"
+
+
 # The ASCII characters that str.strip() removes.
 _ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
 
@@ -235,16 +268,18 @@ def _kept_lines(chunk: bytes, start: int | None = None) -> Iterator[bytes] | tup
 
 def _cycle(stream: Sequence | StreamFile, rng: Rng) -> Iterator:
     """A stream's items without end: the first pass in order, then each
-    pass in a fresh shuffle of the indices. The stream's length is taken
-    only when the first pass has ended."""
+    pass in a fresh shuffle of the indices, held in 4-byte cells for fewer
+    than 2^32 items, else in 8-byte cells. The stream's length is taken only
+    when the first pass has ended."""
     pick = stream.pick if isinstance(stream, StreamFile) else partial(map, stream.__getitem__)
 
     def orders() -> Iterator[Sequence[int]]:
         n = len(stream)
         while True:
-            order = array("q", range(n))
+            order = array(_cells(n), range(n))
             rng.shuffle(order)
             yield order
+            del order  # its pass has ended, so the next order does not sit beside it
 
     return chain(stream, chain.from_iterable(map(pick, orders())))
 

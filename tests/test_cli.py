@@ -415,7 +415,7 @@ class TestMixCommand:
     def test_memory_does_not_grow_with_stream_size(self, tmp_path):
         # Streams of 2k and 20k lines of about 400 bytes; --count covers both
         # so each is read through and reshuffled. Holding the lines would
-        # cost over 400 bytes per extra line; an index costs 16 to 24.
+        # cost over 400 bytes per extra line; an index costs 8 to 12.
         def traced_peak(n_lines):
             stream = tmp_path / f"stream-{n_lines}.jsonl"
             stream.write_text("".join(f'{{"n": {i}, "text": "{"x" * 380}"}}\n' for i in range(n_lines)))
@@ -663,6 +663,40 @@ class TestScoreCommand:
         ref.write_text("one\n")
         assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 1
         assert "differ in length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hyp_text, ref_text, message", [
+        ("", "", "input files are empty"),
+        ("a\nb\n", "a\n", "hypothesis and reference files differ in length: 2 vs 1"),
+        ("a\n", "a\nb\n\nc\n", "hypothesis and reference files differ in length: 1 vs 4"),
+        ("", "a\n", "hypothesis and reference files differ in length: 0 vs 1"),
+        ("a\nb\nc\n", "a\n\nc\n", "{ref}:line 2: reference is empty"),
+    ])
+    def test_each_streamed_error_counts_as_the_whole_files_would(self, tmp_path, capsys, hyp_text, ref_text, message):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text(hyp_text)
+        ref.write_text(ref_text)
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(ref=ref)}\n"
+
+    def test_memory_does_not_grow_with_the_pairs(self, tmp_path):
+        """The pairs are scored as they are read: a pair costs its sentence
+        score, not its lines."""
+        def traced_peak(pairs):
+            hyp, ref = tmp_path / f"hyp-{pairs}.txt", tmp_path / f"ref-{pairs}.txt"
+            hyp.write_text("".join(f"cat {i}\n" for i in range(pairs)))
+            ref.write_text("".join(f"a cat {i % 7}\n" for i in range(pairs)))
+            tracemalloc.start()
+            try:
+                assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--sentence", "--jobs", "1",
+                             "--out", str(tmp_path / "out.json")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(2_000), traced_peak(20_000)
+        # 137 bytes per pair on Python 3.11 (the sentence scores, rounded and
+        # as JSON), against 279 when both files are read whole first.
+        assert (large - small) / 18_000 < 200, (small, large)
 
 
 def _eval_rows_file(tmp_path):
@@ -1379,6 +1413,38 @@ class TestPoolWorkers:
         mono = _mono_file(tmp_path)
         assert main(["score", "--hyp", mono, "--ref", mono, "--jobs", "3", "--out", str(tmp_path / "s.json")]) == 0
         assert json.loads((tmp_path / "s.json").read_text())["score"] == 100.0
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("fault", ["longer-ref", "empty-ref", "bad-hyp-byte"])
+    def test_a_fault_met_while_the_pool_runs_is_one_error_line(self, tmp_path, capsys, monkeypatch, fault):
+        """600 pairs make three batches of 256, so each fault is met after
+        two workers are forked. The bad byte's line is in the second 64 KiB
+        read of --hyp, which the third batch makes."""
+        hyps = [f"a cat {i:03} {'sat on the mat ' * 7}" for i in range(600)]
+        refs = [f"the cat {i % 7} sits on {'a mat ' * 20}" for i in range(600)]
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp_bytes = "".join(line + "\n" for line in hyps).encode()
+        if fault == "longer-ref":
+            refs.append("one more")
+            message = "hypothesis and reference files differ in length: 600 vs 601"
+        elif fault == "empty-ref":
+            refs[549] = ""
+            message = f"{ref}:line 550: reference is empty"
+        else:
+            hyp_bytes = hyp_bytes.replace(b"a cat 579 sat", b"a cat \xff sat")
+            message = f"{hyp}:line 580: not valid UTF-8: byte 0xff at offset 6 (invalid start byte)"
+        hyp.write_bytes(hyp_bytes)
+        ref.write_text("".join(line + "\n" for line in refs))
+        assert {len(line) + 1 for line in hyps} == {116} and 116 * 512 < 1 << 16 < 116 * 579
+        forked = []
+        fork_worker = cli._fork_worker
+        monkeypatch.setattr(cli, "_fork_worker", lambda *a: forked.append(1) or fork_worker(*a))
+        out = tmp_path / "score.json"
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--sentence", "--jobs", "2",
+                     "--out", str(out)]) == 1
+        assert len(forked) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hyp.txt", "ref.txt"]
         assert _no_child_left()
 
     def test_no_worker_outlives_a_closed_stdout(self, tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from lexaug.augment import Task
 from lexaug.corpus import read_lines, read_text
 from lexaug.errors import FormatError, ScheduleError
 from lexaug.mixture import StreamFile, TaskWeights, build_schedule, interleave
-from lexaug.sampling import DRAW_BLOCK
+from lexaug.sampling import DRAW_BLOCK, derive_rng
 
 from reference_mix import reference_interleave
 
@@ -285,18 +286,90 @@ class TestStreamFile:
         digests: dict[str, str] = {}
         kept = [line for line in _reference_lines(data) if line]
         # The open scan, the first pass and the index read in blocks; pick
-        # reads each line with one os.pread.
+        # reads each line with one os.pread, and a batch with a short one again.
         with mock.patch.object(os, "pread", short_pread):
             stream = StreamFile(str(path), digests)
             assert digests == {str(path): hashlib.sha256(data).hexdigest()}
             assert list(stream) == kept
             assert len(stream) == len(kept)
-        with stream:
-            assert list(stream.pick(range(len(stream)))) == kept
+            with stream:
+                assert list(stream.pick(range(len(stream)))) == kept
+                assert list(stream.pick(range(len(stream))[::-1])) == kept[::-1]
         path.write_bytes(data + b'{"n": "\xff"}\n')
         with mock.patch.object(os, "pread", short_pread), pytest.raises(FormatError) as caught:
             StreamFile(str(path))
         assert str(caught.value) == f"{path}:line 401: not valid UTF-8: byte 0xff at offset 7 (invalid start byte)"
+
+    def test_a_line_cut_by_the_end_of_the_file_fails_its_pick(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"".join(b'{"n": %d}\n' % i for i in range(100)))
+        with StreamFile(str(path)) as stream:
+            assert len(stream) == 100
+            with open(path, "r+b") as handle:
+                handle.truncate(path.stat().st_size - 3)
+            lines = stream.pick(range(100))
+            assert list(itertools.islice(lines, 64)) == [b'{"n": %d}' % i for i in range(64)]
+            # The last batch holds the cut line: none of it is given.
+            with pytest.raises(FormatError, match="stream.jsonl: changed while it was read"):
+                next(lines)
+
+    @pytest.mark.parametrize("size, cells", [(2**32 - 1, "I"), (2**32, "q")])
+    def test_an_index_takes_4_byte_cells_under_4_gib(self, tmp_path, size, cells):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b'{"n": 0}\n\n{"n": 1}\n')
+        with StreamFile(str(path)) as stream:
+            stream._stamp = (size, stream._stamp[1])  # the size it was opened at
+            offsets, lengths = stream._index
+            assert (offsets.typecode, lengths.typecode) == (cells, cells)
+            assert (list(offsets), list(lengths)) == ([0, 10], [8, 8])
+            assert list(stream.pick([1, 0])) == [b'{"n": 1}', b'{"n": 0}']
+
+    def test_an_order_takes_4_byte_cells_under_2_to_the_32_lines(self):
+        assert (mixture._cells(2**32 - 1), mixture._cells(2**32)) == ("I", "q")
+        cycle = mixture._cycle([b"a", b"b", b"c"], derive_rng(1, 0))
+        assert sorted(itertools.islice(cycle, 3, 6)) == [b"a", b"b", b"c"]
+
+    @pytest.mark.parametrize("stamp", [-1, 0])
+    def test_growth_past_the_stamp_fails_the_index(self, tmp_path, monkeypatch, stamp):
+        """Grown past the size it was opened at, a file could hold offsets
+        that its cells do not (here 1-byte cells and offsets past 255): its
+        index fails as any change does, before a cell is filled."""
+        monkeypatch.setattr(mixture, "_cells", lambda bound: "B")
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b'{"n": 0}\n' * 40)
+        with StreamFile(str(path)) as stream:
+            if stamp:
+                stream._stamp = (stream._stamp[0] + stamp, stream._stamp[1])
+            else:
+                with open(path, "ab") as handle:
+                    handle.write(b'{"n": 1}\n')
+            with pytest.raises(FormatError, match="stream.jsonl: changed while it was read"):
+                len(stream)
+
+    def test_bytes_per_line_of_an_index_and_an_order(self, tmp_path):
+        """A stream under 4 GiB indexes each kept line in two 4-byte cells and
+        reshuffles it in one more."""
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"".join(b'{"n": %d}\n' % i for i in range(40_000)))
+        with StreamFile(str(path)) as stream:
+            cycle = mixture._cycle(stream, derive_rng(1, 0))
+            assert sum(1 for _ in itertools.islice(cycle, 40_000)) == 40_000  # the first pass
+            derive_rng(2, 0).shuffle(list(range(40_000)))  # caches the draw constants
+            tracemalloc.start()
+            try:
+                next(cycle)  # indexes the stream and shuffles its first order
+                traced = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert sum(1 for _ in itertools.islice(cycle, 40_000)) == 40_000  # into the second reshuffle
+                peak = tracemalloc.get_traced_memory()[1] - traced
+            finally:
+                tracemalloc.stop()
+        # 12.4 bytes per line on Python 3.11 (the cells, their arrays'
+        # spare room and a batch of lines), against 24.7 with 8-byte cells.
+        # The second reshuffle peaks 1.2 bytes per line above that, against
+        # 4.0 when its order is built while the first is still held.
+        assert traced / 40_000 < 13
+        assert peak / 40_000 < 2
 
     def test_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "stream.jsonl"
