@@ -457,25 +457,19 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
         stream_paths[task] = path
     with contextlib.ExitStack() as opened:
         streams = {task: opened.enter_context(StreamFile(path, digests)) for task, path in stream_paths.items()}
-        mixed = itertools.islice(interleave(streams, weights, args.seed), args.count)
-        _emit_lines(itertools.chain(mixed, _unchanged(streams.values())), args.out, digests)
+        _emit_lines(itertools.islice(interleave(streams, weights, args.seed), args.count), args.out, digests)
+        for stream in streams.values():  # a stream that changed while it was read fails the run
+            stream.check_unchanged()
     return results
-
-
-def _unchanged(streams: Iterable) -> Iterator[bytes]:
-    """No lines: chained after the mixed lines, it fails the run before its
-    output is kept if a stream changed while they were read."""
-    for stream in streams:
-        stream.check_unchanged()
-    yield from ()
 
 
 def cmd_score(args, digests: dict[str, str]) -> None:
     """Corpus chrf, and with ``--sentence`` each pair's, of the ``--hyp`` and
     ``--ref`` lines. The pairs go to ``_map_batches`` as the two files are
-    read, so the run holds the batches in flight and one score per pair, not
-    the files. The first empty reference fails the run; so does a file that
-    ends before the other, once the rest of the other is counted."""
+    read, and each batch returns its pair count and summed statistics, so the
+    run holds the batches in flight, not the files, and one score per pair
+    only with ``--sentence``. The first empty reference fails the run; so does
+    a file that ends before the other, once the rest of the other is counted."""
     from . import metrics
     _require(args, "hyp", "ref")
 
@@ -495,9 +489,14 @@ def cmd_score(args, digests: dict[str, str]) -> None:
             if not n:
                 raise LexAugError("input files are empty")
 
-    batches = _map_batches(lambda batch: list(metrics.chrf_statistics(batch)), pairs(), args.jobs)
-    score, sentence_scores = metrics.chrf_from_statistics(itertools.chain.from_iterable(batches))
-    result = {"metric": "chrf", "score": round(score, 4), "pairs": len(sentence_scores)}
+    count, sums, sentence_scores = 0, [0] * (3 * metrics.CHRF_CHAR_ORDER), []
+    for batch_count, batch_sums, batch_scores in _map_batches(
+        lambda batch: metrics.chrf_sums(batch, args.sentence), pairs(), args.jobs
+    ):
+        count += batch_count
+        sums = [a + b for a, b in zip(sums, batch_sums)]
+        sentence_scores += batch_scores
+    result = {"metric": "chrf", "score": round(metrics.f_score(sums), 4), "pairs": count}
     if args.sentence:
         result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
     _emit_json(result, args.out, digests)

@@ -2,8 +2,10 @@
 
 chrf here is the character n-gram F-score with the standard settings used in
 shared-task reporting: orders 1..6, beta=2, whitespace removed, case kept,
-effective-order averaging, and micro-averaged corpus aggregation. The error
-detectors flag the three classic failure modes of low-resource systems:
+effective-order averaging, and micro-averaged corpus aggregation.
+``chrf_sums`` counts each pair's n-grams once into summed per-order
+statistics, and ``f_score`` scores statistics, one pair's or any sums. The
+error detectors flag the three classic failure modes of low-resource systems:
 null output, source copying, and degenerate repetition.
 """
 
@@ -14,7 +16,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import words
 
@@ -89,9 +91,10 @@ def _pair_statistics(hypothesis: str, reference: str) -> list[int]:
     return stats
 
 
-def _f_score(stats: Sequence[int]) -> float:
-    """Average precision/recall over orders where both sides have n-grams,
-    then combine with the recall-weighted F formula."""
+def f_score(stats: Sequence[int]) -> float:
+    """chrf of flat per-order statistics, a pair's or a corpus's sums: average
+    precision/recall over orders where both sides have n-grams, then combine
+    with the recall-weighted F formula."""
     precision_sum = 0.0
     recall_sum = 0.0
     effective = 0
@@ -116,7 +119,7 @@ def chrf(hypothesis: str, reference: str) -> float:
     """Sentence-level chrf in [0, 100]."""
     if not reference:
         raise ValueError("reference must be non-empty")
-    return _f_score(_pair_statistics(hypothesis, reference))
+    return f_score(_pair_statistics(hypothesis, reference))
 
 
 def _as_hyp_ref(row) -> tuple[str, str]:
@@ -126,40 +129,34 @@ def _as_hyp_ref(row) -> tuple[str, str]:
     return hypothesis, reference
 
 
-def chrf_statistics(rows: Iterable) -> Iterator[list[int]]:
-    """Each pair's flat per-order [hyp_total, ref_total, clipped_match]
-    counts, in row order. Accepts EvalRow or (hypothesis, reference) tuples."""
+def chrf_sums(rows: Iterable, sentence: bool) -> tuple[int, list[int], list[float]]:
+    """The number of pairs, the sums of their per-order [hyp_total,
+    ref_total, clipped_match] counts, and each pair's chrf in row order if
+    ``sentence`` (else an empty list), counting each pair's n-grams once. The
+    sums are integers, so ``f_score`` of them (the micro-averaged corpus
+    chrf) does not depend on how the pairs were split up to count them.
+    Accepts EvalRow or (hypothesis, reference) tuples."""
+    pairs = 0
+    sums = [0] * (3 * CHRF_CHAR_ORDER)
+    scores = []
     for row in rows:
         hypothesis, reference = _as_hyp_ref(row)
         if not reference:
             raise ValueError("reference must be non-empty")
-        yield _pair_statistics(hypothesis, reference)
-
-
-def chrf_from_statistics(statistics: Iterable[Sequence[int]]) -> tuple[float, list[float]]:
-    """Corpus chrf and every sentence chrf of the pairs' statistics. The
-    corpus score sums the integer statistics over all pairs first
-    (micro-average), then scores, so it does not depend on how the pairs
-    were split up to count them."""
-    totals = [0] * (3 * CHRF_CHAR_ORDER)
-    sentence_scores = []
-    for stats in statistics:
-        totals = [a + b for a, b in zip(totals, stats)]
-        sentence_scores.append(_f_score(stats))
-    if not sentence_scores:
-        raise ValueError("corpus_chrf needs at least one row")
-    return _f_score(totals), sentence_scores
-
-
-def chrf_scores(rows: Iterable) -> tuple[float, list[float]]:
-    """Corpus chrf and every sentence chrf, counting each pair's n-grams
-    once. Accepts EvalRow or (hypothesis, reference) tuples."""
-    return chrf_from_statistics(chrf_statistics(rows))
+        stats = _pair_statistics(hypothesis, reference)
+        pairs += 1
+        sums = [a + b for a, b in zip(sums, stats)]
+        if sentence:
+            scores.append(f_score(stats))
+    return pairs, sums, scores
 
 
 def corpus_chrf(rows: Iterable) -> float:
-    """Corpus chrf of EvalRow or (hypothesis, reference) rows; see chrf_scores."""
-    return chrf_scores(rows)[0]
+    """Corpus chrf of EvalRow or (hypothesis, reference) rows; see chrf_sums."""
+    pairs, sums, _ = chrf_sums(rows, False)
+    if not pairs:
+        raise ValueError("corpus_chrf needs at least one row")
+    return f_score(sums)
 
 
 @dataclass(frozen=True)

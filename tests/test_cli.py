@@ -491,6 +491,25 @@ class TestMixCommand:
         assert capsys.readouterr().err == f"error: {stream}: changed while it was read\n"
         assert not out.exists() and not list(tmp_path.glob("mixed.jsonl*"))
 
+    def test_stream_changed_before_the_end_of_its_first_pass_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # The stream never wraps, so no index is built: only the check after
+        # the last line is written finds the change.
+        stream = tmp_path / "t.jsonl"
+        stream.write_bytes(b'{"n": 0}\n{"n": 1}\n{"n": 2}\n')
+
+        def appending(streams, weights, seed):
+            mixed = interleave(streams, weights, seed)
+            yield next(mixed)
+            with open(stream, "ab") as handle:
+                handle.write(b'{"n": 3}\n')
+            yield from mixed
+
+        monkeypatch.setattr(mixture, "interleave", appending)
+        out = tmp_path / "mixed.jsonl"
+        assert self._one_stream_mix(tmp_path, stream, "--count", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {stream}: changed while it was read\n"
+        assert not out.exists() and not list(tmp_path.glob("mixed.jsonl*"))
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
     def test_every_stream_is_closed(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"
@@ -679,24 +698,30 @@ class TestScoreCommand:
         assert capsys.readouterr().err == f"error: {message.format(ref=ref)}\n"
 
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path):
-        """The pairs are scored as they are read: a pair costs its sentence
-        score, not its lines."""
-        def traced_peak(pairs):
+        """The pairs are scored as they are read: with ``--sentence`` a pair
+        costs its sentence score, not its lines, and without it nothing."""
+        def traced_peak(pairs, *flags):
             hyp, ref = tmp_path / f"hyp-{pairs}.txt", tmp_path / f"ref-{pairs}.txt"
             hyp.write_text("".join(f"cat {i}\n" for i in range(pairs)))
             ref.write_text("".join(f"a cat {i % 7}\n" for i in range(pairs)))
             tracemalloc.start()
             try:
-                assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--sentence", "--jobs", "1",
+                assert main(["score", "--hyp", str(hyp), "--ref", str(ref), *flags, "--jobs", "1",
                              "--out", str(tmp_path / "out.json")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = traced_peak(2_000), traced_peak(20_000)
+        small, large = traced_peak(2_000, "--sentence"), traced_peak(20_000, "--sentence")
         # 137 bytes per pair on Python 3.11 (the sentence scores, rounded and
         # as JSON), against 279 when both files are read whole first.
         assert (large - small) / 18_000 < 200, (small, large)
+        # Larger runs without --sentence: between 2,000 and 20,000 pairs the
+        # peak grows with read_lines' 64 KiB chunk filling up, not per pair.
+        # About 30 bytes per pair on Python 3.11 when every sentence score is
+        # computed and kept.
+        small, large = traced_peak(20_000), traced_peak(100_000)
+        assert (large - small) / 80_000 < 8, (small, large)
 
 
 def _eval_rows_file(tmp_path):
@@ -1345,20 +1370,20 @@ class TestMapBatches:
             list(cli._map_batches(run, items(), jobs))
 
 
-# score, run one pair per batch, with a chrf statistics function that
+# score, run one pair per batch, with a chrf counting function that
 # SIGKILLs the worker given the pair whose hypothesis is "kill".
 _KILLED_WORKER = """
 import os, signal, sys
 from lexaug import cli, metrics
 cli.BATCH_SIZE = 1
-statistics = metrics.chrf_statistics
+sums = metrics.chrf_sums
 
-def killing(batch):
+def killing(batch, sentence):
     if batch[0][0] == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    return statistics(batch)
+    return sums(batch, sentence)
 
-metrics.chrf_statistics = killing
+metrics.chrf_sums = killing
 sys.exit(cli.main(sys.argv[1:]))
 """
 

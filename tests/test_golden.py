@@ -288,6 +288,7 @@ _EVAL_ROWS = [
 ]
 _WATCHED_TOKENS = ["cat", "gato", "кошка", "猫は水を飲む", "puma", "kitten", "बिल्ली", "perro", "livre"]
 
+SCORE_DIGEST = "45eb5f8c79fc72a20b8443ad0d9fe9183aef3f6a1a2c85f94a0302c49c299fb3"
 SCORE_SENTENCE_DIGEST = "ff834224cee4a9fa644c8729a9751ab13d9a33c4a0fdfb3a688bfdf9910fbefe"
 DIAGNOSE_DIGEST = "6749ee51a80eaa187b1e9567c86f5b79ce408781d7f711aac66e496676c2c4da"
 HIT_RATE_DIGEST = "94225762c62281c98df441fd473748d4e7c33920a4924e152b2eeef7b8eb8f9c"
@@ -309,6 +310,12 @@ def eval_inputs(tmp_path_factory):
     tokens = root / "tokens.txt"
     tokens.write_text("".join(t + "\n" for t in _WATCHED_TOKENS), encoding="utf-8")
     return {"root": root, "hyp": str(hyp), "ref": str(ref), "rows": str(rows), "tokens": str(tokens)}
+
+
+def test_score_digest(eval_inputs):
+    out = eval_inputs["root"] / "score-corpus.json"
+    assert main(["score", "--hyp", eval_inputs["hyp"], "--ref", eval_inputs["ref"], "--out", str(out)]) == 0
+    assert _sha256(out) == SCORE_DIGEST
 
 
 def test_score_sentence_digest(eval_inputs):
@@ -352,6 +359,7 @@ def pool_spy(monkeypatch):
 
 _SCORING_RUNS = {
     "score": (["score", "--hyp", "{hyp}", "--ref", "{ref}", "--sentence"], SCORE_SENTENCE_DIGEST),
+    "score-corpus": (["score", "--hyp", "{hyp}", "--ref", "{ref}"], SCORE_DIGEST),
     "diagnose": (["diagnose", "--rows", "{rows}"], DIAGNOSE_DIGEST),
     "hit-rate": (["hit-rate", "--rows", "{rows}", "--tokens", "{tokens}"], HIT_RATE_DIGEST),
 }

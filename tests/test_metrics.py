@@ -14,15 +14,15 @@ from lexaug.metrics import (
     Direction,
     EvalRow,
     _contains_watched,
-    _f_score,
     _pair_statistics,
     chrf,
-    chrf_scores,
+    chrf_sums,
     copy_similarity,
     corpus_chrf,
     detect_null,
     detect_repetition,
     diagnose_corpus,
+    f_score,
     is_copy,
     token_hit_rate,
 )
@@ -150,15 +150,25 @@ class TestPairStatistics:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_chrf_text, _chrf_text.filter(bool)), min_size=1, max_size=8))
-    def test_chrf_scores_equal_corpus_and_sentence_chrf(self, rows):
-        scores = chrf_scores(rows)
-        assert scores == (corpus_chrf(rows), [chrf(h, r) for h, r in rows])
+    def test_chrf_sums_equal_corpus_and_sentence_chrf(self, rows):
         totals = [sum(column) for column in zip(*(_per_order_statistics(h, r) for h, r in rows))]
-        assert scores[0] == _f_score(totals)
+        sentence_scores = [chrf(h, r) for h, r in rows]
+        assert chrf_sums(rows, True) == (len(rows), totals, sentence_scores)
+        assert chrf_sums(rows, False) == (len(rows), totals, [])
+        assert f_score(totals) == corpus_chrf(rows)
+        # Counted in two parts, the rows give the same sums and scores.
+        cut = len(rows) // 2
+        parts = [chrf_sums(rows[:cut], True), chrf_sums(rows[cut:], True)]
+        assert [a + b for a, b in zip(parts[0][1], parts[1][1])] == totals
+        assert parts[0][2] + parts[1][2] == sentence_scores
+        assert sentence_scores == pytest.approx([reference_sentence_chrf(h, r) for h, r in rows], abs=1e-9)
+        oracle = reference_corpus_chrf([h for h, _ in rows], [r for _, r in rows])
+        assert f_score(totals) == pytest.approx(oracle, abs=1e-9)
 
-    def test_chrf_scores_accept_eval_rows(self):
+    def test_chrf_sums_accept_eval_rows(self):
         rows = [_row("cat sat", "cat sit"), _row("", "a dog")]
-        assert chrf_scores(rows) == (corpus_chrf(rows), [chrf("cat sat", "cat sit"), 0.0])
+        pairs, sums, scores = chrf_sums(rows, True)
+        assert (pairs, f_score(sums), scores) == (2, corpus_chrf(rows), [chrf("cat sat", "cat sit"), 0.0])
 
 
 class TestTokenHitRate:
