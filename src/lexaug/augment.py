@@ -292,25 +292,6 @@ def _char_spans(tokens: Iterable[Token], offset: int = 0) -> list[tuple[int, int
     return [(offset + t.char_start, offset + t.char_end) for t in tokens]
 
 
-def mass_mask(sentence: TokenizedSentence, rng: Rng, mask_fraction: float = 0.5) -> tuple[str, str]:
-    """Span masking: replace a random contiguous half (by default) of the
-    tokens with the mask token, positionally. Returns (masked, original)."""
-    masked = _mask_units(sentence.text, _char_spans(sentence.tokens), rng, mask_fraction)
-    return masked, sentence.text
-
-
-def mass_example(rec: Record, rng: Rng, mask_fraction: float = 0.5) -> TrainingExample:
-    SENTINELS.ensure_clean(rec.text)
-    masked, original = mass_mask(tokenize(rec.text), rng, mask_fraction)
-    return _example(Task.MASS, rec.lang, rec.script, masked, original, rec.id)
-
-
-def translation_example(pair: SentencePair) -> TrainingExample:
-    SENTINELS.ensure_clean(pair.src.text)
-    SENTINELS.ensure_clean(pair.tgt.text)
-    return _example(Task.TRANSLATION, pair.tgt.lang, pair.tgt.script, pair.src.text, pair.tgt.text, pair.id)
-
-
 def glowup_prompt(
     sentence: TokenizedSentence,
     src_lang: str,

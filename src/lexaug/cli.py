@@ -468,8 +468,9 @@ def cmd_score(args, digests: dict[str, str]) -> None:
     ``--ref`` lines. The pairs go to ``_map_batches`` as the two files are
     read, and each batch returns its pair count and summed statistics, so the
     run holds the batches in flight, not the files, and one score per pair
-    only with ``--sentence``. The first empty reference fails the run; so does
-    a file that ends before the other, once the rest of the other is counted."""
+    (rounded where its batch runs) only with ``--sentence``. The first empty
+    reference fails the run; so does a file that ends before the other, once
+    the rest of the other is counted."""
     from . import metrics
     _require(args, "hyp", "ref")
 
@@ -489,16 +490,19 @@ def cmd_score(args, digests: dict[str, str]) -> None:
             if not n:
                 raise LexAugError("input files are empty")
 
+    def run(batch: list[tuple[str, str]]) -> tuple[int, list[int], list[float]]:
+        """The batch's pair count, summed statistics and rounded sentence scores."""
+        batch_count, batch_sums, batch_scores = metrics.chrf_sums(batch, args.sentence)
+        return batch_count, batch_sums, [round(s, 4) for s in batch_scores]
+
     count, sums, sentence_scores = 0, [0] * (3 * metrics.CHRF_CHAR_ORDER), []
-    for batch_count, batch_sums, batch_scores in _map_batches(
-        lambda batch: metrics.chrf_sums(batch, args.sentence), pairs(), args.jobs
-    ):
+    for batch_count, batch_sums, batch_scores in _map_batches(run, pairs(), args.jobs):
         count += batch_count
         sums = [a + b for a, b in zip(sums, batch_sums)]
         sentence_scores += batch_scores
     result = {"metric": "chrf", "score": round(metrics.f_score(sums), 4), "pairs": count}
     if args.sentence:
-        result["sentence_scores"] = [round(s, 4) for s in sentence_scores]
+        result["sentence_scores"] = sentence_scores
     _emit_json(result, args.out, digests)
 
 

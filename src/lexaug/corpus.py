@@ -133,9 +133,6 @@ class TokenizedSentence(NamedTuple):
     def n(self) -> int:
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 class _WordTable(dict):
     """A ``str.translate`` table that keeps letters, marks and numbers and

@@ -1,10 +1,11 @@
 """Translation scoring and diagnostics.
 
-chrf here is the character n-gram F-score with the standard settings used in
-shared-task reporting: orders 1..6, beta=2, whitespace removed, case kept,
-effective-order averaging, and micro-averaged corpus aggregation.
+The chrf score is the character n-gram F-score with the standard settings
+used in shared-task reporting: orders 1..6, beta=2, whitespace removed, case
+kept, effective-order averaging, and micro-averaged corpus aggregation.
 ``chrf_sums`` counts each pair's n-grams once into summed per-order
-statistics, and ``f_score`` scores statistics, one pair's or any sums. The
+statistics, and ``f_score`` scores statistics: one pair's gives its sentence
+chrf, and the sums over a corpus give the corpus chrf. The
 error detectors flag the three classic failure modes of low-resource systems:
 null output, source copying, and degenerate repetition.
 """
@@ -115,13 +116,6 @@ def f_score(stats: Sequence[int]) -> float:
     return 100.0 * (1.0 + beta_sq) * precision * recall / denominator
 
 
-def chrf(hypothesis: str, reference: str) -> float:
-    """Sentence-level chrf in [0, 100]."""
-    if not reference:
-        raise ValueError("reference must be non-empty")
-    return f_score(_pair_statistics(hypothesis, reference))
-
-
 def _as_hyp_ref(row) -> tuple[str, str]:
     if isinstance(row, EvalRow):
         return row.hypothesis, row.reference
@@ -149,14 +143,6 @@ def chrf_sums(rows: Iterable, sentence: bool) -> tuple[int, list[int], list[floa
         if sentence:
             scores.append(f_score(stats))
     return pairs, sums, scores
-
-
-def corpus_chrf(rows: Iterable) -> float:
-    """Corpus chrf of EvalRow or (hypothesis, reference) rows; see chrf_sums."""
-    pairs, sums, _ = chrf_sums(rows, False)
-    if not pairs:
-        raise ValueError("corpus_chrf needs at least one row")
-    return f_score(sums)
 
 
 @dataclass(frozen=True)

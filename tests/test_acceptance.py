@@ -18,11 +18,11 @@ from lexaug.metrics import (
     Direction,
     EvalRow,
     Resourcedness,
-    chrf,
+    chrf_sums,
     copy_similarity,
-    corpus_chrf,
     detect_repetition,
     diagnose_corpus,
+    f_score,
     token_hit_rate,
 )
 from lexaug.mixture import build_schedule, interleave
@@ -80,9 +80,11 @@ def test_criterion_1_chrf_matches_reference_implementation():
         started = time.perf_counter()
         pairs = _mixed_language_pairs()
         assert len(pairs) == 200
-        for hyp, ref in pairs:
-            assert abs(chrf(hyp, ref) - reference_sentence_chrf(hyp, ref)) < 1e-4
-        ours = corpus_chrf(pairs)
+        count, sums, scores = chrf_sums(pairs, True)
+        assert count == len(scores) == 200
+        for (hyp, ref), score in zip(pairs, scores):
+            assert abs(score - reference_sentence_chrf(hyp, ref)) < 1e-4
+        ours = f_score(sums)
         oracle = reference_corpus_chrf([h for h, _ in pairs], [r for _, r in pairs])
         assert abs(ours - oracle) < 1e-4
         elapsed = time.perf_counter() - started

@@ -21,10 +21,7 @@ from lexaug.augment import (
     glowup_parallel,
     glowup_prompt,
     glowup_source,
-    mass_example,
-    mass_mask,
     token_pair_examples,
-    translation_example,
     validate_example,
 )
 from lexaug.corpus import Record, SentencePair, tokenize
@@ -340,19 +337,23 @@ class TestCodeswitchParallel:
         assert example.source_text.startswith("<2codeswitch_parallel> <2es> <2Latn> ")
 
 
+def _mass_mask(text, rng, mask_fraction=0.5):
+    """MASS span masking of ``text``, its tokens the units."""
+    return _mask_units(text, [(t.char_start, t.char_end) for t in tokenize(text).tokens], rng, mask_fraction)
+
+
 class TestMassMask:
+    """``_mask_units`` over a sentence's tokens, as ``glowup_mono`` masks a
+    sentence that gets no hint."""
+
     def test_single_token_fully_masked(self):
-        masked, target = mass_mask(tokenize("hello"), derive_rng(0, 0))
-        assert masked == "<mask>"
-        assert target == "hello"
+        assert _mass_mask("hello", derive_rng(0, 0)) == "<mask>"
 
     def test_span_start_uniform(self):
-        sent = tokenize("a b c d")
         starts = {0: 0, 1: 0, 2: 0}
         trials = 10_000
         for t in range(trials):
-            masked, _ = mass_mask(sent, derive_rng(2, t))
-            surfaces = masked.split()
+            surfaces = _mass_mask("a b c d", derive_rng(2, t)).split()
             start = surfaces.index("<mask>")
             assert surfaces[start + 1] == "<mask>"
             starts[start] += 1
@@ -360,25 +361,22 @@ class TestMassMask:
             assert abs(count / trials - 1 / 3) < 0.02
 
     def test_positional_replacement_keeps_length(self):
-        sent = tokenize("one two three four five")
         for t in range(20):
-            masked, _ = mass_mask(sent, derive_rng(3, t))
-            assert len(tokenize(masked).tokens) == sent.n
+            masked = _mass_mask("one two three four five", derive_rng(3, t))
+            assert len(tokenize(masked).tokens) == 5
+            # With no terms, the hint count takes no draw: glowup_mono masks the same run.
+            example = glowup_mono(rec("one two three four five"), Lexicon(), derive_rng(3, t))
+            assert example.source_text == f"<2glowup_mono> <2en> <2Latn> {masked}"
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            mass_mask(tokenize(""), derive_rng(0, 0))
+            _mass_mask("", derive_rng(0, 0))
+        with pytest.raises(EmptyInputError):
+            glowup_mono(rec("..."), Lexicon(), derive_rng(0, 0))
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            mass_mask(tokenize("a b"), derive_rng(0, 0), mask_fraction=1.5)
-
-    def test_mass_example_tags(self):
-        example = mass_example(rec(), derive_rng(0, 0))
-        assert example.task is Task.MASS
-        assert example.source_text.startswith("<2mass> <2en> <2Latn> ")
-        assert example.target_text == "the cat sat"
-        validate_example(example)
+            _mass_mask("a b", derive_rng(0, 0), mask_fraction=1.5)
 
 
 class TestGlowupPrompt:
@@ -511,12 +509,6 @@ class TestTrainingExample:
         example = codeswitch_mono(rec(), tiny_lexicon, SelectionParams(), derive_rng(0, 0))
         assert TrainingExample.from_json_obj(example.to_json_obj()) == example
 
-    def test_translation_example(self):
-        example = translation_example(pair())
-        assert example.source_text == "<2translation> <2es> <2Latn> the cat sat"
-        assert example.target_text == "el gato se sento"
-        validate_example(example)
-
 
 def _no_control_token(text):
     try:
@@ -539,7 +531,7 @@ def _texts_and_lexicon(draw):
     """A source and a target text, and a lexicon of arbitrary terms plus
     words of the source, from en into es and fr."""
     src, tgt = draw(_any_text), draw(_any_text)
-    terms = draw(st.lists(st.one_of(_any_term, st.sampled_from(tokenize(src).surfaces())), max_size=8))
+    terms = draw(st.lists(st.one_of(_any_term, st.sampled_from([t.surface for t in tokenize(src).tokens])), max_size=8))
     lexicon = Lexicon([("panlex", [
         LexEntry(term, draw(_any_term), "en", draw(st.sampled_from(["es", "fr"])), draw(st.sampled_from(["Latn", "Cyrl"])))
         for term in terms
@@ -566,8 +558,6 @@ class TestEveryExampleIsValid:
             augment_example(r, Task.GLOWUP_MONO, lexicon, params, derive_rng(1, rid), mask_fraction=mask_fraction),
             augment_example(p, Task.CODESWITCH_PARALLEL, lexicon, params, derive_rng(1, rid)),
             augment_example(p, Task.GLOWUP_PARALLEL, lexicon, params, derive_rng(1, rid)),
-            mass_example(r, derive_rng(1, rid), mask_fraction=mask_fraction),
-            translation_example(p),
             *token_pair_examples(lexicon),
         ]
         for example in examples:

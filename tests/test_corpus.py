@@ -25,7 +25,7 @@ from conftest import write_jsonl
 class TestTokenize:
     def test_basic(self):
         sent = tokenize("The kitten lies")
-        assert sent.surfaces() == ["The", "kitten", "lies"]
+        assert [t.surface for t in sent.tokens] == ["The", "kitten", "lies"]
         assert sent.n == 3
 
     def test_empty(self):
@@ -36,15 +36,15 @@ class TestTokenize:
 
     def test_punctuation_not_tokens(self):
         sent = tokenize("Wait... what?!")
-        assert sent.surfaces() == ["Wait", "what"]
+        assert [t.surface for t in sent.tokens] == ["Wait", "what"]
 
     def test_digits_are_tokens(self):
-        assert tokenize("room 101").surfaces() == ["room", "101"]
+        assert [t.surface for t in tokenize("room 101").tokens] == ["room", "101"]
 
     def test_combining_marks_stay_attached(self):
         # Devanagari words include Mn/Mc combining marks.
         sent = tokenize("नमस्ते दुनिया")
-        assert sent.surfaces() == ["नमस्ते", "दुनिया"]
+        assert [t.surface for t in sent.tokens] == ["नमस्ते", "दुनिया"]
 
     def test_detokenization_identity_simple(self):
         text = "  One, two --  three!  "

@@ -2,8 +2,7 @@
 
 The corpora, lexica and eval rows below are written from literals, so any
 change to the bytes that `augment`, `token-pairs`, `lexicon-stats`, `mix`,
-`score`, `diagnose`, `hit-rate` or `regress` emit for them, or that the library's
-`mass_example` and `translation_example` build from them, fails here. A
+`score`, `diagnose`, `hit-rate` or `regress` emit for them fails here. A
 refactor must leave every digest unchanged; a deliberate output change must
 update the digest in the same commit and say why.
 """
@@ -15,10 +14,7 @@ import os
 import pytest
 
 from lexaug import cli
-from lexaug.augment import mass_example, translation_example
 from lexaug.cli import main
-from lexaug.corpus import load_corpus
-from lexaug.sampling import derive_rng
 
 _MONO_TEXTS = [
     ("en", "Latn", "The cat sat on the mat."),
@@ -107,16 +103,14 @@ AUGMENT_DIGESTS = {
 TOKEN_PAIRS_DIGEST = "13b2e9a8eab81d64707d96535c4a3baed246788a099277d814cfb7a40cebf89d"
 LEXICON_STATS_DIGEST = "8b527907ddfcc7fe9ed4e8c5473cccafa71bf4f78a5937409cfb489f6e068e38"
 MIX_DIGEST = "84158f7cae4f1f3b158dd7dc5fedbd800caada7d2a73863d6edfc857522e1dd9"
-LIBRARY_DIGEST = "788afdf53b3c3e1d9f5b3f24d6edad77f1d30b5fadfc4d610a8b2d2a48874ff4"
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def write_inputs(root) -> dict:
+    """The golden corpora and lexica, written under ``root``."""
     mono = root / "mono.jsonl"
     with open(mono, "w", encoding="utf-8") as handle:
         for i in range(60):
@@ -142,6 +136,11 @@ def inputs(tmp_path_factory):
         "parallel": str(parallel),
         "lexicon": [str(main_lex), f"gatitos={extra_lex}"],
     }
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden"))
 
 
 def _lexicon_flags(inputs) -> list[str]:
@@ -252,19 +251,6 @@ def test_mix_long_streams_digest(tmp_path):
     assert _sha256(out) == MIX_LONG_DIGEST
 
 
-def test_library_builders_digest(inputs):
-    # No command reaches mass_example or translation_example, so their bytes
-    # are pinned here: MASS at several mask fractions, then translation.
-    examples = [
-        mass_example(rec, derive_rng(20230327, rec.id), fraction)
-        for fraction in (0.0, 0.1, 0.5, 0.9, 1.0)
-        for rec in load_corpus(inputs["mono"])
-    ]
-    examples += [translation_example(pair) for pair in load_corpus(inputs["parallel"], kind="parallel")]
-    text = "".join(json.dumps(e.to_json_obj(), ensure_ascii=False, sort_keys=True) + "\n" for e in examples)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LIBRARY_DIGEST
-
-
 # (source, hypothesis, reference) rows for the scoring commands: empty and
 # whitespace-only hypotheses, a whitespace-only reference, combining marks
 # (decomposed "é", Hebrew points), non-Latin scripts, copies and repetition.
@@ -294,9 +280,8 @@ DIAGNOSE_DIGEST = "6749ee51a80eaa187b1e9567c86f5b79ce408781d7f711aac66e496676c2c
 HIT_RATE_DIGEST = "94225762c62281c98df441fd473748d4e7c33920a4924e152b2eeef7b8eb8f9c"
 
 
-@pytest.fixture(scope="module")
-def eval_inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden-eval")
+def write_eval_inputs(root) -> dict:
+    """The golden hypotheses, references, eval rows and tokens, written under ``root``."""
     hyp = root / "hyp.txt"
     ref = root / "ref.txt"
     hyp.write_text("".join(h + "\n" for _, h, _, _ in _EVAL_ROWS), encoding="utf-8")
@@ -310,6 +295,11 @@ def eval_inputs(tmp_path_factory):
     tokens = root / "tokens.txt"
     tokens.write_text("".join(t + "\n" for t in _WATCHED_TOKENS), encoding="utf-8")
     return {"root": root, "hyp": str(hyp), "ref": str(ref), "rows": str(rows), "tokens": str(tokens)}
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    return write_eval_inputs(tmp_path_factory.mktemp("golden-eval"))
 
 
 def test_score_digest(eval_inputs):

@@ -378,7 +378,7 @@ def _oracle_index(sources):
             if row[:5] in kept:
                 continue
             kept[row[:5]] = row
-            surfaces = tokenize(entry.src_term).surfaces()
+            surfaces = [t.surface for t in tokenize(entry.src_term).tokens]
             max_tokens[entry.src_lang] = max(max_tokens.get(entry.src_lang, 0), max(1, len(surfaces)))
             index.setdefault((entry.src_lang, _oracle_key(entry.src_term, surfaces)), []).append(entry)
     for bucket in index.values():
@@ -451,7 +451,7 @@ class TestIndexOracle:
     @settings(max_examples=300, deadline=None)
     @given(text=st.text())
     def test_match_key_is_tokenize_key(self, text):
-        assert match_key(text) == _oracle_key(text, tokenize(text).surfaces())
+        assert match_key(text) == _oracle_key(text, [t.surface for t in tokenize(text).tokens])
 
     def test_casefold_keeps_each_keys_length(self):
         """The build measures one term per key and language. That is exact

@@ -15,10 +15,8 @@ from lexaug.metrics import (
     EvalRow,
     _contains_watched,
     _pair_statistics,
-    chrf,
     chrf_sums,
     copy_similarity,
-    corpus_chrf,
     detect_null,
     detect_repetition,
     diagnose_corpus,
@@ -48,6 +46,16 @@ _WORDS = [
 
 def _random_sentence(rng, min_words=1, max_words=12):
     return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(min_words, max_words)))
+
+
+def chrf(hyp, ref):
+    """One pair's sentence chrf, as ``score --sentence`` computes it."""
+    return chrf_sums([(hyp, ref)], True)[2][0]
+
+
+def corpus_chrf(rows):
+    """The corpus chrf of ``rows``, as ``score`` computes it."""
+    return f_score(chrf_sums(rows, False)[1])
 
 
 class TestChrf:
@@ -113,7 +121,11 @@ class TestCorpusChrf:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            corpus_chrf([])
+            corpus_chrf([("cat sat", "cat sit"), ("anything", "")])
+
+    def test_no_rows_count_nothing(self):
+        # `score` fails an empty input before it scores one.
+        assert chrf_sums([], True) == (0, [0] * (3 * CHRF_CHAR_ORDER), [])
 
 
 def _per_order_statistics(hypothesis, reference):
@@ -155,7 +167,6 @@ class TestPairStatistics:
         sentence_scores = [chrf(h, r) for h, r in rows]
         assert chrf_sums(rows, True) == (len(rows), totals, sentence_scores)
         assert chrf_sums(rows, False) == (len(rows), totals, [])
-        assert f_score(totals) == corpus_chrf(rows)
         # Counted in two parts, the rows give the same sums and scores.
         cut = len(rows) // 2
         parts = [chrf_sums(rows[:cut], True), chrf_sums(rows[cut:], True)]
@@ -167,8 +178,9 @@ class TestPairStatistics:
 
     def test_chrf_sums_accept_eval_rows(self):
         rows = [_row("cat sat", "cat sit"), _row("", "a dog")]
-        pairs, sums, scores = chrf_sums(rows, True)
-        assert (pairs, f_score(sums), scores) == (2, corpus_chrf(rows), [chrf("cat sat", "cat sit"), 0.0])
+        counted = chrf_sums(rows, True)
+        assert counted == chrf_sums([("cat sat", "cat sit"), ("", "a dog")], True)
+        assert counted[2] == [chrf("cat sat", "cat sit"), 0.0]
 
 
 class TestTokenHitRate:
@@ -291,7 +303,7 @@ class TestWords:
     @given(text=st.text(st.characters(exclude_categories=("Cs",))), extra=st.lists(st.text(max_size=3), max_size=3),
            data=st.data())
     def test_the_words_are_the_tokenizer_surfaces(self, text, extra, data):
-        surfaces = tokenize(text).surfaces()
+        surfaces = [t.surface for t in tokenize(text).tokens]
         assert words(text) == surfaces
         folded = [s.casefold() for s in surfaces]
         watched = frozenset(extra) | frozenset(data.draw(st.lists(st.sampled_from(folded), max_size=2)) if folded else ())
