@@ -198,7 +198,7 @@ def _lang_rows(reader: csv.DictReader, path: str) -> list[LangRow]:
     required = {"lang", "delta_chrf", "n_panlex", "n_gatitos", "n_mono", "class"}
     missing = required - set(reader.fieldnames or [])
     if missing:
-        raise ValueError(f"{path}: missing CSV columns: {sorted(missing)}")
+        raise FormatError(f"missing CSV columns: {sorted(missing)}", path)
     for record in reader:
         line_no = reader.line_num
         try:

@@ -76,11 +76,11 @@ def _read_config(path: str, parser: argparse.ArgumentParser, digests: dict[str, 
     ``parser``'s flags would set them. Its keys are the flag destinations."""
     config = _read_json(path, digests)
     if not isinstance(config, dict):
-        raise LexAugError(f"{path}: config must be a JSON object")
+        raise FormatError("config must be a JSON object", path)
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise LexAugError(f"{path}: unknown config keys {unknown}; allowed: {sorted(actions)}")
+        raise FormatError(f"unknown config keys {unknown}; allowed: {sorted(actions)}", path)
     return {key: _config_value(path, key, value, actions[key]) for key, value in config.items()}
 
 
@@ -90,15 +90,15 @@ def _read_json(path: str, digests: dict[str, str]):
     try:
         return json.loads(read_text(path, digests))
     except json.JSONDecodeError as exc:
-        raise LexAugError(f"{path}: invalid JSON: {exc}") from None
+        raise FormatError(f"invalid JSON: {exc}", path) from None
 
 
 def _config_value(path: str, key: str, value, action: argparse.Action):
     """A config value as its flag would set it: a boolean for a flag without a
     value, else a string read as the flag's text, a list of strings if it
     repeats, a JSON number if it is numeric, or None for null if it has no default."""
-    def bad(expected: str) -> LexAugError:
-        return LexAugError(f"{path}: {key} must be {expected}, got {value!r}")
+    def bad(expected: str) -> FormatError:
+        return FormatError(f"{key} must be {expected}, got {value!r}", path)
 
     if value is None and action.default is None:
         return None
@@ -117,7 +117,7 @@ def _config_value(path: str, key: str, value, action: argparse.Action):
         # str() of a bool, list or null is no number, so only numbers pass.
         converted = action.type(str(value)) if action.type else value
     except argparse.ArgumentTypeError as exc:
-        raise LexAugError(f"{path}: {key} {exc}, got {value!r}") from None
+        raise FormatError(f"{key} {exc}, got {value!r}", path) from None
     if action.choices is not None and converted not in action.choices:
         raise bad(f"one of {list(action.choices)}")
     return converted
@@ -513,8 +513,8 @@ def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]
     for line_no, line in batch:
         try:
             rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
-        except (KeyError, ValueError) as exc:
-            raise LexAugError(f"{path}:line {line_no}: {exc}") from exc
+        except ValueError as exc:
+            raise FormatError(str(exc), path, line_no) from exc
     return rows
 
 
@@ -569,7 +569,7 @@ def cmd_regress(args, digests: dict[str, str]) -> None:
         result = {"per_class": analysis.per_class_deltas(rows)}
     except FitError as exc:
         # The fit failed on the table's values, so name the table.
-        raise LexAugError(f"{args.table}: {exc}") from exc
+        raise FormatError(str(exc), args.table) from exc
     _emit_json(result, args.out, digests)
 
 

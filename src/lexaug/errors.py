@@ -10,8 +10,8 @@ class LexAugError(Exception):
 
 
 class FormatError(LexAugError):
-    """An input file line could not be parsed; the message names the path
-    and the 1-based line when they are known."""
+    """An input file, or a line of it, holds what cannot be used; the
+    message names the path and the 1-based line when they are known."""
 
     def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
         self.path = path

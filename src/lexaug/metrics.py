@@ -30,23 +30,16 @@ COPY_SIMILARITY_THRESHOLD = 0.85
 REPETITION_RATIO_THRESHOLD = 3.0
 
 
-class Direction(enum.Enum):
-    EN_TO_XX = "en_to_xx"
-    XX_TO_EN = "xx_to_en"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalRow:
-    """One hypothesis/reference pair for an English-centric direction."""
+    """One hypothesis/reference pair, and the source it translates if known."""
 
-    lang: str
-    direction: Direction
-    source: str
+    source: str = ""
     hypothesis: str
     reference: str
 
     def __post_init__(self):
-        for name in ("lang", "source", "hypothesis", "reference"):
+        for name in ("source", "hypothesis", "reference"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {type(getattr(self, name)).__name__}")
         if not self.reference:
@@ -54,15 +47,13 @@ class EvalRow:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EvalRow":
+        """The row of a parsed JSON line; keys other than the fields are ignored."""
         if not isinstance(obj, dict):
             raise ValueError("eval row is not a JSON object")
-        return cls(
-            lang=obj["lang"],
-            direction=Direction(str(obj["direction"]).lower()),
-            source=obj.get("source", ""),
-            hypothesis=obj["hypothesis"],
-            reference=obj["reference"],
-        )
+        for name in ("hypothesis", "reference"):
+            if name not in obj:
+                raise ValueError(f"missing field {name!r}")
+        return cls(source=obj.get("source", ""), hypothesis=obj["hypothesis"], reference=obj["reference"])
 
 
 def _ngram_counts(text: str) -> Counter:
@@ -116,25 +107,16 @@ def f_score(stats: Sequence[int]) -> float:
     return 100.0 * (1.0 + beta_sq) * precision * recall / denominator
 
 
-def _as_hyp_ref(row) -> tuple[str, str]:
-    if isinstance(row, EvalRow):
-        return row.hypothesis, row.reference
-    hypothesis, reference = row
-    return hypothesis, reference
-
-
-def chrf_sums(rows: Iterable, sentence: bool) -> tuple[int, list[int], list[float]]:
+def chrf_sums(rows: Iterable[tuple[str, str]], sentence: bool) -> tuple[int, list[int], list[float]]:
     """The number of pairs, the sums of their per-order [hyp_total,
     ref_total, clipped_match] counts, and each pair's chrf in row order if
     ``sentence`` (else an empty list), counting each pair's n-grams once. The
     sums are integers, so ``f_score`` of them (the micro-averaged corpus
-    chrf) does not depend on how the pairs were split up to count them.
-    Accepts EvalRow or (hypothesis, reference) tuples."""
+    chrf) does not depend on how the pairs were split up to count them."""
     pairs = 0
     sums = [0] * (3 * CHRF_CHAR_ORDER)
     scores = []
-    for row in rows:
-        hypothesis, reference = _as_hyp_ref(row)
+    for hypothesis, reference in rows:
         if not reference:
             raise ValueError("reference must be non-empty")
         stats = _pair_statistics(hypothesis, reference)
@@ -167,7 +149,7 @@ def _contains_watched(text: str, watched: frozenset[str]) -> bool:
     return not watched.isdisjoint(map(str.casefold, words(text)))
 
 
-def token_hit_rate(rows: Iterable, tokens: Iterable[str]) -> HitRate:
+def token_hit_rate(rows: Iterable[EvalRow], tokens: Iterable[str]) -> HitRate:
     """Case-insensitive whole-token hit rate over the watched token set.
 
     Only rows whose reference contains a watched token enter the
@@ -179,11 +161,10 @@ def token_hit_rate(rows: Iterable, tokens: Iterable[str]) -> HitRate:
     rows_with_token = 0
     hits = 0
     for row in rows:
-        hypothesis, reference = _as_hyp_ref(row)
-        if not _contains_watched(reference, watched):
+        if not _contains_watched(row.reference, watched):
             continue
         rows_with_token += 1
-        if _contains_watched(hypothesis, watched):
+        if _contains_watched(row.hypothesis, watched):
             hits += 1
     return HitRate.of(rows_with_token, hits)
 

@@ -15,7 +15,6 @@ from lexaug.cli import main
 from lexaug.corpus import Record, tokenize
 from lexaug.lexicon import LexEntry, Lexicon
 from lexaug.metrics import (
-    Direction,
     EvalRow,
     Resourcedness,
     chrf_sums,
@@ -97,8 +96,8 @@ def test_criterion_1_chrf_matches_reference_implementation():
 def test_criterion_2_hit_rate_fixture():
     with criterion(2, "kitten/puma hit-rate fixture returns exactly 0.5"):
         rows = [
-            ("kitten lie on floor", "The kitten lies"),
-            ("Crocodile charge they phone", "A Puma eats hot chip"),
+            EvalRow(hypothesis="kitten lie on floor", reference="The kitten lies"),
+            EvalRow(hypothesis="Crocodile charge they phone", reference="A Puma eats hot chip"),
         ]
         result = token_hit_rate(rows, {"kitten", "puma"})
         assert result.rate == 0.5
@@ -234,10 +233,7 @@ def test_criterion_6_jobs_do_not_change_bytes(tmp_path):
 def test_criterion_7_error_detectors():
     with criterion(7, "hand-built corpus yields exactly 20%/10%/10%; boundaries clean"):
         def row(hyp, ref, source):
-            return EvalRow(
-                lang="xx", direction=Direction.EN_TO_XX, source=source,
-                hypothesis=hyp, reference=ref,
-            )
+            return EvalRow(source=source, hypothesis=hyp, reference=ref)
 
         rows = [
             row("The quick brown fox", "r1", "The quick brown fox"),  # copy

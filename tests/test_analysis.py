@@ -287,7 +287,7 @@ class TestLoadLangRows:
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lang,delta_chrf\nxx,1.0\n")
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(FormatError, match="missing CSV columns"):
             load_lang_rows(str(path))
 
     def test_quoted_field_spans_two_lines(self, tmp_path):

@@ -372,6 +372,17 @@ class TestMixCommand:
             "codeswitch_mono": 0.285,
         }
 
+    @pytest.mark.parametrize("setting,printed", [
+        pytest.param(["--parallel-aug", "glowup"],
+                     '{\n  "glowup_parallel": 0.2,\n  "mass": 0.6,\n  "translation": 0.2\n}\n', id="parallel-aug"),
+        pytest.param(["--mono-aug", "glowup", "--parallel-aug", "codeswitch", "--token-pairs"],
+                     '{\n  "codeswitch_parallel": 0.19,\n  "glowup_mono": 0.285,\n  "mass": 0.285,\n'
+                     '  "token_pair": 0.05,\n  "translation": 0.19\n}\n', id="every-augmentation"),
+    ])
+    def test_parallel_aug_schedule_printed(self, capsys, setting, printed):
+        assert main(["mix", *setting]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_interleaves_streams(self, tmp_path):
         t_stream = tmp_path / "t.jsonl"
         m_stream = tmp_path / "m.jsonl"
@@ -1779,8 +1790,12 @@ _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
                      "{bad}:line 1: eval row is not a JSON object", id="row-not-object"),
         pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", json.dumps({**_ROW, "hypothesis": 1}),
                      "{bad}:line 1: hypothesis must be a string, got int", id="hypothesis-not-string"),
-        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".jsonl", json.dumps({**_ROW, "lang": None}),
-                     "{bad}:line 1: lang must be a string, got NoneType", id="lang-not-string"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".jsonl", json.dumps({**_ROW, "reference": None}),
+                     "{bad}:line 1: reference must be a string, got NoneType", id="reference-not-string"),
+        pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", '{"reference": "a"}\n',
+                     "{bad}:line 1: missing field 'hypothesis'", id="missing-hypothesis"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", '{"hypothesis": "a"}\n',
+                     "{bad}:line 1: missing field 'reference'", id="missing-reference"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", "[1]", "weights must be a JSON object, got list",
                      id="weights-list"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": [1]}', "weight for mass must be a number, got [1]",

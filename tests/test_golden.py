@@ -10,6 +10,7 @@ update the digest in the same commit and say why.
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +279,13 @@ SCORE_DIGEST = "45eb5f8c79fc72a20b8443ad0d9fe9183aef3f6a1a2c85f94a0302c49c299fb3
 SCORE_SENTENCE_DIGEST = "ff834224cee4a9fa644c8729a9751ab13d9a33c4a0fdfb3a688bfdf9910fbefe"
 DIAGNOSE_DIGEST = "6749ee51a80eaa187b1e9567c86f5b79ce408781d7f711aac66e496676c2c4da"
 HIT_RATE_DIGEST = "94225762c62281c98df441fd473748d4e7c33920a4924e152b2eeef7b8eb8f9c"
+DIAGNOSE_TABLE = """\
+error          count   percent
+null               3    18.75%
+copy               2    12.50%
+repetition         2    12.50%
+rows              16
+"""
 
 
 def write_eval_inputs(root) -> dict:
@@ -364,6 +372,31 @@ def test_scoring_digests_through_the_pool(eval_inputs, pool_spy, capsys, command
     assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
     assert _sha256(out) == digest
     assert len(pool_spy) == (0 if jobs == "1" else 2)
+
+
+# The golden eval rows as written, without the keys that are not fields, and
+# with one of those keys set to a value no field could take.
+_ROW_VARIANTS = {
+    "golden": lambda obj: obj,
+    "fields-only": lambda obj: {key: obj[key] for key in ("source", "hypothesis", "reference")},
+    "direction-sideways": lambda obj: {**obj, "direction": "sideways"},
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_rows_keys_other_than_fields_are_ignored(eval_inputs, pool_spy, capsys, jobs):
+    lines = Path(eval_inputs["rows"]).read_text(encoding="utf-8").splitlines()
+    for variant, change in _ROW_VARIANTS.items():
+        rows = eval_inputs["root"] / f"rows-{variant}.jsonl"
+        rows.write_text("".join(json.dumps(change(json.loads(line)), ensure_ascii=False) + "\n" for line in lines),
+                        encoding="utf-8")
+        for command in ("diagnose", "hit-rate"):
+            argv, digest = _SCORING_RUNS[command]
+            out = eval_inputs["root"] / f"{command}-{variant}-jobs{jobs}.json"
+            argv = [arg.format(**{**eval_inputs, "rows": str(rows)}) for arg in argv]
+            assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0, capsys.readouterr().err
+            assert _sha256(out) == digest, (variant, command)
+        assert capsys.readouterr().out == DIAGNOSE_TABLE, variant
 
 
 # Per-language rows for `regress`: eight URL rows to fit, and every other

@@ -11,7 +11,6 @@ from lexaug.corpus import tokenize, words
 from lexaug.metrics import (
     CHRF_CHAR_ORDER,
     _WS_RE,
-    Direction,
     EvalRow,
     _contains_watched,
     _pair_statistics,
@@ -28,14 +27,13 @@ from lexaug.metrics import (
 from reference_chrf import reference_corpus_chrf, reference_sentence_chrf
 
 
-def _row(hyp, ref, source="src text", lang="xx"):
-    return EvalRow(
-        lang=lang,
-        direction=Direction.EN_TO_XX,
-        source=source,
-        hypothesis=hyp,
-        reference=ref,
-    )
+def _row(hyp, ref, source="src text"):
+    return EvalRow(source=source, hypothesis=hyp, reference=ref)
+
+
+def _rows(pairs):
+    """Source-less eval rows of (hypothesis, reference) pairs."""
+    return [EvalRow(hypothesis=hyp, reference=ref) for hyp, ref in pairs]
 
 
 _WORDS = [
@@ -115,10 +113,6 @@ class TestCorpusChrf:
         oracle = reference_corpus_chrf([h for h, _ in pairs], [r for _, r in pairs])
         assert abs(ours - oracle) < 1e-9
 
-    def test_accepts_eval_rows(self):
-        rows = [_row("cat sat", "cat sit")]
-        assert corpus_chrf(rows) == chrf("cat sat", "cat sit")
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             corpus_chrf([("cat sat", "cat sit"), ("anything", "")])
@@ -176,47 +170,41 @@ class TestPairStatistics:
         oracle = reference_corpus_chrf([h for h, _ in rows], [r for _, r in rows])
         assert f_score(totals) == pytest.approx(oracle, abs=1e-9)
 
-    def test_chrf_sums_accept_eval_rows(self):
-        rows = [_row("cat sat", "cat sit"), _row("", "a dog")]
-        counted = chrf_sums(rows, True)
-        assert counted == chrf_sums([("cat sat", "cat sit"), ("", "a dog")], True)
-        assert counted[2] == [chrf("cat sat", "cat sit"), 0.0]
-
 
 class TestTokenHitRate:
     def test_kitten_puma_half(self):
-        rows = [
+        rows = _rows([
             ("kitten lie on floor", "The kitten lies"),
             ("Crocodile charge they phone", "A Puma eats hot chip"),
-        ]
+        ])
         result = token_hit_rate(rows, {"kitten", "puma"})
         assert result.rate == 0.5
         assert result.rows_with_token == 2
         assert result.hits == 1
 
     def test_perfect_hit_rate(self):
-        rows = [("the cat", "a cat"), ("no match here", "nothing watched")]
+        rows = _rows([("the cat", "a cat"), ("no match here", "nothing watched")])
         assert token_hit_rate(rows, {"cat"}).rate == 1.0
 
     def test_undefined_when_never_in_references(self):
-        result = token_hit_rate([("cat", "dog")], {"zebra"})
+        result = token_hit_rate(_rows([("cat", "dog")]), {"zebra"})
         assert result.rate is None
         assert result.rows_with_token == 0
 
     def test_empty_token_set_rejected(self):
         with pytest.raises(ValueError):
-            token_hit_rate([("a", "b")], set())
+            token_hit_rate(_rows([("a", "b")]), set())
 
     def test_case_insensitive_whole_token(self):
-        rows = [("saw a PUMA today", "the Puma ran")]
+        rows = _rows([("saw a PUMA today", "the Puma ran")])
         assert token_hit_rate(rows, {"puma"}).rate == 1.0
         # Substrings are not token matches.
-        rows = [("pumas are cats", "the puma ran")]
+        rows = _rows([("pumas are cats", "the puma ran")])
         assert token_hit_rate(rows, {"puma"}).rate == 0.0
 
     def test_invariant_to_rows_outside_watched_set(self):
-        watched_rows = [("kitten here", "kitten there"), ("nope", "puma runs")]
-        fillers = [("x", "y"), ("lorem", "ipsum")]
+        watched_rows = _rows([("kitten here", "kitten there"), ("nope", "puma runs")])
+        fillers = _rows([("x", "y"), ("lorem", "ipsum")])
         with_fillers = token_hit_rate(watched_rows + fillers, {"kitten", "puma"})
         without = token_hit_rate(watched_rows, {"kitten", "puma"})
         assert with_fillers == without
@@ -316,8 +304,8 @@ class TestWords:
 
     def test_case_folding_that_changes_the_length(self):
         # "\u00df" folds to "ss", and "\u0130" to "i" and a combining dot.
-        assert token_hit_rate([("STRASSE \u0130stanbul", "Stra\u00dfe")], {"strasse"}).rate == 1.0
-        assert token_hit_rate([("Stra\u00dfe", "\u0130stanbul")], {"i\u0307stanbul"}).rate == 0.0
+        assert token_hit_rate(_rows([("STRASSE \u0130stanbul", "Stra\u00dfe")]), {"strasse"}).rate == 1.0
+        assert token_hit_rate(_rows([("Stra\u00dfe", "\u0130stanbul")]), {"i\u0307stanbul"}).rate == 0.0
 
 
 def _diagnose_fixture():
@@ -375,3 +363,8 @@ class TestDiagnose:
     def test_eval_row_requires_reference(self):
         with pytest.raises(ValueError):
             _row("hyp", "")
+
+    def test_eval_row_reads_its_fields_and_ignores_other_keys(self):
+        obj = {"lang": 1, "direction": "sideways", "hypothesis": "h", "reference": "r"}
+        assert EvalRow.from_json_obj(obj) == EvalRow(hypothesis="h", reference="r")
+        assert EvalRow.from_json_obj({**obj, "source": "s"}) == EvalRow(source="s", hypothesis="h", reference="r")
