@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
-from .corpus import Branch, assign_branch, load_corpus, read_lines, read_text
+from .corpus import Branch, assign_branch, load_corpus, read_lines, read_text, words
 from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
 
 # The parser's choices, spelled out so that no command imports the modules that name them
@@ -435,7 +435,10 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
         if (args.mono_aug, args.parallel_aug, args.token_pairs) != ("none", "none", False):
             raise LexAugError("--weights gives every weight, so --mono-aug, --parallel-aug and --token-pairs "
                               "must keep their defaults (none, none, --no-token-pairs)")
-        weights = TaskWeights.from_json_obj(_read_json(args.weights, digests))
+        try:
+            weights = TaskWeights.from_json_obj(_read_json(args.weights, digests))
+        except ScheduleError as exc:
+            raise FormatError(str(exc), args.weights) from None
     else:
         weights = build_schedule(args.mono_aug, args.parallel_aug, args.token_pairs)
     results = {"weights": weights.to_json_obj()}
@@ -454,6 +457,8 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
         task = task_named(name.replace("-", "_"), "--streams")
         if task in stream_paths:
             raise ScheduleError(f"--streams: task {task.value!r} given twice ({stream_paths[task]}, {path})")
+        if weights.get(task) <= 0:
+            raise ScheduleError(f"--streams: task {task.value!r} has no weight in the schedule, so {path} is never read")
         stream_paths[task] = path
     with contextlib.ExitStack() as opened:
         streams = {task: opened.enter_context(StreamFile(path, digests)) for task, path in stream_paths.items()}
@@ -513,6 +518,8 @@ def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]
     for line_no, line in batch:
         try:
             rows.append(metrics.EvalRow.from_json_obj(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc.msg}", path, line_no) from exc
         except ValueError as exc:
             raise FormatError(str(exc), path, line_no) from exc
     return rows
@@ -544,9 +551,13 @@ def cmd_diagnose(args, digests: dict[str, str]) -> None:
 def cmd_hit_rate(args, digests: dict[str, str]) -> None:
     from . import metrics
     _require(args, "rows", "tokens")
-    tokens = [line.strip() for line in read_lines(args.tokens, digests) if line.strip()]
-    if not tokens:
+    numbered = [(n, line.strip()) for n, line in enumerate(read_lines(args.tokens, digests), 1) if line.strip()]
+    if not numbered:
         raise FormatError("names no token: every line is blank", args.tokens)
+    for line_no, token in numbered:
+        if words(token) != [token]:  # a row's tokens are words, so no other token could match
+            raise FormatError(f"a watched token must be one word token, got {token!r}", args.tokens, line_no)
+    tokens = [token for _, token in numbered]
 
     def hit_counts(rows: list[metrics.EvalRow]) -> tuple[int, int]:
         result = metrics.token_hit_rate(rows, tokens)
@@ -664,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hit-rate", help="watched-token hit rate over eval rows")
     p.add_argument("--rows", help="JSONL eval rows")
-    p.add_argument("--tokens", help="watched tokens, one per line")
+    p.add_argument("--tokens", help="watched tokens, one word token per line")
     jobs(p, cores)
     common(p, cmd_hit_rate)
 

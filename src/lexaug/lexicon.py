@@ -31,8 +31,7 @@ import gc
 import operator
 import sys
 from collections import Counter
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 from .corpus import _COLLISION_RE, check_tag_value, read_lines, words as _words
 from .errors import LexiconFormatError
@@ -87,15 +86,8 @@ def match_key(text: str) -> str:
     "hot chip" share a key. Terms without any word token (pure punctuation)
     fall back to their trimmed, case-folded surface.
     """
-    return _key_and_length(text)[0]
-
-
-def _key_and_length(text: str) -> tuple[str, int]:
-    """The match key of ``text`` and its length in word tokens (at least 1)."""
     words = _words(text)
-    if not words:
-        return text.strip().casefold(), 1
-    return " ".join(words).casefold(), len(words)
+    return " ".join(words).casefold() if words else text.strip().casefold()
 
 
 # The index of a language with no entries; never written.
@@ -122,7 +114,6 @@ class Lexicon:
         # src_lang -> match key -> bucket; each bucket is a list, or a dict
         # once wide, until it is sorted into a tuple below.
         index: dict[str, dict[str, tuple[LexEntry, ...]]] = {}
-        max_tokens: dict[str, int] = {}
         # Each distinct source term's match key, for this build only.
         key_of: dict[str, str] = {}
         # The index holds only tuples, lists and dicts of strings, so a
@@ -135,10 +126,9 @@ class Lexicon:
             for name, source in sources:
                 for entry in source:
                     lang, term = entry[2], entry[0]
-                    length = 0  # measured for a new term, or one that opens a bucket
                     key = key_of.get(term)
                     if key is None:
-                        key, length = _key_and_length(term)
+                        key = match_key(term)
                         # A key equal to its term is the term's own string.
                         key = key_of[term] = term if key == term else key
                     keys = index.get(lang)
@@ -147,12 +137,6 @@ class Lexicon:
                     bucket = keys.get(key)
                     if bucket is None:
                         bucket = keys[key] = []
-                        # All terms of a key have one length (casefold adds no
-                        # space and turns no word character into punctuation
-                        # or back), so each bucket's first term is measured.
-                        length = length or _key_and_length(term)[1]
-                        if length > max_tokens.get(lang, 0):
-                            max_tokens[lang] = length
                     elif entry in bucket:
                         continue  # a later copy, compared by value
                     if len(bucket) < _LIST_BUCKET:
@@ -173,8 +157,13 @@ class Lexicon:
         for keys in index.values():
             for key, bucket in keys.items():
                 keys[key] = tuple(sorted(bucket, key=by_target) if len(bucket) > 1 else bucket)
-        self._entries, self._sources = entries, runs
-        self._index, self._max_term_tokens = index, max_tokens
+        self._entries, self._sources, self._index = entries, runs, index
+        # A key's words are its term's, joined by single spaces; a
+        # punctuation-only key may hold a space and is one token.
+        self._max_term_tokens = {
+            lang: max((len(_words(key)) or 1 for key in keys if " " in key), default=1)
+            for lang, keys in index.items()
+        }
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -195,18 +184,15 @@ class Lexicon:
             return bucket
         return tuple(e for e in bucket if e.tgt_lang == tgt_filter)
 
-    def term_keys(self, src_lang: str) -> Mapping[str, tuple[LexEntry, ...]]:
-        """A read-only view of ``src_lang``'s index: each match key of its
-        source terms, mapped to the entries lookup_key returns for it."""
-        return MappingProxyType(self._index.get(src_lang, _NO_TERMS))
+    def term_keys(self, src_lang: str) -> KeysView[str]:
+        """The match keys of ``src_lang``'s source terms: a view of its index."""
+        return self._index.get(src_lang, _NO_TERMS).keys()
 
-    def has_term(self, key: str, src_lang: str, tgt_filter: str | None = None) -> bool:
-        """Fast membership probe for an already-normalized match key."""
+    def has_term(self, key: str, src_lang: str, tgt_filter: str) -> bool:
+        """Whether match key ``key`` has an entry from ``src_lang`` into ``tgt_filter``."""
         bucket = self._index.get(src_lang, _NO_TERMS).get(key)
         if not bucket:
             return False
-        if tgt_filter is None:
-            return True
         return any(e.tgt_lang == tgt_filter for e in bucket)
 
     def max_term_tokens(self, src_lang: str) -> int:

@@ -60,7 +60,7 @@ def _lexicon_of(terms):
 
 
 def _reference_find_translatable(sentence, src_lang, lexicon, tgt_filter=None):
-    """The window scan with one has_term probe per window and one casefold
+    """The window scan with one lookup_key probe per window and one casefold
     per token, as find_translatable was before it folded whole sentences."""
     tokens = sentence.tokens
     n = len(tokens)
@@ -83,7 +83,7 @@ def _reference_find_translatable(sentence, src_lang, lexicon, tgt_filter=None):
             limit = run
         for length in range(limit, 0, -1):
             key = folded[i] if length == 1 else " ".join(folded[i : i + length])
-            if lexicon.has_term(key, src_lang, tgt_filter):
+            if lexicon.lookup_key(key, src_lang, tgt_filter):
                 char_start = tokens[i].char_start
                 char_end = tokens[i + length - 1].char_end
                 spans.append(MatchSpan(i, i + length, char_start, char_end, text[char_start:char_end], key))
@@ -114,7 +114,7 @@ class TestFindTranslatable:
             assert 0 <= span.start < span.end <= sentence.n
             assert span.surface == text[span.char_start : span.char_end]
             assert span.key == match_key(span.surface)
-            assert lexicon.has_term(span.key, "en", tgt_filter)
+            assert lexicon.lookup_key(span.key, "en", tgt_filter)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -37,6 +37,13 @@ def _lexicon_file(tmp_path, name="panlex.tsv"):
     return str(path)
 
 
+def _tokens_file(tmp_path):
+    """Watched tokens for hit-rate: one word token per line."""
+    path = tmp_path / "tokens.txt"
+    path.write_text("cat\nkitten\n", encoding="utf-8")
+    return str(path)
+
+
 def _mono_file(tmp_path, n=20):
     return write_jsonl(
         tmp_path / "mono.jsonl",
@@ -887,7 +894,7 @@ def _python(*args: str) -> str:
 def test_no_command_imports_numpy(tmp_path):
     rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW, {**_ROW, "hypothesis": "b"}])
     tokens = tmp_path / "tokens.txt"
-    tokens.write_text("a\nthe cat sat\n")
+    tokens.write_text("a\ncat\n")
     lines = ["lang,delta_chrf,n_panlex,n_gatitos,n_mono,class"]
     lines += [f"l{i},{i * 0.5 + (i % 3)},{100 * i},{7 * i * i},{(i * 7) % 13},URL" for i in range(8)]
     table = tmp_path / "table.csv"
@@ -933,7 +940,7 @@ def test_cli_import_defers_what_only_some_runs_use(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text(_TABLE + "".join(f"u{i},{i * 0.5 + i % 3},{100 * i},{7 * i * i},{7 * i % 13},URL\n" for i in range(8)))
     hyp = tmp_path / "hyp.txt"
-    hyp.write_text("the cat sat\na dog\n")
+    hyp.write_text("cat\ndog\n")
     rows = write_jsonl(tmp_path / "rows.jsonl", [_ROW, {**_ROW, "hypothesis": "b"}])
     # Site .pth files may import modules of their own, so compare with an
     # interpreter that imports nothing.
@@ -1790,27 +1797,39 @@ _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
                      "{bad}:line 1: eval row is not a JSON object", id="row-not-object"),
         pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", json.dumps({**_ROW, "hypothesis": 1}),
                      "{bad}:line 1: hypothesis must be a string, got int", id="hypothesis-not-string"),
-        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".jsonl", json.dumps({**_ROW, "reference": None}),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{tokens}"], ".jsonl", json.dumps({**_ROW, "reference": None}),
                      "{bad}:line 1: reference must be a string, got NoneType", id="reference-not-string"),
         pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", '{"reference": "a"}\n',
                      "{bad}:line 1: missing field 'hypothesis'", id="missing-hypothesis"),
-        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", '{"hypothesis": "a"}\n',
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{tokens}"], ".jsonl", '{"hypothesis": "a"}\n',
                      "{bad}:line 1: missing field 'reference'", id="missing-reference"),
-        pytest.param(["mix", "--weights", "{bad}"], ".json", "[1]", "weights must be a JSON object, got list",
+        pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", json.dumps(_ROW) + "\n\nnot json\n",
+                     "{bad}:line 3: invalid JSON: Expecting value", id="diagnose-row-invalid-json"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{tokens}"], ".jsonl", "{]\n",
+                     "{bad}:line 1: invalid JSON: Expecting property name", id="hit-rate-row-invalid-json"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", "[1]", "{bad}: weights must be a JSON object, got list",
                      id="weights-list"),
-        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": [1]}', "weight for mass must be a number, got [1]",
-                     id="weight-list"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": [1]}',
+                     "{bad}: weight for mass must be a number, got [1]", id="weight-list"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": NaN}',
-                     "weight for mass must be finite and non-negative, got nan", id="weight-nan"),
+                     "{bad}: weight for mass must be finite and non-negative, got nan", id="weight-nan"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": true, "translation": 0}',
-                     "weight for mass must be a number, got True", id="weight-bool"),
+                     "{bad}: weight for mass must be a number, got True", id="weight-bool"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"bogus": 1}',
-                     "weights file: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="weights-unknown-task"),
+                     "{bad}: weights file: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,",
+                     id="weights-unknown-task"),
+        pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": 0.5, "translation": 0.25}',
+                     "{bad}: weights sum to 0.75, expected 1.0", id="weights-sum"),
         pytest.param(["mix", "--streams", "bogus={bad}", "--seed", "1", "--count", "1"], ".jsonl", "{}\n",
                      "--streams: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,", id="streams-unknown-task"),
         pytest.param(["mix", "--streams", "mass={bad}", "--streams", "mass={mono}", "--streams", "translation={bad}",
                       "--seed", "1", "--count", "6"], ".jsonl", "{}\n",
                      "--streams: task 'mass' given twice ({bad}, {mono})", id="streams-task-twice"),
+        # The default schedule weights translation and mass only.
+        pytest.param(["mix", "--streams", "translation={mono}", "--streams", "mass={mono}", "--streams",
+                      "codeswitch_mono={bad}", "--seed", "1", "--count", "6"], ".jsonl", "{}\n",
+                     "--streams: task 'codeswitch_mono' has no weight in the schedule, so {bad} is never read",
+                     id="streams-task-unweighted"),
         # A missing comma: Python 3.13 words a trailing comma's error anew.
         pytest.param(["augment", "--config", "{bad}"], ".json", '{"seed": 1 "task": 2}',
                      "{bad}: invalid JSON: Expecting ',' delimiter: line 1 column 12 (char 11)", id="config-invalid-json"),
@@ -1835,10 +1854,17 @@ _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
                      "{bad}: predictor 'n_panlex' is linearly dependent on the other predictors", id="fit-dependent"),
         pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", "\n \t\n\n",
                      "{bad}: names no token: every line is blank", id="tokens-all-blank"),
+        # Tokens are checked before any row is read, so --rows may be any file.
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", "cat\nNew York\n",
+                     "{bad}:line 2: a watched token must be one word token, got 'New York'", id="token-two-words"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", " don't \n",
+                     "{bad}:line 1: a watched token must be one word token, got \"don't\"", id="token-apostrophe"),
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{bad}"], ".txt", "\ncat\ncat.\n",
+                     "{bad}:line 3: a watched token must be one word token, got 'cat.'", id="token-punctuation"),
         pytest.param(["diagnose", "--rows", "{bad}"], ".jsonl", "", "{bad}: holds no eval row", id="rows-empty"),
-        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", "", "{bad}: holds no eval row",
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{tokens}"], ".jsonl", "", "{bad}: holds no eval row",
                      id="hit-rate-rows-empty"),
-        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{lex}"], ".jsonl", "\n \t\n\u3000\n",
+        pytest.param(["hit-rate", "--rows", "{bad}", "--tokens", "{tokens}"], ".jsonl", "\n \t\n\u3000\n",
                      "{bad}: holds no eval row", id="hit-rate-rows-blank"),
         pytest.param(["token-pairs", "--lexicon", "{bad}", "--langs", " , "], ".tsv", "en\tes\tLatn\tcat\tgato\n",
                      "--langs names no language, got ' , '", id="langs-names-none"),
@@ -1864,7 +1890,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, suffix, conte
         bad.write_bytes(content)
     else:
         bad.write_text(content, encoding="utf-8")
-    files = {"bad": str(bad), "lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path)}
+    files = {"bad": str(bad), "lex": _lexicon_file(tmp_path), "mono": _mono_file(tmp_path), "tokens": _tokens_file(tmp_path)}
     assert main([arg.format(**files) for arg in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -1924,7 +1950,7 @@ class TestInputsReadOnce:
                       "--count", "9"], id="mix"),
         pytest.param(["score", "--hyp", "{mono}", "--ref", "{mono}"], id="score"),
         pytest.param(["diagnose", "--rows", "{rows}"], id="diagnose"),
-        pytest.param(["hit-rate", "--rows", "{rows}", "--tokens", "{lex}"], id="hit-rate"),
+        pytest.param(["hit-rate", "--rows", "{rows}", "--tokens", "{tokens}"], id="hit-rate"),
         pytest.param(["regress", "--table", "{table}"], id="regress"),
         pytest.param(["mix", "--weights", "{weights}"], id="mix-weights"),
         pytest.param(["diagnose", "--config", "{config}"], id="config"),
@@ -1938,7 +1964,8 @@ class TestInputsReadOnce:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rows": rows}))
         files = {"mono": _mono_file(tmp_path), "lex": _lexicon_file(tmp_path), "lex2": _lexicon_file(tmp_path, "b.tsv"),
-                 "rows": rows, "table": str(table), "weights": str(weights), "config": str(config)}
+                 "rows": rows, "table": str(table), "weights": str(weights), "config": str(config),
+                 "tokens": _tokens_file(tmp_path)}
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         opened.clear()
@@ -1982,7 +2009,7 @@ _RUNS = {
     "mix": ["mix", "--mono-aug", "codeswitch"],
     "score": ["score", "--hyp", "{mono}", "--ref", "{mono}"],
     "diagnose": ["diagnose", "--rows", "{rows}"],
-    "hit-rate": ["hit-rate", "--rows", "{rows}", "--tokens", "{lex}"],
+    "hit-rate": ["hit-rate", "--rows", "{rows}", "--tokens", "{tokens}"],
     "regress": ["regress", "--table", "{table}"],
     "lexicon-stats": ["lexicon-stats", "--lexicon", "{lex}"],
 }
@@ -2002,7 +2029,7 @@ class TestManifestSettings:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(Path(mono).read_text().replace('number 3"}', 'number 3"', 1))  # line 4 does not parse
         files = {"mono": mono, "lex": _lexicon_file(tmp_path), "rows": write_jsonl(tmp_path / "rows.jsonl", [_ROW] * 3),
-                 "table": str(table), "weights": str(weights), "bad": str(bad)}
+                 "table": str(table), "weights": str(weights), "bad": str(bad), "tokens": _tokens_file(tmp_path)}
         assert main([arg.format(**files) for arg in argv] + ["--out", str(tmp_path / out)]) == 0
         manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
         assert manifest["subcommand"] == argv[0]

@@ -26,7 +26,6 @@ from lexaug import cli, corpus
 ALLOWED = {
     "lexaug.__getattr__": "the README's library API: `from lexaug import ...` loads each name",
     "lexaug.lexicon.LexEntry.__new__": "the README's library API: an entry built in code is checked",
-    "lexaug.lexicon.match_key": "the key function that Lexicon.lookup_key's docstring tells callers to use",
     "lexaug.augment.validate_example": "perfbench/workloads.py imports it to check every example",
     "lexaug.augment.TrainingExample.from_json_obj": "perfbench/workloads.py imports it to read examples back",
     "lexaug.mixture.StreamFile._read_whole": "the short-read fallback, entered only with os.pread patched "
