@@ -92,13 +92,12 @@ def ols_fit(X, y) -> OlsFit:
     columns = [*zip(*design), y]
     normal = [[sum(map(mul, a, b)) for b in columns] for a in columns[:k]]
     reduced, rank = _row_reduce(normal)
-    if rank < k:
+    if rank < k:  # the intercept is all ones, so the loop finds a predictor whose removal keeps the rank
         for column in range(1, k):
             minor = [row[:column] + row[column + 1:-1] for i, row in enumerate(normal) if i != column]
             if _row_reduce(minor)[1] == rank:
                 raise SingularMatrixError(f"design matrix is rank deficient: predictor column {column - 1} is "
                                           "linearly dependent on the others", column=column - 1)
-        raise SingularMatrixError("design matrix is rank deficient", column=None)
     coef = [row[-1] for row in reduced]
     yy = sum(v * v for v in y)
     ssr = yy - sum(c * row[-1] for c, row in zip(coef, normal))  # yᵀy - coefᵀXᵀy
@@ -158,13 +157,10 @@ def regress_delta_chrf(rows: Iterable[LangRow]) -> RegressionReport:
     try:
         fit = ols_fit(X, y)
     except SingularMatrixError as exc:
-        if exc.column is not None:
-            raise SingularMatrixError(
-                f"predictor {PREDICTOR_NAMES[exc.column]!r} is linearly dependent "
-                "on the other predictors",
-                column=PREDICTOR_NAMES[exc.column],
-            ) from exc
-        raise
+        raise SingularMatrixError(
+            f"predictor {PREDICTOR_NAMES[exc.column]!r} is linearly dependent on the other predictors",
+            column=PREDICTOR_NAMES[exc.column],
+        ) from exc
     return RegressionReport(
         coefficients=dict(zip(PREDICTOR_NAMES, fit.beta)),
         intercept=fit.intercept,

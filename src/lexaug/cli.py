@@ -30,13 +30,12 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
-from .corpus import Branch, assign_branch, load_corpus, read_lines, read_text, words
+from .corpus import AUG_CHOICES, Branch, Task, assign_branch, load_corpus, read_lines, read_text, words
 from .errors import FitError, FormatError, InsufficientDataError, LexAugError, ScheduleError
 
-# The parser's choices, spelled out so that no command imports the modules that name them
-# (a test pins them): Task values as flags, mixture.AUG_CHOICES, SelectionMode values.
-_TASKS = ("codeswitch-mono", "codeswitch-parallel", "glowup-mono", "glowup-parallel")
-_AUG_CHOICES = ("none", "codeswitch", "glowup")
+# augment's tasks as flags. SelectionMode's values are spelled out, so that
+# score does not import lexaug.sampling (a test pins them).
+_TASKS = tuple(t.value.replace("_", "-") for t in Task if t.value.endswith(("_mono", "_parallel")))
 _SAMPLING = ("binomial", "uniform")
 
 
@@ -370,7 +369,7 @@ def _fork_worker(run: Callable[[list], object], workers: list) -> tuple[int, Bin
 
 
 def cmd_augment(args, digests: dict[str, str]) -> dict:
-    from .augment import Task, augment_example
+    from .augment import augment_example
     from .sampling import SelectionMode, SelectionParams, derive_rng
     _require(args, "task", "corpus", "lexicon", "seed")
     task = Task(args.task.replace("-", "_"))
@@ -454,7 +453,10 @@ def cmd_mix(args, digests: dict[str, str]) -> dict:
         name, eq, path = spec_str.partition("=")
         if not eq:
             raise ScheduleError(f"--streams entries look like task=path, got {spec_str!r}")
-        task = task_named(name.replace("-", "_"), "--streams")
+        try:
+            task = task_named(name.replace("-", "_"))
+        except ScheduleError as exc:
+            raise ScheduleError(f"--streams: {exc}") from None
         if task in stream_paths:
             raise ScheduleError(f"--streams: task {task.value!r} given twice ({stream_paths[task]}, {path})")
         if weights.get(task) <= 0:
@@ -525,24 +527,22 @@ def _eval_rows(path: str, batch: list[tuple[int, str]]) -> list[metrics.EvalRow]
     return rows
 
 
-def _sum_eval_batches(
-    path: str, run: Callable[[list[metrics.EvalRow]], tuple[int, ...]], jobs: int, digests: dict[str, str]
-) -> list[int]:
-    """The sums of ``run``'s counts over every batch of the eval rows in
-    ``path``; the JSON is parsed where the batch runs. Blank lines are
+def _eval_report(path: str, report: Callable[[list], object], jobs: int, digests: dict[str, str]):
+    """``report`` of the eval rows in ``path``, a dataclass of counts: it runs
+    where each batch runs (as does the JSON parse), and each field of the
+    result is that field's sum over the batches' reports. Blank lines are
     skipped, and a file without a row fails."""
     numbered = ((n, line) for n, line in enumerate(read_lines(path, digests), 1) if line.strip())
-    counts = list(_map_batches(lambda batch: run(_eval_rows(path, batch)), numbered, jobs))
-    if not counts:
+    reports = list(_map_batches(lambda batch: report(_eval_rows(path, batch)), numbered, jobs))
+    if not reports:
         raise FormatError("holds no eval row", path)
-    return [sum(column) for column in zip(*counts)]
+    return type(reports[0])(*map(sum, zip(*map(astuple, reports))))
 
 
 def cmd_diagnose(args, digests: dict[str, str]) -> None:
     from . import metrics
     _require(args, "rows")
-    counts = _sum_eval_batches(args.rows, lambda rows: astuple(metrics.diagnose_corpus(rows)), args.jobs, digests)
-    report = metrics.ErrorReport(*counts)
+    report = _eval_report(args.rows, metrics.diagnose_corpus, args.jobs, digests)
     print(report.format_table())
     if args.out:
         _emit_json(report.to_json_obj(), args.out, digests)
@@ -558,12 +558,7 @@ def cmd_hit_rate(args, digests: dict[str, str]) -> None:
         if words(token) != [token]:  # a row's tokens are words, so no other token could match
             raise FormatError(f"a watched token must be one word token, got {token!r}", args.tokens, line_no)
     tokens = [token for _, token in numbered]
-
-    def hit_counts(rows: list[metrics.EvalRow]) -> tuple[int, int]:
-        result = metrics.token_hit_rate(rows, tokens)
-        return result.rows_with_token, result.hits
-
-    result = metrics.HitRate.of(*_sum_eval_batches(args.rows, hit_counts, args.jobs, digests))
+    result = _eval_report(args.rows, lambda rows: metrics.token_hit_rate(rows, tokens), args.jobs, digests)
     _emit_json(result.to_json_obj(), args.out, digests)
 
 
@@ -651,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_token_pairs)
 
     p = sub.add_parser("mix", help="build a task weight schedule and optionally interleave streams")
-    p.add_argument("--mono-aug", dest="mono_aug", choices=_AUG_CHOICES, default="none")
-    p.add_argument("--parallel-aug", dest="parallel_aug", choices=_AUG_CHOICES, default="none")
+    p.add_argument("--mono-aug", dest="mono_aug", choices=AUG_CHOICES, default="none")
+    p.add_argument("--parallel-aug", dest="parallel_aug", choices=AUG_CHOICES, default="none")
     p.add_argument("--token-pairs", dest="token_pairs", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--weights", help="JSON file mapping task name to weight")
     p.add_argument("--streams", action=_Repeatable, metavar="TASK=PATH")

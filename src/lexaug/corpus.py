@@ -50,6 +50,9 @@ class Task(enum.Enum):
     TOKEN_PAIR = "token_pair"
 
 
+# Augmentation choices for both the mono and the parallel data.
+AUG_CHOICES = ("none", "codeswitch", "glowup")
+
 _LITERAL_PATTERN = "|".join(re.escape(lit) for lit in sorted(LITERALS, key=len, reverse=True))
 # What corpus text and lexicon terms may not hold: a control token, or a
 # language or script tag, an open family ("<2en>", "<2Latn>", ...).

@@ -55,7 +55,7 @@ class FitError(LexAugError):
 class SingularMatrixError(FitError):
     """Design matrix is rank deficient; names the dependent column."""
 
-    def __init__(self, message: str, column: int | str | None = None):
+    def __init__(self, message: str, column: int | str):
         self.column = column
         super().__init__(message)
 

@@ -132,13 +132,12 @@ class HitRate:
     """Share of watched-token references whose hypothesis also produced a
     watched token. ``rate`` is None when no reference contains one."""
 
-    rate: float | None
     rows_with_token: int
     hits: int
 
-    @classmethod
-    def of(cls, rows_with_token: int, hits: int) -> "HitRate":
-        return cls(hits / rows_with_token if rows_with_token else None, rows_with_token, hits)
+    @property
+    def rate(self) -> float | None:
+        return self.hits / self.rows_with_token if self.rows_with_token else None
 
     def to_json_obj(self) -> dict:
         return {"rate": self.rate, "rows_with_token": self.rows_with_token, "hits": self.hits}
@@ -166,7 +165,7 @@ def token_hit_rate(rows: Iterable[EvalRow], tokens: Iterable[str]) -> HitRate:
         rows_with_token += 1
         if _contains_watched(row.hypothesis, watched):
             hits += 1
-    return HitRate.of(rows_with_token, hits)
+    return HitRate(rows_with_token, hits)
 
 
 def detect_null(hypothesis: str) -> bool:

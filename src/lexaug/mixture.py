@@ -26,12 +26,9 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, rshift
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import BLOCK, Task, line_chunks, read_chunks
+from .corpus import AUG_CHOICES, BLOCK, Task, line_chunks, read_chunks
 from .errors import FormatError, ScheduleError
 from .sampling import DRAW_BLOCK, Rng, derive_rng
-
-# Augmentation choices for both the mono and the parallel data.
-AUG_CHOICES = ("none", "codeswitch", "glowup")
 
 # Stable draw order for interleaving.
 _TASK_ORDER = list(Task)
@@ -68,17 +65,17 @@ class TaskWeights:
         for name, weight in obj.items():
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ScheduleError(f"weight for {name} must be a number, got {weight!r}")
-        return cls({task_named(name, "weights file"): float(weight) for name, weight in obj.items()})
+        return cls({task_named(name): float(weight) for name, weight in obj.items()})
 
 
-def task_named(name: str, where: str) -> Task:
-    """The task called ``name``; ``where`` says where the name was read
-    (a flag or a file), for the error an unknown name raises."""
+def task_named(name: str) -> Task:
+    """The task called ``name``; an unknown name raises a ScheduleError that
+    lists the allowed ones, and its reader names where it was read."""
     try:
         return Task(name)
     except ValueError:
         allowed = ", ".join(t.value for t in Task)
-        raise ScheduleError(f"{where}: unknown task {name!r}; allowed: {allowed}") from None
+        raise ScheduleError(f"unknown task {name!r}; allowed: {allowed}") from None
 
 
 def build_schedule(

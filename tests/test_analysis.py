@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexaug.analysis import (
     LangRow,
@@ -75,6 +77,26 @@ class TestOlsFit:
         with pytest.raises(SingularMatrixError) as exc_info:
             ols_fit(X, rng.normal(size=30))
         assert exc_info.value.column in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["zero", "constant", "duplicate", "sum"]))
+    def test_planted_dependency_names_a_predictor_column(self, data, kind):
+        # The intercept is all ones, so an exact dependency among integer
+        # columns always has a predictor whose removal keeps the rank.
+        p = data.draw(st.integers(2, 4), label="predictors")
+        m = data.draw(st.integers(p + 2, 9), label="rows")
+        X = np.array(data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=p, max_size=p),
+                                        min_size=m, max_size=m), label="X"))
+        target = data.draw(st.integers(0, p - 1), label="target")
+        a, b = (data.draw(st.sampled_from([c for c in range(p) if c != target])) for _ in range(2))
+        X[:, target] = {"zero": 0, "constant": data.draw(st.integers(-5, 5)), "duplicate": X[:, a],
+                        "sum": X[:, a] + X[:, b]}[kind]
+        with pytest.raises(SingularMatrixError) as exc_info:
+            ols_fit(X, data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m), label="y"))
+        column = exc_info.value.column
+        assert type(column) is int and 0 <= column < p
+        design = np.column_stack([np.ones(m), X])
+        assert np.linalg.matrix_rank(np.delete(design, column + 1, axis=1)) == np.linalg.matrix_rank(design)
 
     def test_float_rounded_sum_is_fitted(self):
         # A sum of float columns, rounded to float, depends on them only up to

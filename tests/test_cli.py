@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -10,9 +12,12 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import unittest.mock
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexaug
 from lexaug import analysis, cli, mixture
@@ -796,6 +801,37 @@ class TestHitRateCommand:
         assert result["rows_with_token"] == 2
 
 
+# Eval row text from a few words: "cat" is the watched token, so a batch may
+# hold no reference with it, "??" is null output, and "" is no source or an
+# empty hypothesis.
+_eval_text = st.lists(st.sampled_from(["cat", "Cat", "dog", "a", "??"]), max_size=8).map(" ".join)
+_eval_row = st.builds(dict, source=_eval_text, hypothesis=_eval_text,
+                      reference=_eval_text.filter(bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_eval_row, min_size=1, max_size=12), batch_size=st.integers(1, 5))
+def test_batch_reports_sum_to_the_one_call_report(tmp_path_factory, rows, batch_size):
+    """diagnose and hit-rate, whatever the batches, give the report of one
+    library call over every row."""
+    from lexaug import metrics
+
+    tmp_path = tmp_path_factory.mktemp("eval")
+    path = write_jsonl(tmp_path / "rows.jsonl", rows)
+    (tmp_path / "tokens.txt").write_text("cat\n")
+    eval_rows = [metrics.EvalRow.from_json_obj(row) for row in rows]
+    stdout = io.StringIO()
+    with unittest.mock.patch.object(cli, "BATCH_SIZE", batch_size), contextlib.redirect_stdout(stdout):
+        assert main(["diagnose", "--rows", path, "--jobs", "1", "--out", str(tmp_path / "d.json")]) == 0
+        assert main(["hit-rate", "--rows", path, "--tokens", str(tmp_path / "tokens.txt"), "--jobs", "1",
+                     "--out", str(tmp_path / "h.json")]) == 0
+    report = metrics.diagnose_corpus(eval_rows)
+    assert stdout.getvalue() == report.format_table() + "\n"
+    assert json.loads((tmp_path / "d.json").read_text()) == report.to_json_obj()
+    hit_rate = metrics.token_hit_rate(eval_rows, ["cat"])
+    assert json.loads((tmp_path / "h.json").read_text()) == hit_rate.to_json_obj()
+
+
 class TestRegressCommand:
     def test_report(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -971,9 +1007,21 @@ def test_parser_choices_are_the_library_values():
     from lexaug.mixture import AUG_CHOICES
     from lexaug.sampling import SelectionMode
 
-    assert cli._TASKS == tuple(t.value.replace("_", "-") for t in Task if t.value.endswith(("_mono", "_parallel")))
-    assert cli._AUG_CHOICES == AUG_CHOICES
-    assert cli._SAMPLING == tuple(m.value for m in SelectionMode)
+    # Every flag with choices, of every subcommand.
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        (command, action.dest): tuple(action.choices)
+        for command, subparser in subparsers.items()
+        for action in subparser._actions
+        if action.choices is not None
+    }
+    assert choices == {
+        ("augment", "task"): tuple(t.value.replace("_", "-") for t in Task if t.value.endswith(("_mono", "_parallel"))),
+        ("augment", "sampling"): tuple(m.value for m in SelectionMode),
+        ("augment", "on_error"): ("abort", "skip"),
+        ("mix", "mono_aug"): AUG_CHOICES,
+        ("mix", "parallel_aug"): AUG_CHOICES,
+    }
 
 
 def _pyproject_version() -> str:
@@ -1816,7 +1864,7 @@ _TABLE = "lang,delta_chrf,n_panlex,n_gatitos,n_mono,class\n"
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": true, "translation": 0}',
                      "{bad}: weight for mass must be a number, got True", id="weight-bool"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"bogus": 1}',
-                     "{bad}: weights file: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,",
+                     "{bad}: unknown task 'bogus'; allowed: translation, mass, codeswitch_mono,",
                      id="weights-unknown-task"),
         pytest.param(["mix", "--weights", "{bad}"], ".json", '{"mass": 0.5, "translation": 0.25}',
                      "{bad}: weights sum to 0.75, expected 1.0", id="weights-sum"),
